@@ -28,8 +28,8 @@ fn bench_single_home(c: &mut Criterion) {
     let universe = DomainUniverse::standard();
     let zone = universe.build_zone();
     let root = DetRng::new(11);
-    let us_home = HomeConfig::sample(HomeId(0), Country::UnitedStates, &root.derive("us"));
-    let in_home = HomeConfig::sample(HomeId(1), Country::India, &root.derive("in"));
+    let us_home = HomeConfig::sample(HomeId(0), Country::UnitedStates, &root.derive("us"), &universe);
+    let in_home = HomeConfig::sample(HomeId(1), Country::India, &root.derive("in"), &universe);
 
     let mut group = c.benchmark_group("home_simulation_7days");
     group.sample_size(10);

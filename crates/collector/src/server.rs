@@ -740,6 +740,27 @@ pub struct SpillStats {
     pub error: Option<String>,
 }
 
+impl SpillStats {
+    /// Add `other`'s segments and bytes; keep the first error seen.
+    pub fn absorb(&mut self, other: SpillStats) {
+        self.segments += other.segments;
+        self.bytes_written += other.bytes_written;
+        if self.error.is_none() {
+            self.error = other.error;
+        }
+    }
+
+    /// Fold these totals into the global `obs` registry. The study runner
+    /// calls this once per run with its final totals, and only when
+    /// spilling was armed, so the manifest key set stays stable for
+    /// ordinary in-memory runs.
+    pub fn publish_metrics(&self) {
+        obs::counter("spill_segments_written_total").add(self.segments);
+        obs::counter("spill_bytes_written_total").add(self.bytes_written);
+        obs::counter("spill_errors_total").add(u64::from(self.error.is_some()));
+    }
+}
+
 /// A borrowed handle onto the shard owning one router's records. Home
 /// simulations grab one before their upload loop so the bulk path is a
 /// single uncontended lock per flush, with no per-record shard routing.
@@ -973,7 +994,10 @@ impl Collector {
     /// Fold the server's delivery accounting into the global `obs`
     /// registry. Every value is a sum over shards, so the publish is
     /// order-independent; the study runner calls this once after the
-    /// simulation phase, never on the ingest hot path.
+    /// simulation phase, never on the ingest hot path. Spill accounting is
+    /// published separately ([`SpillStats::publish_metrics`]): a stream
+    /// drains its segments away every window, so only the runner holds
+    /// the run's totals.
     pub fn publish_metrics(&self) {
         let c = self.upload_counters();
         obs::counter("collector_accepted_total").add(c.accepted);
@@ -986,13 +1010,6 @@ impl Collector {
         obs::counter("collector_records_dropped_outage_total").add(self.dropped_in_outage());
         obs::counter("collector_heartbeats_dropped_downtime_total")
             .add(self.dropped_in_downtime());
-        // Spill metrics register only when out-of-core mode is armed, so
-        // the manifest key set stays stable for ordinary in-memory runs.
-        if let Some(s) = self.spill_stats() {
-            obs::counter("spill_segments_written_total").add(s.segments);
-            obs::counter("spill_bytes_written_total").add(s.bytes_written);
-            obs::counter("spill_errors_total").add(u64::from(s.error.is_some()));
-        }
     }
 
     /// Snapshot everything collected so far, without disturbing ongoing

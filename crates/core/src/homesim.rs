@@ -207,11 +207,12 @@ impl<'a> HomeSim<'a> {
         let windows = params.windows.clone();
         let root = DetRng::new(params.seed).derive_indexed("homesim", u64::from(cfg.id.0));
         let router = RouterId(cfg.id.0);
-        let anonymizer = Anonymizer::new(
-            root.derive("anon-key").seed(),
-            params.universe.whitelist(),
-        );
-        let monitor = cfg.traffic_consent.then(|| TrafficMonitor::new(router, anonymizer));
+        // Only consenting homes capture traffic, so only they pay for the
+        // anonymizer and its whitelist. Deriving a stream draws nothing.
+        let monitor = cfg.traffic_consent.then(|| {
+            let key = root.derive("anon-key").seed();
+            TrafficMonitor::new(router, Anonymizer::new(key, params.universe.whitelist()))
+        });
         let mut queue = EventQueue::new();
 
         let span = windows.span;
@@ -1306,7 +1307,8 @@ mod tests {
         let zone = universe.build_zone();
         let windows = short_windows(days);
         let root = DetRng::new(99);
-        let mut cfg = HomeConfig::sample(household::HomeId(1), country, &root.derive("h"));
+        let mut cfg =
+            HomeConfig::sample(household::HomeId(1), country, &root.derive("h"), &universe);
         if let Some(consent) = consent_override {
             cfg.traffic_consent = consent;
         }
@@ -1387,10 +1389,13 @@ mod tests {
     fn capacity_estimates_track_configured_link() {
         let data = run_home(Country::UnitedStates, Some(false), 20);
         let universe = DomainUniverse::standard();
-        let _ = universe;
         let root = DetRng::new(99);
-        let cfg =
-            HomeConfig::sample(household::HomeId(1), Country::UnitedStates, &root.derive("h"));
+        let cfg = HomeConfig::sample(
+            household::HomeId(1),
+            Country::UnitedStates,
+            &root.derive("h"),
+            &universe,
+        );
         for rec in &data.capacity {
             let err = (rec.down_bps as f64 - cfg.down_link.rate_bps as f64).abs()
                 / cfg.down_link.rate_bps as f64;

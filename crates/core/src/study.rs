@@ -8,8 +8,9 @@ use collector::{Collector, Datasets, RouterMeta, SpillConfig, SpillStats, Upload
 use faultlab::{FaultPlan, FaultScenario};
 use firmware::records::RouterId;
 use household::domains::DomainUniverse;
-use household::home::{build_deployment_scaled, HomeConfig};
+use household::home::{build_deployment_with, HomeConfig};
 use household::Country;
+use simnet::dns::ZoneDb;
 use simnet::time::{SimDuration, SimTime};
 
 /// The per-data-set collection windows a study runs with.
@@ -217,51 +218,150 @@ fn publish_study_metrics(homes: &[HomeConfig], datasets: &Datasets) {
     obs::gauge("dataset_upload_gap_records").set(datasets.upload_gaps.len() as u64);
 }
 
+/// Everything both drivers build before the first event runs: the
+/// deployment (sampled on the study's `threads` workers against one shared
+/// domain universe), its compiled fault and CGN plans, and the DNS zone.
+struct Deployment {
+    homes: Vec<HomeConfig>,
+    universe: DomainUniverse,
+    zone: ZoneDb,
+    fault_plan: FaultPlan,
+    cgn_plan: CgnPlan,
+}
+
+impl Deployment {
+    /// Build the deployment and plans for `config`, plus a collector with
+    /// the spill budget, outages and fault downtime armed and every home
+    /// registered.
+    fn set_up(config: &StudyConfig) -> (Deployment, Collector) {
+        let universe = DomainUniverse::standard();
+        let homes = build_deployment_with(config.seed, config.homes, &universe, config.threads);
+        // Compile the fault scenario (if any) against the actual
+        // deployment. An empty plan keeps every home on the legacy
+        // direct-flush path.
+        let fault_plan = match config.faults {
+            Some(scenario) => {
+                let routers: Vec<RouterId> = homes.iter().map(|h| RouterId(h.id.0)).collect();
+                FaultPlan::scenario(scenario, config.seed, config.windows.span, &routers)
+            }
+            None => FaultPlan::empty(),
+        };
+        // Compile the CGN scenario (if any) against the deployment's
+        // country mix. An empty plan leaves every home on the single-NAT
+        // path.
+        let cgn_plan = match config.cgn {
+            Some(scenario) => {
+                let deployment: Vec<(RouterId, Country)> =
+                    homes.iter().map(|h| (RouterId(h.id.0), h.country)).collect();
+                CgnPlan::scenario(scenario, config.seed, config.windows.span, &deployment)
+            }
+            None => CgnPlan::empty(),
+        };
+        let zone = universe.build_zone();
+        let collector = Collector::new();
+        if let Some(spill) = &config.spill {
+            collector
+                .set_spill(spill)
+                .expect("spill directory must be creatable before the study starts");
+        }
+        collector.set_outages(config.collector_outages.clone());
+        if !fault_plan.collector_downtime.is_empty() {
+            collector.set_downtime(fault_plan.collector_downtime.clone());
+        }
+        for home in &homes {
+            collector.register(RouterMeta {
+                router: RouterId(home.id.0),
+                country: home.country,
+                traffic_consent: home.traffic_consent,
+            });
+        }
+        (Deployment { homes, universe, zone, fault_plan, cgn_plan }, collector)
+    }
+
+    /// The simulation of home `idx`.
+    fn sim<'a>(
+        &'a self,
+        idx: usize,
+        config: &'a StudyConfig,
+        reliable_upload: bool,
+    ) -> HomeSim<'a> {
+        let home = &self.homes[idx];
+        HomeSim::new(SimParams {
+            cfg: home,
+            universe: &self.universe,
+            zone: &self.zone,
+            windows: &config.windows,
+            seed: config.seed,
+            reliable_upload,
+            faults: self.fault_plan.for_router(RouterId(home.id.0)),
+            cgn: self.cgn_plan.for_router(RouterId(home.id.0)),
+        })
+    }
+
+    /// Publish the end-of-study metrics and assemble the output.
+    /// `delivery` is the collector's accounting, read before `datasets`
+    /// were taken out of it.
+    fn finish(
+        self,
+        config: &StudyConfig,
+        delivery: Delivery,
+        datasets: Datasets,
+        timings: PhaseTimings,
+    ) -> StudyOutput {
+        publish_study_metrics(&self.homes, &datasets);
+        if !self.cgn_plan.is_empty() {
+            self.cgn_plan.publish_metrics();
+        }
+        // Wall-clock phase spans are host profiling: they reach the
+        // manifest's text summary only, never metrics.json.
+        obs::wall_span("study_simulate").record_micros(timings.simulate.as_micros() as u64);
+        obs::wall_span("study_snapshot").record_micros(timings.snapshot.as_micros() as u64);
+        StudyOutput {
+            datasets,
+            homes: self.homes,
+            windows: config.windows.clone(),
+            timings,
+            fault_plan: self.fault_plan,
+            cgn_plan: self.cgn_plan,
+            upload_counters: delivery.upload_counters,
+            dropped_in_downtime: delivery.dropped_in_downtime,
+            spill: delivery.spill,
+        }
+    }
+}
+
+/// The collector's end-of-run accounting.
+struct Delivery {
+    upload_counters: UploadCounters,
+    dropped_in_downtime: u64,
+    spill: Option<SpillStats>,
+}
+
+impl Delivery {
+    /// Publish the collector's counters and the run's spill totals, and
+    /// keep them for the output. `spill` is the run's total, which only
+    /// the driver knows once a stream has drained segments away.
+    fn publish(collector: &Collector, spill: Option<SpillStats>) -> Delivery {
+        collector.publish_metrics();
+        if let Some(stats) = &spill {
+            stats.publish_metrics();
+        }
+        Delivery {
+            upload_counters: collector.upload_counters(),
+            dropped_in_downtime: collector.dropped_in_downtime(),
+            spill,
+        }
+    }
+}
+
 /// Run the full study: build the deployment from `seed` (Table 1 at the
 /// default 126 homes, mix-preserving generative scaling otherwise),
 /// simulate every home over the configured span on `threads` workers, and
 /// snapshot the collected data sets.
 pub fn run_study(config: &StudyConfig) -> StudyOutput {
-    let homes = build_deployment_scaled(config.seed, config.homes);
-    // Compile the fault scenario (if any) against the actual deployment.
-    // An empty plan keeps every home on the legacy direct-flush path.
-    let fault_plan = match config.faults {
-        Some(scenario) => {
-            let routers: Vec<RouterId> = homes.iter().map(|h| RouterId(h.id.0)).collect();
-            FaultPlan::scenario(scenario, config.seed, config.windows.span, &routers)
-        }
-        None => FaultPlan::empty(),
-    };
-    // Compile the CGN scenario (if any) against the deployment's country
-    // mix. An empty plan leaves every home on the single-NAT path.
-    let cgn_plan = match config.cgn {
-        Some(scenario) => {
-            let deployment: Vec<(RouterId, Country)> =
-                homes.iter().map(|h| (RouterId(h.id.0), h.country)).collect();
-            CgnPlan::scenario(scenario, config.seed, config.windows.span, &deployment)
-        }
-        None => CgnPlan::empty(),
-    };
-    let reliable_upload = !fault_plan.is_empty() || !cgn_plan.is_empty();
-    let universe = DomainUniverse::standard();
-    let zone = universe.build_zone();
-    let collector = Collector::new();
-    if let Some(spill) = &config.spill {
-        collector
-            .set_spill(spill)
-            .expect("spill directory must be creatable before the study starts");
-    }
-    collector.set_outages(config.collector_outages.clone());
-    if !fault_plan.collector_downtime.is_empty() {
-        collector.set_downtime(fault_plan.collector_downtime.clone());
-    }
-    for home in &homes {
-        collector.register(RouterMeta {
-            router: RouterId(home.id.0),
-            country: home.country,
-            traffic_consent: home.traffic_consent,
-        });
-    }
+    let (deployment, collector) = Deployment::set_up(config);
+    let reliable_upload = !deployment.fault_plan.is_empty() || !deployment.cgn_plan.is_empty();
+    let homes = deployment.homes.len();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = config.threads.max(1);
     // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
@@ -270,20 +370,10 @@ pub fn run_study(config: &StudyConfig) -> StudyOutput {
         for _ in 0..workers {
             scope.spawn(|_| loop {
                 let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= homes.len() {
+                if idx >= homes {
                     break;
                 }
-                let sim = HomeSim::new(SimParams {
-                    cfg: &homes[idx],
-                    universe: &universe,
-                    zone: &zone,
-                    windows: &config.windows,
-                    seed: config.seed,
-                    reliable_upload,
-                    faults: fault_plan.for_router(RouterId(homes[idx].id.0)),
-                    cgn: cgn_plan.for_router(RouterId(homes[idx].id.0)),
-                });
-                sim.run(&collector);
+                deployment.sim(idx, config, reliable_upload).run(&collector);
             });
         }
     })
@@ -293,31 +383,10 @@ pub fn run_study(config: &StudyConfig) -> StudyOutput {
     // cloning 33M records out of it.
     // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
     let snap_start = std::time::Instant::now();
-    collector.publish_metrics();
-    let upload_counters = collector.upload_counters();
-    let dropped_in_downtime = collector.dropped_in_downtime();
-    let spill = collector.spill_stats();
+    let delivery = Delivery::publish(&collector, collector.spill_stats());
     let datasets = collector.into_datasets();
     let snapshot = snap_start.elapsed();
-    publish_study_metrics(&homes, &datasets);
-    if !cgn_plan.is_empty() {
-        cgn_plan.publish_metrics();
-    }
-    // Wall-clock phase spans are host profiling: they reach the manifest's
-    // text summary only, never metrics.json.
-    obs::wall_span("study_simulate").record_micros(simulate.as_micros() as u64);
-    obs::wall_span("study_snapshot").record_micros(snapshot.as_micros() as u64);
-    StudyOutput {
-        datasets,
-        homes,
-        windows: config.windows.clone(),
-        timings: PhaseTimings { simulate, snapshot },
-        fault_plan,
-        cgn_plan,
-        upload_counters,
-        dropped_in_downtime,
-        spill,
-    }
+    deployment.finish(config, delivery, datasets, PhaseTimings { simulate, snapshot })
 }
 
 /// One emitted stream window, handed to the [`run_study_stream`] sink
@@ -373,59 +442,12 @@ pub fn run_study_stream(
     mut on_window: impl FnMut(&StreamWindow<'_>),
 ) -> StreamOutput {
     assert!(cadence.as_micros() > 0, "stream cadence must be positive");
-    let homes = build_deployment_scaled(config.seed, config.homes);
-    let fault_plan = match config.faults {
-        Some(scenario) => {
-            let routers: Vec<RouterId> = homes.iter().map(|h| RouterId(h.id.0)).collect();
-            FaultPlan::scenario(scenario, config.seed, config.windows.span, &routers)
-        }
-        None => FaultPlan::empty(),
-    };
-    let cgn_plan = match config.cgn {
-        Some(scenario) => {
-            let deployment: Vec<(RouterId, Country)> =
-                homes.iter().map(|h| (RouterId(h.id.0), h.country)).collect();
-            CgnPlan::scenario(scenario, config.seed, config.windows.span, &deployment)
-        }
-        None => CgnPlan::empty(),
-    };
-    let universe = DomainUniverse::standard();
-    let zone = universe.build_zone();
-    let collector = Collector::new();
-    if let Some(spill) = &config.spill {
-        collector
-            .set_spill(spill)
-            .expect("spill directory must be creatable before the study starts");
-    }
-    collector.set_outages(config.collector_outages.clone());
-    if !fault_plan.collector_downtime.is_empty() {
-        collector.set_downtime(fault_plan.collector_downtime.clone());
-    }
-    for home in &homes {
-        collector.register(RouterMeta {
-            router: RouterId(home.id.0),
-            country: home.country,
-            traffic_consent: home.traffic_consent,
-        });
-    }
-    let mut sims: Vec<HomeSim<'_>> = homes
-        .iter()
-        .map(|home| {
-            HomeSim::new(SimParams {
-                cfg: home,
-                universe: &universe,
-                zone: &zone,
-                windows: &config.windows,
-                seed: config.seed,
-                // A continuously-consumed stream always runs the reliable
-                // upload path; with no faults armed the queue is invisible
-                // and the delivered records are identical to direct flush.
-                reliable_upload: true,
-                faults: fault_plan.for_router(RouterId(home.id.0)),
-                cgn: cgn_plan.for_router(RouterId(home.id.0)),
-            })
-        })
-        .collect();
+    let (deployment, collector) = Deployment::set_up(config);
+    // A continuously-consumed stream always runs the reliable upload path;
+    // with no faults armed the queue is invisible and the delivered
+    // records are identical to direct flush.
+    let mut sims: Vec<HomeSim<'_>> =
+        (0..deployment.homes.len()).map(|idx| deployment.sim(idx, config, true)).collect();
 
     let span = config.windows.span;
     let workers = config.threads.max(1);
@@ -489,12 +511,7 @@ pub fn run_study_stream(
         // the delta (the collector's live stats reset every window), so
         // the study-level totals must accumulate across drains.
         if let Some(stats) = collector.spill_stats() {
-            let total = spill_total.get_or_insert_with(SpillStats::default);
-            total.segments += stats.segments;
-            total.bytes_written += stats.bytes_written;
-            if total.error.is_none() {
-                total.error = stats.error;
-            }
+            spill_total.get_or_insert_with(SpillStats::default).absorb(stats);
         }
         // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
         let drain_start = std::time::Instant::now();
@@ -527,32 +544,12 @@ pub fn run_study_stream(
         cursor = until;
     }
     let report = report.expect("span is non-empty, so at least one window ran");
-
-    collector.publish_metrics();
-    let upload_counters = collector.upload_counters();
-    let dropped_in_downtime = collector.dropped_in_downtime();
-    // Accumulated across the per-window drains above; the final drain left
-    // the collector itself with no live segments to report.
-    let spill = spill_total;
+    // The spill totals accumulated across the per-window drains above;
+    // the final drain left the collector itself with no live segments.
+    let delivery = Delivery::publish(&collector, spill_total);
     drop(collector);
-    publish_study_metrics(&homes, &acc);
-    if !cgn_plan.is_empty() {
-        cgn_plan.publish_metrics();
-    }
-    obs::wall_span("study_simulate").record_micros(simulate.as_micros() as u64);
-    obs::wall_span("study_snapshot").record_micros(snapshot.as_micros() as u64);
     StreamOutput {
-        study: StudyOutput {
-            datasets: acc,
-            homes,
-            windows: config.windows.clone(),
-            timings: PhaseTimings { simulate, snapshot },
-            fault_plan,
-            cgn_plan,
-            upload_counters,
-            dropped_in_downtime,
-            spill,
-        },
+        study: deployment.finish(config, delivery, acc, PhaseTimings { simulate, snapshot }),
         report,
         windows_run: index,
     }

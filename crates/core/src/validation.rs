@@ -152,6 +152,7 @@ mod tests {
             household::HomeId(0),
             household::Country::UnitedStates,
             &root.derive_indexed("home", 0),
+            &universe,
         );
         cfg.traffic_consent = false;
         cfg.heartbeat_loss_prob = 0.35; // pathologically lossy path

@@ -22,6 +22,7 @@ use simnet::rng::{DetRng, ZipfTable};
 use simnet::time::SimDuration;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Service category of a domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -67,10 +68,16 @@ pub struct DomainInfo {
 pub type DomainIdx = usize;
 
 /// The full set of domains the simulated Internet serves.
+///
+/// Build it once per deployment and share it: it also owns the
+/// per-category rank samplers every [`HomeTaste`] draws from.
 #[derive(Debug, Clone)]
 pub struct DomainUniverse {
     domains: Vec<DomainInfo>,
     by_category: BTreeMap<Category, Vec<DomainIdx>>,
+    /// Zipf sampler over each category's taste ranks. A table depends only
+    /// on the category's length and exponent, so all homes share one.
+    zipf: BTreeMap<Category, Arc<ZipfTable>>,
 }
 
 /// Named heads of the whitelist: (name, category). Order is global
@@ -164,7 +171,13 @@ impl DomainUniverse {
         for (idx, d) in domains.iter().enumerate() {
             by_category.entry(d.category).or_default().push(idx);
         }
-        DomainUniverse { domains, by_category }
+        let zipf = by_category
+            .iter()
+            .map(|(&category, indices)| {
+                (category, Arc::new(ZipfTable::new(indices.len(), zipf_exponent(category))))
+            })
+            .collect();
+        DomainUniverse { domains, by_category, zipf }
     }
 
     fn addr_for(i: usize) -> Ipv4Addr {
@@ -205,6 +218,17 @@ impl DomainUniverse {
     }
 }
 
+/// Zipf exponent of a category's taste ranks. Browsing-style categories
+/// concentrate hard on a favorite (search engines, social networks);
+/// streaming catalogs spread volume across more services. These exponents
+/// set the Fig 19 volume-vs-connection concentration.
+fn zipf_exponent(category: Category) -> f64 {
+    match category {
+        Category::Video | Category::Music | Category::Other => 1.5,
+        _ => 1.9,
+    }
+}
+
 /// Which categories an application class draws from, with weights.
 fn categories_for(kind: AppKind) -> &'static [(Category, f64)] {
     match kind {
@@ -233,8 +257,8 @@ fn categories_for(kind: AppKind) -> &'static [(Category, f64)] {
 pub struct HomeTaste {
     /// Per-category domain orderings (most preferred first).
     order: BTreeMap<Category, Vec<DomainIdx>>,
-    /// Zipf sampler per category length.
-    zipf: BTreeMap<Category, ZipfTable>,
+    /// Zipf sampler per category, shared with the universe.
+    zipf: BTreeMap<Category, Arc<ZipfTable>>,
 }
 
 impl HomeTaste {
@@ -258,15 +282,7 @@ impl HomeTaste {
                 .collect();
             scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("scores finite"));
             let ordered: Vec<DomainIdx> = scored.into_iter().map(|(_, idx)| idx).collect();
-            // Browsing-style categories concentrate hard on a favorite
-            // (search engines, social networks); streaming catalogs spread
-            // volume across more services. These exponents set the Fig 19
-            // volume-vs-connection concentration.
-            let exponent = match category {
-                Category::Video | Category::Music | Category::Other => 1.5,
-                _ => 1.9,
-            };
-            zipf.insert(category, ZipfTable::new(ordered.len(), exponent));
+            zipf.insert(category, Arc::clone(&universe.zipf[&category]));
             order.insert(category, ordered);
         }
         HomeTaste { order, zipf }
@@ -275,8 +291,7 @@ impl HomeTaste {
     /// Pick a destination domain for a session of the given kind.
     pub fn pick_domain(&self, kind: AppKind, rng: &mut DetRng) -> DomainIdx {
         let cats = categories_for(kind);
-        let weights: Vec<f64> = cats.iter().map(|(_, w)| *w).collect();
-        let category = cats[rng.weighted_index(&weights)].0;
+        let category = cats[rng.weighted_index_by(cats, |&(_, w)| w)].0;
         let ordered = &self.order[&category];
         let rank = rng.zipf(&self.zipf[&category]);
         ordered[rank]
@@ -349,6 +364,19 @@ mod tests {
             google_top > homes / 2,
             "google should rank top-3 in search for most homes: {google_top}/{homes}"
         );
+    }
+
+    #[test]
+    fn tastes_share_the_universe_rank_tables() {
+        let u = DomainUniverse::standard();
+        let root = DetRng::new(30);
+        let t1 = HomeTaste::sample(&u, &mut root.derive_indexed("taste", 1));
+        let t2 = HomeTaste::sample(&u, &mut root.derive_indexed("taste", 2));
+        for (category, table) in &u.zipf {
+            assert!(Arc::ptr_eq(table, &t1.zipf[category]));
+            assert!(Arc::ptr_eq(&t1.zipf[category], &t2.zipf[category]));
+            assert_eq!(table.len(), u.in_category(*category).len());
+        }
     }
 
     #[test]

@@ -78,7 +78,15 @@ pub struct HomeConfig {
 impl HomeConfig {
     /// Sample a home for `country`. The `rng` must be the home's private
     /// stream; all internal processes derive their own substreams from it.
-    pub fn sample(id: HomeId, country: Country, rng: &DetRng) -> HomeConfig {
+    /// `universe` is the deployment's shared domain universe (see
+    /// [`DomainUniverse::standard`]); building it once per deployment
+    /// rather than once per home is what keeps large deployments cheap.
+    pub fn sample(
+        id: HomeId,
+        country: Country,
+        rng: &DetRng,
+        universe: &DomainUniverse,
+    ) -> HomeConfig {
         let env = country.environment();
         let mut link_rng = rng.derive("link");
         // Log-uniform capacity inside the country's typical range.
@@ -117,9 +125,8 @@ impl HomeConfig {
         let availability = AvailabilityModel::sample(country, &mut avail_rng);
         let mut diurnal_rng = rng.derive("diurnal");
         let diurnal = DiurnalModel::sample(&mut diurnal_rng);
-        let universe = DomainUniverse::standard();
         let mut taste_rng = rng.derive("taste");
-        let taste = HomeTaste::sample(&universe, &mut taste_rng);
+        let taste = HomeTaste::sample(universe, &mut taste_rng);
 
         let mut misc_rng = rng.derive("misc");
         // Traffic consent exists only in the US for the studied window.
@@ -217,16 +224,47 @@ fn apportion(homes: u32) -> Vec<(Country, u32)> {
 /// `max(2, homes * 2 / 126)` consenting homes with a modest uplink
 /// saturate their upstream around the clock.
 pub fn build_deployment_scaled(seed: u64, homes: u32) -> Vec<HomeConfig> {
+    build_deployment_with(seed, homes, &DomainUniverse::standard(), 1)
+}
+
+/// [`build_deployment_scaled`] against a caller-built `universe`, sampling
+/// the homes on `threads` workers. Every home draws only from its own
+/// `derive_indexed("home", id)` stream, so the result is identical at any
+/// thread count: workers sample contiguous id ranges, the ranges are
+/// concatenated in id order, and the quirk pass runs afterwards on the
+/// whole deployment.
+pub fn build_deployment_with(
+    seed: u64,
+    homes: u32,
+    universe: &DomainUniverse,
+    threads: usize,
+) -> Vec<HomeConfig> {
     let root = DetRng::new(seed);
-    let mut out = Vec::with_capacity(homes as usize);
-    let mut id = 0u32;
-    for (country, count) in apportion(homes) {
-        for _ in 0..count {
-            let home_rng = root.derive_indexed("home", u64::from(id));
-            out.push(HomeConfig::sample(HomeId(id), country, &home_rng));
-            id += 1;
-        }
-    }
+    let plan: Vec<(HomeId, Country)> = apportion(homes)
+        .into_iter()
+        .flat_map(|(country, count)| std::iter::repeat(country).take(count as usize))
+        .zip(0..)
+        .map(|(country, id)| (HomeId(id), country))
+        .collect();
+    let sample = |&(id, country): &(HomeId, Country)| {
+        HomeConfig::sample(id, country, &root.derive_indexed("home", u64::from(id.0)), universe)
+    };
+    let chunk = plan.len().div_ceil(threads.max(1)).max(1);
+    let mut out: Vec<HomeConfig> = if plan.len() <= chunk {
+        plan.iter().map(sample).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = plan
+                .chunks(chunk)
+                .map(|part| scope.spawn(move || part.iter().map(sample).collect::<Vec<_>>()))
+                .collect();
+            let mut out = Vec::with_capacity(plan.len());
+            for worker in workers {
+                out.extend(worker.join().expect("home sampling threads must not panic"));
+            }
+            out
+        })
+    };
     // Assign the uploader quirk to the first consenting homes with a
     // modest uplink, mirroring the paper's two Fig 16 households and
     // keeping their prevalence constant as the deployment grows.
@@ -390,6 +428,30 @@ mod tests {
         // each id derives its own stream.
         let big = build_deployment_scaled(7, 600);
         assert_eq!(big.len(), 600);
+    }
+
+    #[test]
+    fn parallel_deployment_equals_sequential() {
+        let universe = DomainUniverse::standard();
+        for homes in [1u32, 5, 126, 1000] {
+            let sequential = build_deployment_scaled(11, homes);
+            for threads in [1usize, 2, 3, 8] {
+                let parallel = build_deployment_with(11, homes, &universe, threads);
+                assert_eq!(parallel.len(), sequential.len(), "{homes} homes on {threads} threads");
+                for (a, b) in sequential.iter().zip(&parallel) {
+                    // Debug prints every field, floats exactly.
+                    assert_eq!(
+                        format!("{a:?}"),
+                        format!("{b:?}"),
+                        "{} differs: {homes} homes on {threads} threads",
+                        a.id
+                    );
+                }
+            }
+        }
+        let table1 = build_deployment(11);
+        let scaled = build_deployment_scaled(11, 126);
+        assert_eq!(format!("{table1:?}"), format!("{scaled:?}"));
     }
 
     #[test]

@@ -31,5 +31,7 @@ pub use country::{Country, Region};
 pub use devices::{Attachment, Device, DeviceType, VendorClass};
 pub use diurnal::DiurnalModel;
 pub use domains::{Category, DomainUniverse, HomeTaste};
-pub use home::{build_deployment, build_deployment_scaled, HomeConfig, HomeId, Quirk};
+pub use home::{
+    build_deployment, build_deployment_scaled, build_deployment_with, HomeConfig, HomeId, Quirk,
+};
 pub use interval::Interval;

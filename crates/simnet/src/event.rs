@@ -1,5 +1,5 @@
 //! The discrete-event core: a time-ordered event queue with stable tie
-//! ordering and O(log n) cancellation.
+//! ordering and cancellation that costs nothing until it is used.
 //!
 //! Following the event-driven style of small embedded TCP/IP stacks, the
 //! queue does not own a run loop or callbacks. A simulation owns an
@@ -26,26 +26,36 @@
 //! Two events at the same instant are delivered in the order they were
 //! scheduled (FIFO tie-break via a sequence number), which keeps runs
 //! deterministic regardless of heap internals.
+//!
+//! Cancellation is on demand. Events pop in strictly increasing
+//! `(time, sequence)` order, and an [`EventId`] carries that key, so an
+//! event has already fired exactly when its key is at or below the last
+//! popped one. Only cancelled keys are tracked: schedule and pop touch no
+//! per-event bookkeeping, and a run that never cancels pays one
+//! emptiness check per pop.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
-/// Opaque handle for a scheduled event, used for cancellation.
+/// Opaque handle for a scheduled event, used for cancellation. It is the
+/// event's heap key, `(time, sequence)`, and orders like one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    at: SimTime,
+    seq: u64,
+}
 
 #[derive(Debug)]
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
+    id: EventId,
     event: E,
 }
 
-// Ordering is by (time, sequence); the payload never participates.
+// Ordering is by the key; the payload never participates.
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.id == other.id
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -56,7 +66,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.id.cmp(&other.id)
     }
 }
 
@@ -69,9 +79,14 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Ids of events that are scheduled and not yet delivered or cancelled.
-    /// Entries in `heap` whose id is absent here are tombstones to skip.
-    live: HashSet<u64>,
+    /// Cancelled events the pop cursor has not passed yet. Heap entries
+    /// whose id is in here are tombstones to skip. Keys below
+    /// `last_popped` are pruned: the fired test covers them.
+    cancelled: BTreeSet<EventId>,
+    /// Key of the most recently popped event.
+    last_popped: Option<EventId>,
+    /// Pending events that are neither delivered nor cancelled.
+    live: usize,
     next_seq: u64,
     now: SimTime,
     processed: u64,
@@ -88,7 +103,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
+            cancelled: BTreeSet::new(),
+            last_popped: None,
+            live: 0,
             next_seq: 0,
             now: SimTime::EPOCH,
             processed: 0,
@@ -108,7 +125,7 @@ impl<E> EventQueue<E> {
 
     /// Number of live (not cancelled) pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// True when no live events are pending.
@@ -122,10 +139,10 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is before the current virtual time.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
         assert!(at >= self.now, "scheduling into the past: {} < {}", at, self.now);
-        let id = EventId(self.next_seq);
-        self.heap.push(Reverse(Entry { at, seq: self.next_seq, event }));
-        self.live.insert(self.next_seq);
+        let id = EventId { at, seq: self.next_seq };
+        self.heap.push(Reverse(Entry { id, event }));
         self.next_seq += 1;
+        self.live += 1;
         id
     }
 
@@ -138,22 +155,36 @@ impl<E> EventQueue<E> {
     /// still pending (it will now never be delivered), `false` if it had
     /// already fired, been cancelled, or never existed.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // Lazy deletion: drop the id from the live set now; the heap entry
-        // becomes a tombstone discarded when it surfaces. Clearing dead
-        // heads here keeps the invariant that the heap head, if any, is
-        // always live — which is what lets `peek_time` take `&self`.
-        let was_live = self.live.remove(&id.0);
-        if was_live {
-            self.drop_dead_heads();
+        let issued = id.seq < self.next_seq;
+        let fired = self.last_popped.is_some_and(|last| id <= last);
+        // Lazy deletion: the heap entry becomes a tombstone discarded when
+        // it surfaces. Clearing dead heads here keeps the invariant that
+        // the heap head, if any, is always live — which is what lets
+        // `peek_time` take `&self`.
+        if !issued || fired || !self.cancelled.insert(id) {
+            return false;
         }
-        was_live
+        self.live -= 1;
+        self.drop_dead_heads();
+        true
     }
 
-    /// Discard tombstones sitting at the heap head. Called after every
+    /// Discard tombstones sitting at the heap head and forget
+    /// cancellations the pop cursor has passed. Called after every
     /// mutation that can expose one, so the head is live between calls.
     fn drop_dead_heads(&mut self) {
+        if self.cancelled.is_empty() {
+            return;
+        }
+        if let Some(last) = self.last_popped {
+            // A cancelled key below the cursor left the heap before the
+            // cursor passed it (it was a dead head then).
+            while self.cancelled.first().is_some_and(|&id| id < last) {
+                self.cancelled.pop_first();
+            }
+        }
         while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.live.contains(&entry.seq) {
+            if !self.cancelled.contains(&entry.id) {
                 break;
             }
             self.heap.pop();
@@ -167,20 +198,21 @@ impl<E> EventQueue<E> {
     pub fn pop_if_before(&mut self, end: SimTime) -> Option<(SimTime, E)> {
         // The head is live by invariant (see `drop_dead_heads`).
         let head_at = match self.heap.peek() {
-            Some(Reverse(entry)) => entry.at,
+            Some(Reverse(entry)) => entry.id.at,
             None => return None,
         };
         if head_at >= end {
             return None;
         }
         let Reverse(entry) = self.heap.pop().expect("peeked entry exists");
-        self.live.remove(&entry.seq);
-        debug_assert!(entry.at >= self.now, "event queue time went backwards");
-        self.now = entry.at;
+        debug_assert!(entry.id.at >= self.now, "event queue time went backwards");
+        self.last_popped = Some(entry.id);
+        self.live -= 1;
+        self.now = entry.id.at;
         self.processed += 1;
         // Popping may expose buried tombstones; restore the invariant.
         self.drop_dead_heads();
-        Some((entry.at, entry.event))
+        Some((entry.id.at, entry.event))
     }
 
     /// Pop the next event unconditionally (if any).
@@ -194,10 +226,10 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(entry)| {
             debug_assert!(
-                self.live.contains(&entry.seq),
+                !self.cancelled.contains(&entry.id),
                 "heap head must never be a tombstone"
             );
-            entry.at
+            entry.id.at
         })
     }
 
@@ -288,7 +320,7 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_false() {
         let mut q: EventQueue<Ev> = EventQueue::new();
-        assert!(!q.cancel(EventId(999)));
+        assert!(!q.cancel(EventId { at: t(0), seq: 999 }));
     }
 
     #[test]
@@ -359,6 +391,22 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_dead_head_cannot_be_cancelled_again() {
+        let mut q = EventQueue::new();
+        q.schedule(t(10), Ev::A);
+        let b = q.schedule(t(20), Ev::B);
+        q.schedule(t(30), Ev::C);
+        assert_eq!(q.pop(), Some((t(10), Ev::A)));
+        // B is the head: cancelling drops it from the heap at once, but its
+        // key is still above the pop cursor.
+        assert!(q.cancel(b));
+        assert!(!q.cancel(b), "a dropped tombstone is still cancelled");
+        assert_eq!(q.pop(), Some((t(30), Ev::C)));
+        assert!(!q.cancel(b), "below the cursor it reads as done");
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn handler_reschedule_pattern() {
         // The idiomatic driver loop: pop, then handle (handler may schedule).
         let mut q = EventQueue::new();
@@ -371,5 +419,62 @@ mod tests {
         }
         assert_eq!(ticks, 10);
         assert_eq!(q.len(), 1, "next tick remains queued past the horizon");
+    }
+
+    /// Model check against a `BTreeMap` keyed `(time, sequence)`: random
+    /// interleavings of schedule, cancel and bounded pop. Cancels pick
+    /// pending, fired and already-cancelled ids alike, plus ids the queue
+    /// never issued. After every step `len` and `peek_time` must agree
+    /// with the model, and at the end the rest must drain in key order.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            #[test]
+            fn queue_matches_btreemap_model(
+                ops in proptest::collection::vec((0u8..4, 0u64..40, any::<u16>()), 1..300)
+            ) {
+                let mut q = EventQueue::new();
+                let mut model: BTreeMap<(SimTime, u64), usize> = BTreeMap::new();
+                let mut issued: Vec<EventId> = Vec::new();
+                for (step, &(kind, delta, pick)) in ops.iter().enumerate() {
+                    let later = q.now() + SimDuration::from_micros(delta);
+                    match kind {
+                        0 | 1 => {
+                            let id = q.schedule(later, step);
+                            model.insert((later, issued.len() as u64), step);
+                            issued.push(id);
+                        }
+                        2 => {
+                            // One cancel in eight names an id never issued.
+                            let id = if issued.is_empty() || pick % 8 == 0 {
+                                EventId { at: later, seq: issued.len() as u64 + u64::from(pick) }
+                            } else {
+                                issued[usize::from(pick) % issued.len()]
+                            };
+                            let pending = model.remove(&(id.at, id.seq)).is_some();
+                            prop_assert_eq!(q.cancel(id), pending, "cancel of {:?}", id);
+                        }
+                        _ => {
+                            let head = model.first_key_value().map(|(&key, &ev)| (key, ev));
+                            match head {
+                                Some(((at, seq), ev)) if at < later => {
+                                    model.remove(&(at, seq));
+                                    prop_assert_eq!(q.pop_if_before(later), Some((at, ev)));
+                                    prop_assert_eq!(q.now(), at);
+                                }
+                                _ => prop_assert_eq!(q.pop_if_before(later), None),
+                            }
+                        }
+                    }
+                    prop_assert_eq!(q.len(), model.len());
+                    prop_assert_eq!(q.peek_time(), model.keys().next().map(|&(at, _)| at));
+                }
+                let rest: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, ev)| ev)).collect();
+                prop_assert_eq!(rest, model.into_values().collect::<Vec<_>>());
+            }
+        }
     }
 }

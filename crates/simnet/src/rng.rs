@@ -169,16 +169,24 @@ impl DetRng {
     /// Choose an index according to non-negative `weights`. Requires a
     /// positive total weight.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.weighted_index_by(weights, |w| *w)
+    }
+
+    /// [`DetRng::weighted_index`] over `weight(item)` for each of `items`,
+    /// without collecting the weights first. Draws exactly as
+    /// `weighted_index` on the collected weights would.
+    pub fn weighted_index_by<T>(&mut self, items: &[T], weight: impl Fn(&T) -> f64) -> usize {
+        let total: f64 = items.iter().map(&weight).sum();
         assert!(total > 0.0, "weighted_index requires positive total weight");
         let mut target = self.uniform() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if target < *w {
+        for (i, item) in items.iter().enumerate() {
+            let w = weight(item);
+            if target < w {
                 return i;
             }
             target -= w;
         }
-        weights.len() - 1
+        items.len() - 1
     }
 
     /// Fisher–Yates shuffle.
@@ -362,6 +370,17 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
+    }
+
+    #[test]
+    fn weighted_index_by_draws_like_weighted_index() {
+        let items = [("a", 0.34), ("b", 0.26), ("c", 0.0), ("d", 0.4)];
+        let weights: Vec<f64> = items.iter().map(|(_, w)| *w).collect();
+        let mut a = DetRng::new(19);
+        let mut b = DetRng::new(19);
+        for _ in 0..1_000 {
+            assert_eq!(a.weighted_index(&weights), b.weighted_index_by(&items, |&(_, w)| w));
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ fn main() {
     let root = DetRng::new(6);
     let mut homes: Vec<HomeConfig> = Vec::new();
 
-    let mut always_on =
-        HomeConfig::sample(HomeId(0), Country::UnitedStates, &root.derive_indexed("home", 0));
+    let home_rng = root.derive_indexed("home", 0);
+    let mut always_on = HomeConfig::sample(HomeId(0), Country::UnitedStates, &home_rng, &universe);
     always_on.availability = AvailabilityModel {
         power: PowerMode::AlwaysOn { reboot_rate_per_month: 1.0, extended_off_rate_per_month: 0.0 },
         outage_rate_per_day: 0.02,
@@ -45,8 +45,8 @@ fn main() {
     };
     homes.push(always_on);
 
-    let mut appliance =
-        HomeConfig::sample(HomeId(1), Country::China, &root.derive_indexed("home", 1));
+    let home_rng = root.derive_indexed("home", 1);
+    let mut appliance = HomeConfig::sample(HomeId(1), Country::China, &home_rng, &universe);
     appliance.availability = AvailabilityModel {
         power: PowerMode::Appliance {
             weekday_on_hour: 18.5,
@@ -62,8 +62,8 @@ fn main() {
     };
     homes.push(appliance);
 
-    let mut flaky =
-        HomeConfig::sample(HomeId(2), Country::UnitedStates, &root.derive_indexed("home", 2));
+    let home_rng = root.derive_indexed("home", 2);
+    let mut flaky = HomeConfig::sample(HomeId(2), Country::UnitedStates, &home_rng, &universe);
     flaky.availability = AvailabilityModel {
         power: PowerMode::AlwaysOn { reboot_rate_per_month: 0.5, extended_off_rate_per_month: 0.0 },
         outage_rate_per_day: 3.0, // sporadic ISP outages for days on end

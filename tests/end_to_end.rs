@@ -22,7 +22,7 @@ fn run_one(mut mutate: impl FnMut(&mut HomeConfig), days: u64, seed: u64) -> (Da
     let universe = DomainUniverse::standard();
     let zone = universe.build_zone();
     let root = DetRng::new(seed);
-    let mut cfg = HomeConfig::sample(HomeId(0), Country::UnitedStates, &root.derive("home"));
+    let mut cfg = HomeConfig::sample(HomeId(0), Country::UnitedStates, &root.derive("home"), &universe);
     mutate(&mut cfg);
     let collector = Collector::new();
     collector.register(RouterMeta {

@@ -46,6 +46,7 @@ fn unfaulted_upload_queue_is_invisible() {
         household::HomeId(1),
         Country::UnitedStates,
         &root.derive("h"),
+        &universe,
     );
     let run = |reliable_upload: bool| {
         let collector = Collector::new();

@@ -105,11 +105,19 @@ fn streamed_spilled_study_matches_unwindowed_spilled_run() {
     // segments *inside* individual stream windows, before each drain.
     spilled_cfg.spill = Some(SpillConfig { budget_bytes: 1 << 14, dir: None });
     let batch = run_study(&spilled_cfg);
+    // No other test in this binary arms a spill budget, so the counter
+    // moves only with the runs in this test.
+    let written = || obs::snapshot().counters.get("spill_segments_written_total").copied();
+    let before = written().unwrap_or(0);
     let streamed = run_study_stream(&spilled_cfg, SimDuration::from_days(2), |_| {});
 
     let stats = streamed.study.spill.as_ref().expect("spill stats present when armed");
     assert!(stats.segments > 0, "the budget must force segment seals mid-stream");
     assert_eq!(stats.error, None, "segment I/O must not fail");
+    // The published counter carries the stream's totals, not the empty
+    // collector left after the final drain.
+    let published = written().expect("an armed stream registers its spill counters") - before;
+    assert_eq!(published, stats.segments, "spill_segments_written_total");
 
     assert!(batch.datasets == streamed.study.datasets);
     let report_batch = batch.report().render(&batch.datasets);
