@@ -7,10 +7,10 @@
 //! replacing the per-record `Datasets::meta` scans and whole-table
 //! filters the analyses used to do.
 //!
-//! The seven high-volume tables (the four Traffic tables plus WiFi
-//! scans, associations, and latency probes) are columnar and may be
-//! partially **spilled to disk** when the study ran under a memory
-//! budget (`collector::spill`). Their per-router iterators stream
+//! The nine high-volume tables (the four Traffic tables, WiFi scans,
+//! associations, latency probes, NAT probes and punch trials) are
+//! columnar and may be partially **spilled to disk** when the study ran
+//! under a memory budget (`collector::spill`). Their per-router iterators stream
 //! spilled blocks lazily — one router's rows are decoded at a time,
 //! never the whole table — so figure computation over a 100k-home
 //! spilled snapshot holds only the small row tables plus one router's

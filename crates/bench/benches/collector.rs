@@ -43,7 +43,8 @@ fn registered(routers: u32) -> Collector {
 
 const RECORDS_PER_HOME: u64 = 5_000;
 
-/// One home's upload, record-at-a-time vs batched vs through a shard handle.
+/// One home's upload, record-at-a-time vs batched vs drained through a
+/// shard handle (the path home simulations take).
 fn bench_ingest_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("collector_ingest_5k");
     group.sample_size(20);
@@ -71,12 +72,12 @@ fn bench_ingest_paths(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    group.bench_function("shard_handle_batch", |b| {
+    group.bench_function("shard_handle_drain", |b| {
         b.iter_batched(
             || uptime_records(RouterId(7), RECORDS_PER_HOME),
-            |records| {
+            |mut records| {
                 let collector = registered(1);
-                collector.shard_handle(RouterId(7)).ingest_batch(records);
+                collector.shard_handle(RouterId(7)).ingest_drain(&mut records);
                 black_box(collector.snapshot().record_count())
             },
             BatchSize::LargeInput,
@@ -87,7 +88,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
 
 /// Eight upload threads hammering the collector at once, deployment-style:
 /// each thread owns a slice of the 126 routers and interleaves heartbeats
-/// with small record batches through its routers' shard handles.
+/// with small record batches.
 fn bench_contended_ingest(c: &mut Criterion) {
     const THREADS: u32 = 8;
     const ROUTERS: u32 = 126;
@@ -107,7 +108,7 @@ fn bench_contended_ingest(c: &mut Criterion) {
                             for m in 0..HEARTBEATS {
                                 shard.ingest_heartbeat(HeartbeatRecord { router, at: mins(m) });
                                 if m % 100 == 99 {
-                                    shard.ingest_batch(uptime_records(router, 50));
+                                    collector.ingest_batch(uptime_records(router, 50));
                                 }
                             }
                         }
@@ -129,7 +130,7 @@ fn bench_snapshot_merge(c: &mut Criterion) {
         for r in 0..ROUTERS {
             let router = RouterId(r);
             let shard = collector.shard_handle(router);
-            shard.ingest_batch(uptime_records(router, RECORDS_PER_HOME));
+            collector.ingest_batch(uptime_records(router, RECORDS_PER_HOME));
             for m in (0..RECORDS_PER_HOME).step_by(10) {
                 shard.ingest_heartbeat(HeartbeatRecord { router, at: mins(m) });
             }
@@ -218,10 +219,9 @@ fn bench_index_from_columns(c: &mut Criterion) {
     let collector = registered(ROUTERS);
     for r in 0..ROUTERS {
         let router = RouterId(r);
-        let shard = collector.shard_handle(router);
         for m in 0..PER_ROUTER {
-            shard.ingest(Record::PacketStats(stats_record(router, m)));
-            shard.ingest(Record::Flow(flow_record(router, m)));
+            collector.ingest(Record::PacketStats(stats_record(router, m)));
+            collector.ingest(Record::Flow(flow_record(router, m)));
         }
     }
     let datasets = collector.into_datasets();

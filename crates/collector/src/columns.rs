@@ -1,9 +1,10 @@
 //! Columnar (struct-of-arrays) storage for the high-volume tables.
 //!
-//! Seven tables dominate a study's memory footprint — the four
-//! consent-gated Traffic tables (per-minute packet statistics, flows,
-//! DNS samples, MAC sightings) plus the consent-free WiFi scans,
-//! associations, and latency probes that *every* home emits: the
+//! Nine of the collector's 14 tables dominate a study's memory footprint —
+//! the four consent-gated Traffic tables (per-minute packet statistics,
+//! flows, DNS samples, MAC sightings), the consent-free WiFi scans,
+//! associations, and latency probes that *every* home emits, and the two
+//! CGN characterization tables (NAT probes, hole-punch trials): the
 //! 197-day deployment materializes tens of millions of them, and scaling
 //! the deployment to 10k+ homes multiplies that by two orders of
 //! magnitude. Row-of-structs `Vec<Record>` storage pays padding and full
@@ -30,17 +31,18 @@
 //! vectors had; callers iterate (`for r in &data.flows`) without caring
 //! that rows no longer exist in memory.
 //!
-//! Under a spill budget ([`crate::spill`]) a table may additionally own a
-//! disk-backed part: per-router blocks of these same columns in a merged
-//! segment file, framed little-endian by the `encode`/`decode` pairs in
-//! this module. Per-router iteration then streams the spilled head from
-//! disk before the resident tail; flat iteration walks the ordered union
-//! of resident and spilled routers, so every consumer sees the identical
-//! record sequence whether or not the study spilled.
+//! Under a spill budget ([`crate::spill`]) a table may additionally own
+//! disk-backed parts: per-router blocks of these same columns in segment
+//! files, framed little-endian by the `encode`/`decode` pairs in this
+//! module. A collector shard's table holds one part per sealed segment; a
+//! merged table holds at most one, its merged file. Per-router iteration
+//! streams the spilled head from disk, part by part, before the resident
+//! tail; flat iteration walks the ordered union of resident and spilled
+//! routers, so every consumer sees the identical record sequence whether
+//! or not the study spilled.
 
 use crate::spill::{
     put_u16, put_u32, put_u64, put_u8, read_block, BlockRef, Cursor, SegmentStore, SpillError,
-    TableToc,
 };
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::latency::LatencyRecord;
@@ -1013,11 +1015,11 @@ impl Iterator for ResidentMacs<'_> {
 
 impl ExactSizeIterator for ResidentMacs<'_> {}
 
-/// A disk-backed portion of a merged table: per-router blocks of encoded
-/// column groups in one merged segment file owned (with the rest of the
-/// spill directory) by a shared [`SegmentStore`].
+/// A disk-backed portion of a table: per-router blocks of encoded column
+/// groups in one sealed segment or merged file, owned (with the rest of
+/// the spill directory) by a shared [`SegmentStore`].
 #[derive(Debug, Clone)]
-pub(crate) struct SpilledPart {
+struct SpilledPart {
     store: Arc<SegmentStore>,
     file: String,
     blocks: BTreeMap<RouterId, BlockRef>,
@@ -1053,10 +1055,18 @@ impl<R> Default for AbsorbState<R> {
     }
 }
 
+/// The row type behind each columnar table, so the collector's generated
+/// table-set code can name a table's [`AbsorbState`].
+pub(crate) trait Columnar {
+    /// The record type the table stores.
+    type Record;
+}
+
 /// Generates one public columnar table: per-router column groups keyed by
-/// a `BTreeMap`, an optional disk-backed [`SpilledPart`], a flat record
-/// iterator in (router, arrival) order, and shard merges (in-memory and
-/// spilled) that reproduce the legacy row-table merge byte for byte.
+/// a `BTreeMap`, disk-backed [`SpilledPart`]s, a flat record iterator in
+/// (router, arrival) order, segment sealing, and shard merges (in-memory
+/// and spilled) that reproduce the legacy row-table merge byte for byte.
+/// `tag` names the table's merged spill file.
 macro_rules! columnar_table {
     (
         $(#[$tdoc:meta])*
@@ -1068,6 +1078,7 @@ macro_rules! columnar_table {
         router_iter $RouterIter:ident;
         resident_iter $ResidentIter:ident;
         empty $EMPTY:ident;
+        tag $tag:literal;
         key |$r:ident| $key:expr;
     ) => {
         static $EMPTY: $Cols = $Cols::empty();
@@ -1076,8 +1087,17 @@ macro_rules! columnar_table {
         #[derive(Debug, Clone, Default)]
         pub struct $Table {
             by_router: BTreeMap<RouterId, $Cols>,
+            /// Records across all routers, resident and spilled.
             len: usize,
-            spilled: Option<SpilledPart>,
+            /// Disk-backed parts, oldest first: a shard's sealed segment
+            /// slices, or the one merged file of a spilled merge. A
+            /// router's rows are its blocks in part order followed by its
+            /// resident columns — its exact arrival order.
+            spilled: Vec<SpilledPart>,
+        }
+
+        impl Columnar for $Table {
+            type Record = $Record;
         }
 
         impl $Table {
@@ -1102,21 +1122,25 @@ macro_rules! columnar_table {
             /// (router, time)-sorted order the legacy row vector had.
             /// Spilled routers stream from disk one router at a time.
             pub fn iter(&self) -> $TableIter<'_> {
-                let mut routers: BTreeSet<RouterId> =
-                    self.by_router.keys().copied().collect();
-                if let Some(part) = &self.spilled {
-                    routers.extend(part.blocks.keys().copied());
-                }
                 $TableIter {
                     table: self,
-                    routers: routers.into_iter().collect::<Vec<_>>().into_iter(),
+                    routers: self.routers().into_iter().collect::<Vec<_>>().into_iter(),
                     current: None,
                 }
             }
 
+            /// Every router with rows, resident or spilled.
+            fn routers(&self) -> BTreeSet<RouterId> {
+                let mut routers: BTreeSet<RouterId> = self.by_router.keys().copied().collect();
+                for part in &self.spilled {
+                    routers.extend(part.blocks.keys().copied());
+                }
+                routers
+            }
+
             /// Iterate one router's records (empty if it never reported):
-            /// the spilled head, decoded from the merged segment file,
-            /// followed by the resident tail.
+            /// the spilled head, decoded from the segment files, followed
+            /// by the resident tail.
             pub fn router(&self, router: RouterId) -> $RouterIter<'_> {
                 $RouterIter {
                     head: self.spilled_rows(router).into_iter(),
@@ -1131,28 +1155,33 @@ macro_rules! columnar_table {
             /// file name rather than thread `Result` through every
             /// analysis iterator.
             fn spilled_rows(&self, router: RouterId) -> Vec<$Record> {
-                let Some(part) = &self.spilled else { return Vec::new() };
-                let Some(block) = part.blocks.get(&router) else { return Vec::new() };
+                let mut rows = Vec::new();
                 let mut buf = Vec::new();
-                if let Err(e) = part.read(block, &mut buf) {
-                    panic!("spilled column read failed ({}): {e}", part.file);
+                for part in &self.spilled {
+                    let Some(block) = part.blocks.get(&router) else { continue };
+                    if let Err(e) = part.read(block, &mut buf) {
+                        panic!("spilled column read failed ({}): {e}", part.file);
+                    }
+                    match <$Cols>::decode(&mut Cursor::new(&buf)) {
+                        Ok(cols) => rows.extend(cols.iter(router)),
+                        Err(e) => panic!("spilled column decode failed ({}): {e}", part.file),
+                    }
                 }
-                let mut cur = Cursor::new(&buf);
-                match <$Cols>::decode(&mut cur) {
-                    Ok(cols) => cols.iter(router).collect(),
-                    Err(e) => panic!("spilled column decode failed ({}): {e}", part.file),
-                }
+                rows
             }
 
             /// Records held for one router (resident + spilled).
             pub fn router_len(&self, router: RouterId) -> usize {
                 let resident = self.by_router.get(&router).map_or(0, $Cols::len);
-                let spilled = self
-                    .spilled
-                    .as_ref()
-                    .and_then(|p| p.blocks.get(&router))
-                    .map_or(0, |b| b.rows as usize);
-                resident + spilled
+                let spilled: u64 =
+                    self.spilled.iter().filter_map(|p| p.blocks.get(&router)).map(|b| b.rows).sum();
+                resident + spilled as usize
+            }
+
+            /// True when some rows live in resident columns, not only on
+            /// disk.
+            pub(crate) fn has_resident(&self) -> bool {
+                !self.by_router.is_empty()
             }
 
             /// Heap bytes held by the resident columns (diagnostic; the
@@ -1163,7 +1192,7 @@ macro_rules! columnar_table {
 
             /// Encoded bytes of this table living in spilled blocks.
             pub fn spilled_bytes(&self) -> u64 {
-                self.spilled.as_ref().map_or(0, SpilledPart::bytes)
+                self.spilled.iter().map(SpilledPart::bytes).sum()
             }
 
             /// Merge per-shard tables into one globally sorted table.
@@ -1177,10 +1206,12 @@ macro_rules! columnar_table {
             /// fast path (all runs sorted and disjoint) or its global
             /// stable-sort fallback. A router appearing in several
             /// chunks (hand-built tables only) concatenates in chunk
-            /// order before the same normalize pass.
+            /// order before the same normalize pass. Chunks must be fully
+            /// resident: the collector merges spilled shards on disk.
             pub fn merge(chunks: Vec<$Table>) -> $Table {
                 let mut out = $Table::default();
                 for chunk in chunks {
+                    debug_assert!(chunk.spilled.is_empty(), "in-memory merge of a spilled chunk");
                     out.len += chunk.len;
                     for (router, cols) in chunk.by_router {
                         match out.by_router.entry(router) {
@@ -1274,10 +1305,51 @@ macro_rules! columnar_table {
                 blocks
             }
 
-            /// Merge per-shard inputs — each shard's sealed-segment
-            /// slices (in seal order) plus its resident table — into one
-            /// globally sorted table whose spilled routers live in a
-            /// fresh merged file written through `store`.
+            /// Hand the resident rows over to the segment `file`, once
+            /// the bytes [`Self::encode_segment`] returned `blocks` for
+            /// are on disk: the rows read back from there from now on and
+            /// the resident columns start empty.
+            pub(crate) fn seal(
+                &mut self,
+                store: &Arc<SegmentStore>,
+                file: &str,
+                blocks: BTreeMap<RouterId, BlockRef>,
+            ) {
+                self.by_router = BTreeMap::new();
+                if !blocks.is_empty() {
+                    self.spilled.push(SpilledPart {
+                        store: Arc::clone(store),
+                        file: file.to_string(),
+                        blocks,
+                    });
+                }
+            }
+
+            /// Merge one table's per-shard slices the way a collector
+            /// snapshot does: in memory when no shard spilled any of this
+            /// table's rows, otherwise through [`Self::merge_spilled`]
+            /// into the merged file `merged-{merge_id}-<tag>.col` of the
+            /// shards' segment store.
+            pub(crate) fn merge_shards(
+                chunks: Vec<$Table>,
+                merge_id: u64,
+            ) -> Result<$Table, SpillError> {
+                let store =
+                    chunks.iter().find_map(|c| c.spilled.first()).map(|p| Arc::clone(&p.store));
+                match store {
+                    None => Ok(Self::merge(chunks)),
+                    Some(store) => Self::merge_spilled(
+                        chunks,
+                        &store,
+                        &format!("merged-{merge_id}-{}.col", $tag),
+                    ),
+                }
+            }
+
+            /// Merge per-shard tables — each shard's spilled parts (in
+            /// seal order) plus its resident columns — into one globally
+            /// sorted table whose spilled routers live in a fresh merged
+            /// file written through `store`.
             ///
             /// Routers are disjoint across shards (`router % NUM_SHARDS`
             /// addressing), so each router merges independently: spilled
@@ -1289,7 +1361,7 @@ macro_rules! columnar_table {
             /// resident; the rest re-encode to disk, so peak memory
             /// stays one router's rows above the resident set.
             pub(crate) fn merge_spilled(
-                inputs: Vec<(Vec<TableToc>, $Table)>,
+                inputs: Vec<$Table>,
                 store: &Arc<SegmentStore>,
                 out_name: &str,
             ) -> Result<$Table, SpillError> {
@@ -1298,19 +1370,16 @@ macro_rules! columnar_table {
                 let mut out_blocks: BTreeMap<RouterId, BlockRef> = BTreeMap::new();
                 let mut buf = Vec::new();
                 let mut enc: Vec<u8> = Vec::new();
-                for (tocs, resident) in inputs {
-                    let mut resident_map = resident.by_router;
-                    let mut files = Vec::with_capacity(tocs.len());
-                    for toc in &tocs {
-                        files.push(store.open(&toc.file)?);
-                    }
-                    let mut routers: BTreeSet<RouterId> =
-                        resident_map.keys().copied().collect();
-                    for toc in &tocs {
-                        routers.extend(toc.blocks.keys().copied());
+                for chunk in inputs {
+                    let routers = chunk.routers();
+                    let parts = chunk.spilled;
+                    let mut resident_map = chunk.by_router;
+                    let mut files = Vec::with_capacity(parts.len());
+                    for part in &parts {
+                        files.push(store.open(&part.file)?);
                     }
                     for router in routers {
-                        if !tocs.iter().any(|t| t.blocks.contains_key(&router)) {
+                        if !parts.iter().any(|p| p.blocks.contains_key(&router)) {
                             // Never spilled: keep the columns resident,
                             // normalized exactly as the in-memory merge
                             // would have.
@@ -1323,8 +1392,8 @@ macro_rules! columnar_table {
                             continue;
                         }
                         let mut rows: Vec<$Record> = Vec::new();
-                        for (toc, file) in tocs.iter().zip(files.iter_mut()) {
-                            let Some(block) = toc.blocks.get(&router) else {
+                        for (part, file) in parts.iter().zip(files.iter_mut()) {
+                            let Some(block) = part.blocks.get(&router) else {
                                 continue;
                             };
                             read_block(file, block, &mut buf)?;
@@ -1369,7 +1438,7 @@ macro_rules! columnar_table {
                 }
                 writer.finish()?;
                 if !out_blocks.is_empty() {
-                    out.spilled = Some(SpilledPart {
+                    out.spilled.push(SpilledPart {
                         store: Arc::clone(store),
                         file: out_name.to_string(),
                         blocks: out_blocks,
@@ -1398,13 +1467,8 @@ macro_rules! columnar_table {
             /// the delta may be spill-backed (its rows stream in through
             /// [`Self::router`]).
             pub fn absorb(&mut self, delta: &$Table, state: &mut AbsorbState<$Record>) {
-                debug_assert!(self.spilled.is_none(), "absorb target must be resident");
-                let mut routers: BTreeSet<RouterId> =
-                    delta.by_router.keys().copied().collect();
-                if let Some(part) = &delta.spilled {
-                    routers.extend(part.blocks.keys().copied());
-                }
-                for router in routers {
+                debug_assert!(self.spilled.is_empty(), "absorb target must be resident");
+                for router in delta.routers() {
                     let mut rows = delta.router(router);
                     let Some(first) = rows.next() else { continue };
                     let in_order = match state.last.get(&router) {
@@ -1451,11 +1515,13 @@ macro_rules! columnar_table {
                 }
             }
 
-            /// Delete this table's merged segment file from its store —
+            /// Delete this merged table's spilled file from its store —
             /// stream-mode cleanup once a spill-backed delta's rows have
-            /// been absorbed into the resident accumulator.
+            /// been absorbed into the resident accumulator. (A shard's
+            /// sealed segments are shared by all nine tables and stay
+            /// until the store drops.)
             pub fn release_spilled(&mut self) {
-                if let Some(part) = self.spilled.take() {
+                for part in self.spilled.drain(..) {
                     part.store.remove_file(&part.file);
                 }
             }
@@ -1470,7 +1536,7 @@ macro_rules! columnar_table {
                 if self.len != other.len {
                     return false;
                 }
-                if self.spilled.is_none() && other.spilled.is_none() {
+                if self.spilled.is_empty() && other.spilled.is_empty() {
                     return self.by_router == other.by_router;
                 }
                 self.iter().eq(other.iter())
@@ -1548,6 +1614,7 @@ columnar_table! {
     router_iter RouterPacketStats;
     resident_iter ResidentPacketStats;
     empty EMPTY_PACKET_STATS;
+    tag "packet-stats";
     key |r| r.at;
 }
 
@@ -1563,6 +1630,7 @@ columnar_table! {
     router_iter RouterFlows;
     resident_iter ResidentFlows;
     empty EMPTY_FLOWS;
+    tag "flows";
     key |r| (r.ended, r.started, r.device);
 }
 
@@ -1577,6 +1645,7 @@ columnar_table! {
     router_iter RouterDns;
     resident_iter ResidentDns;
     empty EMPTY_DNS;
+    tag "dns";
     key |r| (r.at, r.device);
 }
 
@@ -1591,6 +1660,7 @@ columnar_table! {
     router_iter RouterMacs;
     resident_iter ResidentMacs;
     empty EMPTY_MACS;
+    tag "macs";
     key |r| (r.first_seen, r.device);
 }
 
@@ -2032,6 +2102,7 @@ columnar_table! {
     router_iter RouterWifi;
     resident_iter ResidentWifi;
     empty EMPTY_WIFI;
+    tag "wifi";
     key |r| (r.at, r.band);
 }
 
@@ -2046,6 +2117,7 @@ columnar_table! {
     router_iter RouterAssociations;
     resident_iter ResidentAssociations;
     empty EMPTY_ASSOCIATIONS;
+    tag "associations";
     key |r| (r.at, r.device, r.medium);
 }
 
@@ -2060,6 +2132,7 @@ columnar_table! {
     router_iter RouterLatency;
     resident_iter ResidentLatency;
     empty EMPTY_LATENCY;
+    tag "latency";
     key |r| r.at;
 }
 
@@ -2360,6 +2433,7 @@ columnar_table! {
     router_iter RouterNatProbes;
     resident_iter ResidentNatProbes;
     empty EMPTY_NAT_PROBES;
+    tag "nat-probes";
     key |r| r.at;
 }
 
@@ -2374,6 +2448,7 @@ columnar_table! {
     router_iter RouterPunchTrials;
     resident_iter ResidentPunchTrials;
     empty EMPTY_PUNCH_TRIALS;
+    tag "punch-trials";
     key |r| (r.at, r.peer);
 }
 
@@ -2604,22 +2679,22 @@ mod tests {
         let merged_model = FlowTable::merge(vec![model]);
 
         // Out-of-core: the first batch sealed to disk, the rest resident.
-        let mut sealed = FlowTable::default();
+        let mut shard = FlowTable::default();
         for r in &spilled_rows {
-            sealed.push(r.clone());
+            shard.push(r.clone());
         }
         let store = Arc::new(SegmentStore::create(None).unwrap());
         let mut buf = Vec::new();
         buf.extend_from_slice(SEGMENT_MAGIC);
-        let blocks = sealed.encode_segment(&mut buf);
+        let blocks = shard.encode_segment(&mut buf);
         store.write_file("shard001-seg00000.seg", &buf).unwrap();
-        let toc = TableToc { file: "shard001-seg00000.seg".to_string(), blocks };
-        let mut resident = FlowTable::default();
+        shard.seal(&store, "shard001-seg00000.seg", blocks);
+        assert!(!shard.has_resident(), "sealed rows leave the resident columns");
         for r in &resident_rows {
-            resident.push(r.clone());
+            shard.push(r.clone());
         }
-        let merged =
-            FlowTable::merge_spilled(vec![(vec![toc], resident)], &store, "merged.col").unwrap();
+        assert_eq!(shard, merged_model, "a sealed shard table still reads its arrival sequence");
+        let merged = FlowTable::merge_shards(vec![shard], 0).unwrap();
 
         assert_eq!(merged.len(), merged_model.len());
         assert!(merged.spilled_bytes() > 0, "merged rows should live on disk");
@@ -2633,5 +2708,184 @@ mod tests {
             merged_model.router(RouterId(129)).collect::<Vec<_>>()
         );
         assert_eq!(merged.router_len(RouterId(1)), 3);
+    }
+
+    /// One valid encoded block per columnar table, each holding records
+    /// that exercise the escape lanes (backward and far-forward times,
+    /// 64-bit counters) and every tag value (bands, media, NAT types).
+    fn valid_blocks() -> Vec<(&'static str, Vec<u8>)> {
+        fn block<C>(cols: C, encode: fn(&C, &mut Vec<u8>)) -> Vec<u8> {
+            let mut buf = Vec::new();
+            encode(&cols, &mut buf);
+            buf
+        }
+        let r = RouterId(1);
+        let times = [t(5), t(1), SimTime::from_micros(u64::MAX), t(2)];
+        let device = |i: usize| AnonMac { oui: i as u32, suffix_hash: 7 * i as u32 };
+        let domain = |i: usize| match i % 2 {
+            0 => ReportedDomain::Clear(DomainName::new("example.com").unwrap()),
+            _ => ReportedDomain::Obfuscated(i as u64),
+        };
+        let nat = |i: usize| NatType::from_code((i % 5) as u8).expect("codes 0..5 are valid");
+        let mut ps = PacketStatsCols::empty();
+        let mut fl = FlowCols::empty();
+        let mut dn = DnsCols::empty();
+        let mut mc = MacCols::empty();
+        let mut wf = WifiCols::empty();
+        let mut ac = AssociationCols::empty();
+        let mut lt = LatencyCols::empty();
+        let mut np = NatProbeCols::empty();
+        let mut pt = PunchTrialCols::empty();
+        for (i, &at) in times.iter().enumerate() {
+            let big = if i % 2 == 0 { u64::MAX - i as u64 } else { i as u64 };
+            ps.append(&PacketStatsRecord {
+                router: r,
+                at,
+                bytes_down: big,
+                bytes_up: 1,
+                pkts_down: 2,
+                pkts_up: big,
+                peak_down_1s: 4,
+                peak_up_1s: 5,
+            });
+            fl.append(&flow(1, i as u64 * 3, i as u64, i as u32, i as u64 % 2));
+            dn.append(&DnsSampleRecord {
+                router: r,
+                at,
+                device: device(i),
+                name: domain(i),
+                cname_links: i as u8,
+                resolved: i % 2 == 0,
+            });
+            mc.append(&MacSightingRecord {
+                router: r,
+                first_seen: at,
+                device: device(i),
+                bytes_total: big,
+            });
+            wf.append(&WifiScanRecord {
+                router: r,
+                at,
+                band: if i % 2 == 0 { Band::Ghz24 } else { Band::Ghz5 },
+                aps: (0..i)
+                    .map(|j| ApSighting {
+                        bssid_hash: big ^ j as u64,
+                        channel_number: j as u8 + 1,
+                        signal_dbm: -40 - j as i8,
+                    })
+                    .collect(),
+                associated_stations: i as u8,
+            });
+            ac.append(&AssociationRecord {
+                router: r,
+                at,
+                device: device(i),
+                medium: [Medium::Wired, Medium::Wireless24, Medium::Wireless5][i % 3],
+            });
+            lt.append(&LatencyRecord {
+                router: r,
+                at,
+                rtt_min: SimDuration::from_micros(i as u64),
+                rtt_median: SimDuration::from_micros(big / 2),
+                rtt_max: SimDuration::from_micros(big),
+                lost: i as u8,
+            });
+            np.append(&NatProbeRecord {
+                router: r,
+                at,
+                nat_type: nat(i),
+                mapped_ip_hash: big,
+                mapped_port: i as u16,
+                cgn_detected: i % 2 == 1,
+            });
+            pt.append(&PunchTrialRecord {
+                router: r,
+                at,
+                peer: RouterId(i as u32),
+                local_type: nat(i),
+                peer_type: nat(i + 1),
+                success: i % 2 == 0,
+            });
+        }
+        vec![
+            ("PacketStatsCols", block(ps, PacketStatsCols::encode)),
+            ("FlowCols", block(fl, FlowCols::encode)),
+            ("DnsCols", block(dn, DnsCols::encode)),
+            ("MacCols", block(mc, MacCols::encode)),
+            ("WifiCols", block(wf, WifiCols::encode)),
+            ("AssociationCols", block(ac, AssociationCols::encode)),
+            ("LatencyCols", block(lt, LatencyCols::encode)),
+            ("NatProbeCols", block(np, NatProbeCols::encode)),
+            ("PunchTrialCols", block(pt, PunchTrialCols::encode)),
+        ]
+    }
+
+    /// Decode `bytes` as a block of every one of the nine column groups.
+    /// Each decode must return an error or columns whose records all
+    /// rebuild; a panic anywhere fails the calling test. Returns the
+    /// groups that decoded, with their record counts.
+    fn decode_as_every_table(bytes: &[u8]) -> Vec<(&'static str, usize)> {
+        let mut decoded = Vec::new();
+        macro_rules! decode_fully {
+            ($($Cols:ident),*) => {$(
+                if let Ok(cols) = $Cols::decode(&mut Cursor::new(bytes)) {
+                    let rows = cols.iter(RouterId(1)).count();
+                    assert_eq!(rows, cols.len(), "{} rows", stringify!($Cols));
+                    decoded.push((stringify!($Cols), rows));
+                }
+            )*};
+        }
+        decode_fully!(
+            PacketStatsCols,
+            FlowCols,
+            DnsCols,
+            MacCols,
+            WifiCols,
+            AssociationCols,
+            LatencyCols,
+            NatProbeCols,
+            PunchTrialCols
+        );
+        decoded
+    }
+
+    #[test]
+    fn valid_blocks_round_trip_and_every_truncation_decodes_safely() {
+        for (table, block) in valid_blocks() {
+            assert!(
+                decode_as_every_table(&block).contains(&(table, 4)),
+                "{table} must decode its own block"
+            );
+            for cut in 0..block.len() {
+                decode_as_every_table(&block[..cut]);
+            }
+        }
+    }
+
+    mod decoder_robustness {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn decoders_never_panic_on_arbitrary_bytes(
+                bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            ) {
+                decode_as_every_table(&bytes);
+            }
+
+            #[test]
+            fn decoders_never_panic_on_corrupted_valid_blocks(
+                table in 0usize..9,
+                edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..8),
+            ) {
+                let (_, mut block) = valid_blocks().swap_remove(table);
+                for (at, byte) in edits {
+                    let len = block.len();
+                    block[usize::from(at) % len] = byte;
+                }
+                decode_as_every_table(&block);
+            }
+        }
     }
 }

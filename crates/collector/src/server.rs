@@ -1,23 +1,29 @@
 //! The central collection server: router registration, record ingestion
-//! (including wire-level heartbeat packets), and snapshotting the six data
-//! sets for analysis.
+//! (including wire-level heartbeat packets), and snapshotting what was
+//! collected for analysis. The paper's six data sets are stored as 14
+//! tables ([`Datasets`]): registration, heartbeat run logs, four row
+//! tables (uptime, capacity, device censuses, the upload-gap ledger), the
+//! announced downtime, and nine columnar tables ([`crate::columns`]). The
+//! nine columnar tables are listed once, in `columnar_tables!`; sealing,
+//! merging, sizing and absorbing them is generated from that list.
 //!
 //! The server shards its mutable state by router: each [`RouterId`] maps to
 //! one of [`NUM_SHARDS`] independently locked shards, so home simulations
 //! running on parallel threads never contend on the bulk upload path (homes
 //! never share a router ID, and the 126-router deployment maps onto 128
-//! shards collision-free). Snapshotting merges the shards back into one
-//! deterministic, (router, time)-sorted [`Datasets`] — concatenating
-//! already-ordered shard runs where possible and falling back to a stable
-//! sort otherwise — so the result is bit-identical regardless of how many
-//! threads uploaded.
+//! shards collision-free). Each shard keeps its slice of the tables as one
+//! [`Datasets`] value. Snapshotting clones or takes every shard's slice and
+//! merges them back into one deterministic, (router, time)-sorted
+//! [`Datasets`] — concatenating already-ordered shard runs where possible
+//! and falling back to a stable sort otherwise — so the result is
+//! bit-identical regardless of how many threads uploaded.
 
 use crate::columns::{
-    AbsorbState, AssociationTable, DnsTable, FlowTable, LatencyTable, MacTable, NatProbeTable,
-    PacketStatsTable, PunchTrialTable, WifiTable,
+    AbsorbState, AssociationTable, Columnar, DnsTable, FlowTable, LatencyTable, MacTable,
+    NatProbeTable, PacketStatsTable, PunchTrialTable, WifiTable,
 };
 use crate::runlog::{RunLog, UploadCounters};
-use crate::spill::{SealedSegment, SegmentStore, SpillConfig, SpillError, TableToc, SEGMENT_MAGIC};
+use crate::spill::{SegmentStore, SpillConfig, SpillError, SEGMENT_MAGIC};
 use crate::windows::Window;
 use firmware::heartbeat::Heartbeat;
 use firmware::records::{
@@ -40,7 +46,7 @@ fn shard_index(router: RouterId) -> usize {
     router.0 as usize % NUM_SHARDS
 }
 
-/// Per-record growth estimates (bytes) for the seven columnar tables,
+/// Per-record growth estimates (bytes) for the nine columnar tables,
 /// accumulated on the ingest path to decide when a shard crosses its spill
 /// budget. These match the steady-state per-record costs documented in
 /// [`crate::columns`], keeping the running estimate within a few percent of
@@ -55,6 +61,26 @@ const EST_ASSOCIATION: usize = 14;
 const EST_LATENCY: usize = 19;
 const EST_NAT_PROBE: usize = 16;
 const EST_PUNCH_TRIAL: usize = 12;
+
+/// The nine columnar tables of [`Datasets`], listed once, in the order a
+/// seal encodes them into a segment. `columnar_tables!(m)` expands to
+/// `m! { field: Table, ... }`; every struct and loop over the columnar
+/// tables in this module is generated from it.
+macro_rules! columnar_tables {
+    ($m:ident) => {
+        $m! {
+            packet_stats: PacketStatsTable,
+            flows: FlowTable,
+            dns: DnsTable,
+            macs: MacTable,
+            wifi: WifiTable,
+            associations: AssociationTable,
+            latency: LatencyTable,
+            nat_probes: NatProbeTable,
+            punch_trials: PunchTrialTable,
+        }
+    };
+}
 
 /// Registration metadata for one router (what the deployment knew about
 /// each shipped unit).
@@ -116,6 +142,8 @@ impl UploadOutcome {
 }
 
 /// An immutable snapshot of everything collected, handed to the analysis.
+/// Each collector shard also keeps its slice of the tables in one of these,
+/// with `routers` and `collector_downtime` left empty (they are global).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Datasets {
     /// Router registration metadata, sorted by router ID.
@@ -157,23 +185,92 @@ pub struct Datasets {
     pub collector_downtime: Vec<Window>,
 }
 
-/// Cross-window absorb state for a streamed study: every table's
-/// per-router accumulated tail, so [`Datasets::absorb`] can take the
-/// append fast path for in-order window deltas and fall back to a
-/// per-router stable re-sort only when a delta steps backwards in time
-/// (clock skew across a drain boundary).
-#[derive(Debug, Default)]
-pub struct DatasetsAbsorber {
-    wifi: AbsorbState<firmware::records::WifiScanRecord>,
-    packet_stats: AbsorbState<firmware::records::PacketStatsRecord>,
-    flows: AbsorbState<firmware::records::FlowRecord>,
-    dns: AbsorbState<firmware::records::DnsSampleRecord>,
-    macs: AbsorbState<firmware::records::MacSightingRecord>,
-    associations: AbsorbState<firmware::records::AssociationRecord>,
-    latency: AbsorbState<firmware::latency::LatencyRecord>,
-    nat_probes: AbsorbState<firmware::records::NatProbeRecord>,
-    punch_trials: AbsorbState<firmware::records::PunchTrialRecord>,
+/// Generates [`DatasetsAbsorber`] and the [`Datasets`] methods that visit
+/// every columnar table, from the `columnar_tables!` list.
+macro_rules! columnar_table_set {
+    ($($field:ident: $Table:ident,)*) => {
+        /// Cross-window absorb state for a streamed study: every columnar
+        /// table's per-router accumulated tail, so [`Datasets::absorb`]
+        /// can take the append fast path for in-order window deltas and
+        /// fall back to a per-router stable re-sort only when a delta
+        /// steps backwards in time (clock skew across a drain boundary).
+        #[derive(Debug, Default)]
+        pub struct DatasetsAbsorber {
+            $($field: AbsorbState<<$Table as Columnar>::Record>,)*
+        }
+
+        impl Datasets {
+            /// Heap bytes held by the nine columnar high-volume tables.
+            /// The remaining row tables and heartbeat run-logs are small
+            /// by comparison; this is the number that moves when the
+            /// deployment is scaled with more homes.
+            pub fn columnar_heap_bytes(&self) -> usize {
+                [$(self.$field.heap_bytes()),*].iter().sum()
+            }
+
+            /// Bytes of columnar data living in on-disk segment files
+            /// rather than RAM. Zero unless the collector ran with a spill
+            /// budget and crossed it; rows behind these bytes stream in
+            /// lazily during iteration.
+            pub fn spilled_bytes(&self) -> u64 {
+                [$(self.$field.spilled_bytes()),*].iter().sum()
+            }
+
+            /// Fold `delta`'s columnar tables into these, then reclaim the
+            /// delta's merged spill files: every spilled row is resident
+            /// now, so they need not pile up one per window until the
+            /// store drops.
+            fn absorb_columns(&mut self, delta: &mut Datasets, state: &mut DatasetsAbsorber) {
+                $(
+                    self.$field.absorb(&delta.$field, &mut state.$field);
+                    delta.$field.release_spilled();
+                )*
+            }
+
+            /// Does any columnar table hold rows in resident columns?
+            fn has_resident_columns(&self) -> bool {
+                [$(self.$field.has_resident()),*].contains(&true)
+            }
+
+            /// Encode every columnar table into `buf` as one segment, write
+            /// it to `store` as `file`, and only then hand the rows over to
+            /// the segment. The buffer is fully encoded before anything is
+            /// reset, so an I/O error leaves every record resident —
+            /// sealing is all-or-nothing.
+            fn seal_columns(
+                &mut self,
+                store: &Arc<SegmentStore>,
+                file: &str,
+                buf: &mut Vec<u8>,
+            ) -> Result<(), SpillError> {
+                $(let $field = self.$field.encode_segment(buf);)*
+                store.write_file(file, buf)?;
+                $(self.$field.seal(store, file, $field);)*
+                Ok(())
+            }
+
+            /// Merge the shards' columnar tables into these, one scoped
+            /// worker per table. Each worker merges in memory, or through
+            /// the segment store when some shard spilled that table.
+            fn merge_columns(
+                &mut self,
+                chunks: &mut [Datasets],
+                merge_id: u64,
+            ) -> Result<(), SpillError> {
+                $(let $field: Vec<$Table> =
+                    chunks.iter_mut().map(|c| std::mem::take(&mut c.$field)).collect();)*
+                crossbeam::scope(|scope| -> Result<(), SpillError> {
+                    $(let $field = scope.spawn(move |_| $Table::merge_shards($field, merge_id));)*
+                    $(self.$field = join_merged($field)?;)*
+                    Ok(())
+                })
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }
+        }
+    };
 }
+
+columnar_tables!(columnar_table_set);
 
 impl Datasets {
     /// Metadata for one router, if registered. Snapshots keep `routers`
@@ -190,52 +287,38 @@ impl Datasets {
         self.routers.iter().filter(|m| m.traffic_consent).map(|m| m.router).collect()
     }
 
-    /// Total records across all sets (diagnostic).
+    /// The size of every collected table as `(gauge key, rows)` pairs:
+    /// heartbeats (counted per heartbeat, not per run), the row tables,
+    /// the nine columnar tables, and last the upload-gap ledger. These
+    /// are the `dataset_*_records` gauges of every run manifest.
+    pub fn record_counts(&self) -> [(&'static str, u64); 14] {
+        let rows = |n: usize| n as u64;
+        [
+            (
+                "dataset_heartbeat_records",
+                self.heartbeats.values().map(RunLog::total_heartbeats).sum(),
+            ),
+            ("dataset_uptime_records", rows(self.uptime.len())),
+            ("dataset_capacity_records", rows(self.capacity.len())),
+            ("dataset_device_census_records", rows(self.devices.len())),
+            ("dataset_wifi_scan_records", rows(self.wifi.len())),
+            ("dataset_packet_stat_records", rows(self.packet_stats.len())),
+            ("dataset_flow_records", rows(self.flows.len())),
+            ("dataset_dns_records", rows(self.dns.len())),
+            ("dataset_mac_sighting_records", rows(self.macs.len())),
+            ("dataset_association_records", rows(self.associations.len())),
+            ("dataset_latency_records", rows(self.latency.len())),
+            ("dataset_nat_probe_records", rows(self.nat_probes.len())),
+            ("dataset_punch_trial_records", rows(self.punch_trials.len())),
+            ("dataset_upload_gap_records", rows(self.upload_gaps.len())),
+        ]
+    }
+
+    /// Total records across all sets (diagnostic). The upload-gap ledger
+    /// is left out: its rows declare lost batches, not collected records.
     pub fn record_count(&self) -> usize {
-        self.heartbeats.values().map(|l| l.total_heartbeats() as usize).sum::<usize>()
-            + self.uptime.len()
-            + self.capacity.len()
-            + self.devices.len()
-            + self.wifi.len()
-            + self.packet_stats.len()
-            + self.flows.len()
-            + self.dns.len()
-            + self.macs.len()
-            + self.associations.len()
-            + self.latency.len()
-            + self.nat_probes.len()
-            + self.punch_trials.len()
-    }
-
-    /// Heap bytes held by the seven columnar high-volume tables. The
-    /// remaining row tables and heartbeat run-logs are small by
-    /// comparison; this is the number that moves when the deployment is
-    /// scaled with more homes.
-    pub fn columnar_heap_bytes(&self) -> usize {
-        self.packet_stats.heap_bytes()
-            + self.flows.heap_bytes()
-            + self.dns.heap_bytes()
-            + self.macs.heap_bytes()
-            + self.wifi.heap_bytes()
-            + self.associations.heap_bytes()
-            + self.latency.heap_bytes()
-            + self.nat_probes.heap_bytes()
-            + self.punch_trials.heap_bytes()
-    }
-
-    /// Bytes of columnar data living in on-disk segment files rather than
-    /// RAM. Zero unless the collector ran with a spill budget and crossed
-    /// it; rows behind these bytes stream in lazily during iteration.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.packet_stats.spilled_bytes()
-            + self.flows.spilled_bytes()
-            + self.dns.spilled_bytes()
-            + self.macs.spilled_bytes()
-            + self.wifi.spilled_bytes()
-            + self.associations.spilled_bytes()
-            + self.latency.spilled_bytes()
-            + self.nat_probes.spilled_bytes()
-            + self.punch_trials.spilled_bytes()
+        let [collected @ .., _upload_gaps] = self.record_counts();
+        collected.iter().map(|&(_, n)| n as usize).sum()
     }
 
     /// Fold one stream-window delta (from [`Collector::drain_delta`])
@@ -273,27 +356,7 @@ impl Datasets {
         absorb_rows(&mut self.upload_gaps, std::mem::take(&mut delta.upload_gaps), |r| {
             (r.router, r.first_seq)
         });
-        self.wifi.absorb(&delta.wifi, &mut state.wifi);
-        self.packet_stats.absorb(&delta.packet_stats, &mut state.packet_stats);
-        self.flows.absorb(&delta.flows, &mut state.flows);
-        self.dns.absorb(&delta.dns, &mut state.dns);
-        self.macs.absorb(&delta.macs, &mut state.macs);
-        self.associations.absorb(&delta.associations, &mut state.associations);
-        self.latency.absorb(&delta.latency, &mut state.latency);
-        self.nat_probes.absorb(&delta.nat_probes, &mut state.nat_probes);
-        self.punch_trials.absorb(&delta.punch_trials, &mut state.punch_trials);
-        // Every spilled row is resident now; reclaim the delta's merged
-        // segment files instead of letting one pile up per window until
-        // the store drops.
-        delta.wifi.release_spilled();
-        delta.packet_stats.release_spilled();
-        delta.flows.release_spilled();
-        delta.dns.release_spilled();
-        delta.macs.release_spilled();
-        delta.associations.release_spilled();
-        delta.latency.release_spilled();
-        delta.nat_probes.release_spilled();
-        delta.punch_trials.release_spilled();
+        self.absorb_columns(&mut delta, state);
     }
 }
 
@@ -335,34 +398,25 @@ struct ShardSpill {
     /// Resident-columnar budget for this shard in bytes — the study budget
     /// split evenly across shards. A budget of 0 seals on every batch.
     budget: usize,
-    /// Segments sealed so far, in seal order. Seal order concatenated with
-    /// the resident tail reproduces each router's exact arrival order, which
-    /// is what keeps the spilled merge byte-identical to the in-memory one.
-    segments: Vec<SealedSegment>,
+    /// Segments sealed since startup or the last drain. Their rows are
+    /// the spilled parts of the shard's columnar tables.
+    segments: u64,
+    /// Bytes written across those segments.
+    bytes: u64,
     /// First seal failure, if any. Spilling disables on error and data
     /// stays resident from then on — degraded to unbounded memory, never
     /// data loss.
     error: Option<String>,
 }
 
-/// One shard's worth of collected state: the same tables as [`Datasets`]
-/// minus registration (which is global and rare), plus this shard's copy of
-/// the outage schedule so the hot path never reaches for shared state.
+/// One shard's worth of collected state: its slice of the tables, plus
+/// this shard's copy of the outage schedule so the hot path never reaches
+/// for shared state.
 #[derive(Debug, Default)]
 struct Shard {
-    heartbeats: BTreeMap<RouterId, RunLog>,
-    uptime: Vec<UptimeRecord>,
-    capacity: Vec<CapacityRecord>,
-    devices: Vec<DeviceCensusRecord>,
-    wifi: WifiTable,
-    packet_stats: PacketStatsTable,
-    flows: FlowTable,
-    dns: DnsTable,
-    macs: MacTable,
-    associations: AssociationTable,
-    latency: LatencyTable,
-    nat_probes: NatProbeTable,
-    punch_trials: PunchTrialTable,
+    /// Every table, for this shard's routers. Registration and announced
+    /// downtime stay empty: they are global and live on the [`Collector`].
+    tables: Datasets,
     /// Windows during which the collection infrastructure itself was down
     /// (§3.3: "various outages and failures — both of the routers
     /// themselves and of the collection infrastructure"). Records arriving
@@ -378,11 +432,9 @@ struct Shard {
     dropped_in_downtime: u64,
     /// Per-router sequence tracking for idempotent batch ingestion.
     seq: BTreeMap<RouterId, SeqState>,
-    /// Gap-ledger rows accepted by this shard.
-    upload_gaps: Vec<UploadGapRecord>,
     /// Delivery accounting for the batch upload path.
     counters: UploadCounters,
-    /// Estimated resident heap bytes of the seven columnar tables, grown by
+    /// Estimated resident heap bytes of the nine columnar tables, grown by
     /// per-record constants on the ingest path and reset at each seal.
     columnar_est: usize,
     /// Out-of-core state; `None` (the default) runs fully in memory.
@@ -418,62 +470,55 @@ impl Shard {
     /// Append a record to its table, with no outage check. The columnar
     /// arms also grow the resident-size estimate that drives spilling.
     fn route(&mut self, record: Record) {
+        let t = &mut self.tables;
         match record {
-            Record::Heartbeat(r) => self.heartbeats.entry(r.router).or_default().push(r.at),
-            Record::Uptime(r) => self.uptime.push(r),
-            Record::Capacity(r) => self.capacity.push(r),
-            Record::DeviceCensus(r) => self.devices.push(r),
+            Record::Heartbeat(r) => t.heartbeats.entry(r.router).or_default().push(r.at),
+            Record::Uptime(r) => t.uptime.push(r),
+            Record::Capacity(r) => t.capacity.push(r),
+            Record::DeviceCensus(r) => t.devices.push(r),
             Record::WifiScan(r) => {
                 self.columnar_est += EST_WIFI_BASE + EST_WIFI_AP * r.aps.len();
-                self.wifi.push(r);
+                t.wifi.push(r);
             }
             Record::PacketStats(r) => {
                 self.columnar_est += EST_PACKET_STATS;
-                self.packet_stats.push(r);
+                t.packet_stats.push(r);
             }
             Record::Flow(r) => {
                 self.columnar_est += EST_FLOW;
-                self.flows.push(r);
+                t.flows.push(r);
             }
             Record::DnsSample(r) => {
                 self.columnar_est += EST_DNS;
-                self.dns.push(r);
+                t.dns.push(r);
             }
             Record::MacSighting(r) => {
                 self.columnar_est += EST_MAC;
-                self.macs.push(r);
+                t.macs.push(r);
             }
             Record::Association(r) => {
                 self.columnar_est += EST_ASSOCIATION;
-                self.associations.push(r);
+                t.associations.push(r);
             }
             Record::Latency(r) => {
                 self.columnar_est += EST_LATENCY;
-                self.latency.push(r);
+                t.latency.push(r);
             }
             Record::NatProbe(r) => {
                 self.columnar_est += EST_NAT_PROBE;
-                self.nat_probes.push(r);
+                t.nat_probes.push(r);
             }
             Record::PunchTrial(r) => {
                 self.columnar_est += EST_PUNCH_TRIAL;
-                self.punch_trials.push(r);
+                t.punch_trials.push(r);
             }
         }
     }
 
-    fn ingest(&mut self, record: Record) {
-        if !self.outages.is_empty() && self.in_outage(record.at()) {
-            self.dropped_in_outage += 1;
-            return;
-        }
-        self.route(record);
-        self.maybe_spill();
-    }
-
-    /// Batch ingestion: the outage-schedule check is hoisted out of the
-    /// record loop, so the common no-outage configuration never re-scans
-    /// the (empty) window list per record.
+    /// The one record-routing loop every ingest path shares: the
+    /// outage-schedule check is hoisted out of the record loop, so the
+    /// common no-outage configuration never re-scans the (empty) window
+    /// list per record, and the spill check runs once per call.
     fn ingest_many(&mut self, records: impl IntoIterator<Item = Record>) {
         if self.outages.is_empty() {
             for record in records {
@@ -515,54 +560,21 @@ impl Shard {
         }
     }
 
-    /// Encode the seven columnar tables into one segment file, remember its
-    /// table of contents, and reset the tables to fresh empty columns.
-    ///
-    /// The buffer is fully encoded *before* the tables are reset, so an
-    /// I/O error leaves every record resident — sealing is all-or-nothing.
+    /// Seal the columnar tables into one new segment file (see
+    /// [`Datasets::seal_columns`]) and reset the resident estimate.
     fn try_seal(&mut self) -> Result<(), SpillError> {
+        let Some(sp) = &mut self.spill else { return Ok(()) };
         if self.columnar_est == 0 {
             return Ok(());
         }
         // simlint: allow(hot-path-transitive) — one segment-sized buffer per seal, a batch boundary, not per-record work
         let mut buf = Vec::with_capacity(self.columnar_est / 2 + 1024);
         buf.extend_from_slice(SEGMENT_MAGIC);
-        let packet_stats = self.packet_stats.encode_segment(&mut buf);
-        let flows = self.flows.encode_segment(&mut buf);
-        let dns = self.dns.encode_segment(&mut buf);
-        let macs = self.macs.encode_segment(&mut buf);
-        let wifi = self.wifi.encode_segment(&mut buf);
-        let associations = self.associations.encode_segment(&mut buf);
-        let latency = self.latency.encode_segment(&mut buf);
-        let nat_probes = self.nat_probes.encode_segment(&mut buf);
-        let punch_trials = self.punch_trials.encode_segment(&mut buf);
-        let Some(sp) = &mut self.spill else { return Ok(()) };
         // simlint: allow(hot-path-transitive) — one file name per sealed segment, a batch boundary, not per-record work
-        let file = format!("shard{:03}-seg{:05}.seg", sp.index, sp.segments.len());
-        sp.store.write_file(&file, &buf)?;
-        let bytes = buf.len() as u64;
-        sp.segments.push(SealedSegment {
-            file,
-            packet_stats,
-            flows,
-            dns,
-            macs,
-            wifi,
-            associations,
-            latency,
-            nat_probes,
-            punch_trials,
-            bytes,
-        });
-        self.packet_stats = PacketStatsTable::default();
-        self.flows = FlowTable::default();
-        self.dns = DnsTable::default();
-        self.macs = MacTable::default();
-        self.wifi = WifiTable::default();
-        self.associations = AssociationTable::default();
-        self.latency = LatencyTable::default();
-        self.nat_probes = NatProbeTable::default();
-        self.punch_trials = PunchTrialTable::default();
+        let file = format!("shard{:03}-seg{:05}.seg", sp.index, sp.segments);
+        self.tables.seal_columns(&sp.store, &file, &mut buf)?;
+        sp.segments += 1;
+        sp.bytes += buf.len() as u64;
         self.columnar_est = 0;
         Ok(())
     }
@@ -576,7 +588,7 @@ impl Shard {
             self.dropped_in_outage += 1;
             return;
         }
-        self.heartbeats.entry(rec.router).or_default().push(rec.at);
+        self.tables.heartbeats.entry(rec.router).or_default().push(rec.at);
     }
 
     fn downtime_at(&self, at: SimTime) -> Option<Window> {
@@ -667,7 +679,7 @@ impl Shard {
         for s in g.first_seq.max(state.watermark + 1)..=g.last_seq {
             state.pending.entry(s).or_insert(Pending::Gap);
         }
-        self.upload_gaps.push(UploadGapRecord {
+        self.tables.upload_gaps.push(UploadGapRecord {
             router,
             first_seq: g.first_seq,
             last_seq: g.last_seq,
@@ -770,24 +782,11 @@ pub struct ShardHandle<'a> {
 }
 
 impl ShardHandle<'_> {
-    /// Ingest one record. The caller is responsible for only sending
-    /// records belonging to this handle's shard.
-    pub fn ingest(&self, record: Record) {
-        self.shard.lock().ingest(record);
-    }
-
-    /// Ingest a batch under one lock acquisition.
-    pub fn ingest_batch(&self, records: Vec<Record>) {
-        if records.is_empty() {
-            return;
-        }
-        self.shard.lock().ingest_many(records);
-    }
-
     /// Ingest by draining the caller's buffer under one lock acquisition.
     /// The buffer is left empty with its capacity intact, so a simulation
     /// flushing every few thousand records reuses one allocation for the
-    /// whole run.
+    /// whole run. The caller is responsible for only sending records
+    /// belonging to this handle's shard.
     pub fn ingest_drain(&self, records: &mut Vec<Record>) {
         if records.is_empty() {
             return;
@@ -818,6 +817,16 @@ impl ShardHandle<'_> {
     ) -> UploadOutcome {
         self.shard.lock().ingest_upload(at, router, seq, attempt, gaps, records)
     }
+}
+
+/// How [`Collector::try_extract`] hands each shard's tables to the merge.
+#[derive(Debug, Clone, Copy)]
+enum Extract {
+    /// Clone them, leaving the collector untouched.
+    Clone,
+    /// Take them, with their sealed segments: the shards keep running on
+    /// empty tables and a reset spill estimate.
+    Take,
 }
 
 impl Collector {
@@ -891,7 +900,8 @@ impl Collector {
                 store: Arc::clone(&store),
                 index,
                 budget,
-                segments: Vec::new(),
+                segments: 0,
+                bytes: 0,
                 error: None,
             });
         }
@@ -906,8 +916,8 @@ impl Collector {
         for shard in &self.shards {
             let shard = shard.lock();
             let Some(sp) = &shard.spill else { continue };
-            stats.segments += sp.segments.len() as u64;
-            stats.bytes_written += sp.segments.iter().map(|s| s.bytes).sum::<u64>();
+            stats.segments += sp.segments;
+            stats.bytes_written += sp.bytes;
             if stats.error.is_none() {
                 stats.error = sp.error.clone();
             }
@@ -922,21 +932,6 @@ impl Collector {
             total.merge(shard.lock().counters);
         }
         total
-    }
-
-    /// Offer a sequence-numbered batch for one router (see
-    /// [`ShardHandle::ingest_upload`] for the single-lock fast path).
-    #[allow(clippy::too_many_arguments)]
-    pub fn ingest_upload(
-        &self,
-        at: SimTime,
-        router: RouterId,
-        seq: u64,
-        attempt: u32,
-        gaps: &[GapDecl],
-        records: &mut Vec<Record>,
-    ) -> UploadOutcome {
-        self.shard(router).lock().ingest_upload(at, router, seq, attempt, gaps, records)
     }
 
     /// Ingest a heartbeat that arrived as a raw packet: parse, validate,
@@ -968,21 +963,20 @@ impl Collector {
 
     /// Ingest any other record.
     pub fn ingest(&self, record: Record) {
-        self.shard(record.router()).lock().ingest(record);
+        self.shard(record.router()).lock().ingest_many([record]);
     }
 
-    /// Ingest a batch. Runs of consecutive records for the same shard are
-    /// ingested under one lock acquisition; a single-router batch (what
-    /// home simulations upload) locks exactly once.
+    /// Ingest a batch. Each run of consecutive records for the same shard
+    /// is ingested under one lock acquisition with one spill check; a
+    /// single-router batch (what home simulations upload) locks exactly
+    /// once.
     pub fn ingest_batch(&self, records: Vec<Record>) {
         let mut records = records.into_iter().peekable();
-        while let Some(first) = records.next() {
-            let idx = shard_index(first.router());
-            let mut shard = self.shard(first.router()).lock();
-            shard.ingest(first);
-            while let Some(next) = records.next_if(|r| shard_index(r.router()) == idx) {
-                shard.ingest(next);
-            }
+        while let Some(router) = records.peek().map(Record::router) {
+            let idx = shard_index(router);
+            self.shard(router).lock().ingest_many(std::iter::from_fn(|| {
+                records.next_if(|r| shard_index(r.router()) == idx)
+            }));
         }
     }
 
@@ -1022,100 +1016,34 @@ impl Collector {
     /// [`Collector::try_snapshot`] to handle that case. In-memory runs
     /// (the default) cannot fail.
     pub fn snapshot(&self) -> Datasets {
-        match self.try_snapshot() {
-            Ok(data) => data,
-            // simlint: allow(panic-in-ingest) — this is the analysis boundary, not the ingest path; callers that can recover from a failed segment merge use try_snapshot
-            Err(e) => panic!("spill segment merge failed during snapshot: {e}"),
-        }
+        merged_or_panic(self.try_snapshot(), "during snapshot")
     }
 
     /// Fallible [`Collector::snapshot`]: surfaces spill-merge I/O errors
     /// instead of panicking. Always `Ok` when spilling is disabled.
     pub fn try_snapshot(&self) -> Result<Datasets, SpillError> {
-        let chunks: Vec<ShardChunk> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let shard = s.lock();
-                ShardChunk {
-                    heartbeats: shard.heartbeats.clone(),
-                    uptime: shard.uptime.clone(),
-                    capacity: shard.capacity.clone(),
-                    devices: shard.devices.clone(),
-                    wifi: shard.wifi.clone(),
-                    packet_stats: shard.packet_stats.clone(),
-                    flows: shard.flows.clone(),
-                    dns: shard.dns.clone(),
-                    macs: shard.macs.clone(),
-                    associations: shard.associations.clone(),
-                    latency: shard.latency.clone(),
-                    nat_probes: shard.nat_probes.clone(),
-                    punch_trials: shard.punch_trials.clone(),
-                    upload_gaps: shard.upload_gaps.clone(),
-                    segments: shard
-                        .spill
-                        .as_ref()
-                        .map(|sp| sp.segments.clone())
-                        .unwrap_or_default(),
-                }
-            })
-            .collect();
-        merge_chunks(
-            self.routers.lock().clone(),
-            self.downtime.lock().clone(),
-            self.spill.lock().clone(),
-            chunks,
-        )
+        self.try_extract(Extract::Clone)
     }
 
     /// Consume the collector and merge every shard into one sorted
-    /// [`Datasets`] without cloning a single record. The per-table merges
-    /// run on scoped threads, and shards that are already internally
-    /// ordered with disjoint router ranges (the steady-state shape, since
-    /// every router maps to one shard and emits chronologically)
-    /// concatenate in O(n) instead of re-sorting.
+    /// [`Datasets`] without cloning a single record: the same take path
+    /// as [`Collector::drain_delta`], on a collector nobody ingests into
+    /// again. The per-table merges run on scoped threads, and shards that
+    /// are already internally ordered with disjoint router ranges (the
+    /// steady-state shape, since every router maps to one shard and emits
+    /// chronologically) concatenate in O(n) instead of re-sorting.
     ///
     /// Panics if a spilled run's segment merge hits an I/O error; use
     /// [`Collector::try_into_datasets`] to handle that case. In-memory
     /// runs (the default) cannot fail.
     pub fn into_datasets(self) -> Datasets {
-        match self.try_into_datasets() {
-            Ok(data) => data,
-            // simlint: allow(panic-in-ingest) — this is the analysis boundary, not the ingest path; callers that can recover from a failed segment merge use try_into_datasets
-            Err(e) => panic!("spill segment merge failed while finalizing datasets: {e}"),
-        }
+        merged_or_panic(self.try_into_datasets(), "while finalizing datasets")
     }
 
     /// Fallible [`Collector::into_datasets`]: surfaces spill-merge I/O
     /// errors instead of panicking. Always `Ok` when spilling is disabled.
     pub fn try_into_datasets(self) -> Result<Datasets, SpillError> {
-        let spill = self.spill.into_inner();
-        let chunks: Vec<ShardChunk> = self
-            .shards
-            .into_iter()
-            .map(|s| {
-                let mut shard = s.into_inner();
-                let segments = shard.spill.take().map(|sp| sp.segments).unwrap_or_default();
-                ShardChunk {
-                    heartbeats: shard.heartbeats,
-                    uptime: shard.uptime,
-                    capacity: shard.capacity,
-                    devices: shard.devices,
-                    wifi: shard.wifi,
-                    packet_stats: shard.packet_stats,
-                    flows: shard.flows,
-                    dns: shard.dns,
-                    macs: shard.macs,
-                    associations: shard.associations,
-                    latency: shard.latency,
-                    nat_probes: shard.nat_probes,
-                    punch_trials: shard.punch_trials,
-                    upload_gaps: shard.upload_gaps,
-                    segments,
-                }
-            })
-            .collect();
-        merge_chunks(self.routers.into_inner(), self.downtime.into_inner(), spill, chunks)
+        self.try_extract(Extract::Take)
     }
 
     /// Drain everything applied behind the per-router watermarks since
@@ -1136,44 +1064,40 @@ impl Collector {
     /// Panics if a spilled delta's segment merge hits an I/O error; use
     /// [`Collector::try_drain_delta`] to handle that case.
     pub fn drain_delta(&self) -> Datasets {
-        match self.try_drain_delta() {
-            Ok(data) => data,
-            // simlint: allow(panic-in-ingest) — the analysis boundary, not the ingest path; stream drivers that can recover from a failed segment merge use try_drain_delta
-            Err(e) => panic!("spill segment merge failed during stream drain: {e}"),
-        }
+        merged_or_panic(self.try_drain_delta(), "during stream drain")
     }
 
     /// Fallible [`Collector::drain_delta`]: surfaces spill-merge I/O
     /// errors instead of panicking. Always `Ok` when spilling is
     /// disabled.
     pub fn try_drain_delta(&self) -> Result<Datasets, SpillError> {
-        let chunks: Vec<ShardChunk> = self
+        self.try_extract(Extract::Take)
+    }
+
+    /// The one extraction behind every snapshot: clone or take each
+    /// shard's tables (spilled parts included) under its lock, then merge
+    /// them all.
+    fn try_extract(&self, mode: Extract) -> Result<Datasets, SpillError> {
+        let mut segments = 0;
+        let chunks: Vec<Datasets> = self
             .shards
             .iter()
             .map(|s| {
                 let mut shard = s.lock();
                 let shard = &mut *shard;
-                let segments = match &mut shard.spill {
-                    Some(sp) => std::mem::take(&mut sp.segments),
-                    None => Vec::new(),
-                };
-                shard.columnar_est = 0;
-                ShardChunk {
-                    heartbeats: std::mem::take(&mut shard.heartbeats),
-                    uptime: std::mem::take(&mut shard.uptime),
-                    capacity: std::mem::take(&mut shard.capacity),
-                    devices: std::mem::take(&mut shard.devices),
-                    wifi: std::mem::take(&mut shard.wifi),
-                    packet_stats: std::mem::take(&mut shard.packet_stats),
-                    flows: std::mem::take(&mut shard.flows),
-                    dns: std::mem::take(&mut shard.dns),
-                    macs: std::mem::take(&mut shard.macs),
-                    associations: std::mem::take(&mut shard.associations),
-                    latency: std::mem::take(&mut shard.latency),
-                    nat_probes: std::mem::take(&mut shard.nat_probes),
-                    punch_trials: std::mem::take(&mut shard.punch_trials),
-                    upload_gaps: std::mem::take(&mut shard.upload_gaps),
-                    segments,
+                match mode {
+                    Extract::Clone => {
+                        segments += shard.spill.as_ref().map_or(0, |sp| sp.segments);
+                        shard.tables.clone()
+                    }
+                    Extract::Take => {
+                        if let Some(sp) = &mut shard.spill {
+                            segments += std::mem::take(&mut sp.segments);
+                            sp.bytes = 0;
+                        }
+                        shard.columnar_est = 0;
+                        std::mem::take(&mut shard.tables)
+                    }
                 }
             })
             .collect();
@@ -1181,30 +1105,19 @@ impl Collector {
             self.routers.lock().clone(),
             self.downtime.lock().clone(),
             self.spill.lock().clone(),
+            segments,
             chunks,
         )
     }
 }
 
-/// The movable per-shard table set fed into the merge.
-struct ShardChunk {
-    heartbeats: BTreeMap<RouterId, RunLog>,
-    uptime: Vec<UptimeRecord>,
-    capacity: Vec<CapacityRecord>,
-    devices: Vec<DeviceCensusRecord>,
-    wifi: WifiTable,
-    packet_stats: PacketStatsTable,
-    flows: FlowTable,
-    dns: DnsTable,
-    macs: MacTable,
-    associations: AssociationTable,
-    latency: LatencyTable,
-    nat_probes: NatProbeTable,
-    punch_trials: PunchTrialTable,
-    upload_gaps: Vec<UploadGapRecord>,
-    /// Segments this shard sealed to disk, in seal order. Empty unless
-    /// out-of-core mode was armed and this shard crossed its budget.
-    segments: Vec<SealedSegment>,
+/// The panicking face of a fallible merge. `during` completes the message.
+fn merged_or_panic(merged: Result<Datasets, SpillError>, during: &str) -> Datasets {
+    match merged {
+        Ok(data) => data,
+        // simlint: allow(panic-in-ingest) — the analysis boundary, not the ingest path; callers that can recover from a failed segment merge use the try_ variants
+        Err(e) => panic!("spill segment merge failed {during}: {e}"),
+    }
 }
 
 /// Merge per-shard chunks of one table into a single sorted table.
@@ -1251,265 +1164,61 @@ fn join_merged<T>(handle: crossbeam::thread::ScopedJoinHandle<'_, T>) -> T {
     handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
-/// Per-shard table-of-contents lists for the seven columnar tables, split
-/// out of each shard's [`SealedSegment`] run so every table's k-way merge
-/// can run on its own thread with only its own blocks.
-struct SegmentTocs {
-    packet_stats: Vec<Vec<TableToc>>,
-    flows: Vec<Vec<TableToc>>,
-    dns: Vec<Vec<TableToc>>,
-    macs: Vec<Vec<TableToc>>,
-    wifi: Vec<Vec<TableToc>>,
-    associations: Vec<Vec<TableToc>>,
-    latency: Vec<Vec<TableToc>>,
-    nat_probes: Vec<Vec<TableToc>>,
-    punch_trials: Vec<Vec<TableToc>>,
-}
-
-fn split_tocs(segments: Vec<Vec<SealedSegment>>) -> SegmentTocs {
-    let mut tocs = SegmentTocs {
-        packet_stats: Vec::with_capacity(segments.len()),
-        flows: Vec::with_capacity(segments.len()),
-        dns: Vec::with_capacity(segments.len()),
-        macs: Vec::with_capacity(segments.len()),
-        wifi: Vec::with_capacity(segments.len()),
-        associations: Vec::with_capacity(segments.len()),
-        latency: Vec::with_capacity(segments.len()),
-        nat_probes: Vec::with_capacity(segments.len()),
-        punch_trials: Vec::with_capacity(segments.len()),
-    };
-    for segs in segments {
-        let mut ps = Vec::with_capacity(segs.len());
-        let mut fl = Vec::with_capacity(segs.len());
-        let mut dn = Vec::with_capacity(segs.len());
-        let mut mc = Vec::with_capacity(segs.len());
-        let mut wf = Vec::with_capacity(segs.len());
-        let mut ac = Vec::with_capacity(segs.len());
-        let mut lt = Vec::with_capacity(segs.len());
-        let mut np = Vec::with_capacity(segs.len());
-        let mut pt = Vec::with_capacity(segs.len());
-        for seg in segs {
-            ps.push(TableToc { file: seg.file.clone(), blocks: seg.packet_stats });
-            fl.push(TableToc { file: seg.file.clone(), blocks: seg.flows });
-            dn.push(TableToc { file: seg.file.clone(), blocks: seg.dns });
-            mc.push(TableToc { file: seg.file.clone(), blocks: seg.macs });
-            wf.push(TableToc { file: seg.file.clone(), blocks: seg.wifi });
-            ac.push(TableToc { file: seg.file.clone(), blocks: seg.associations });
-            lt.push(TableToc { file: seg.file.clone(), blocks: seg.latency });
-            np.push(TableToc { file: seg.file.clone(), blocks: seg.nat_probes });
-            pt.push(TableToc { file: seg.file, blocks: seg.punch_trials });
-        }
-        tocs.packet_stats.push(ps);
-        tocs.flows.push(fl);
-        tocs.dns.push(dn);
-        tocs.macs.push(mc);
-        tocs.wifi.push(wf);
-        tocs.associations.push(ac);
-        tocs.latency.push(lt);
-        tocs.nat_probes.push(np);
-        tocs.punch_trials.push(pt);
-    }
-    tocs
-}
-
+/// Merge the shards' table sets into one sorted [`Datasets`], adding the
+/// global registration and downtime. `segments` counts the segment files
+/// the shards sealed; the spilled merge path engages only when there are
+/// some, so a spill-armed run that stayed under budget produces
+/// bit-identical in-memory [`Datasets`].
 fn merge_chunks(
     mut routers: Vec<RouterMeta>,
     collector_downtime: Vec<Window>,
     spill: Option<Arc<SegmentStore>>,
-    chunks: Vec<ShardChunk>,
+    segments: u64,
+    mut chunks: Vec<Datasets>,
 ) -> Result<Datasets, SpillError> {
-    let mut uptime = Vec::new();
-    let mut capacity = Vec::new();
-    let mut devices = Vec::new();
-    let mut wifi = Vec::new();
-    let mut packet_stats = Vec::new();
-    let mut flows = Vec::new();
-    let mut dns = Vec::new();
-    let mut macs = Vec::new();
-    let mut associations = Vec::new();
-    let mut latency = Vec::new();
-    let mut nat_probes = Vec::new();
-    let mut punch_trials = Vec::new();
-    let mut upload_gaps = Vec::new();
-    let mut segments = Vec::new();
-    let mut heartbeats: BTreeMap<RouterId, RunLog> = BTreeMap::new();
-    for chunk in chunks {
-        uptime.push(chunk.uptime);
-        capacity.push(chunk.capacity);
-        devices.push(chunk.devices);
-        wifi.push(chunk.wifi);
-        packet_stats.push(chunk.packet_stats);
-        flows.push(chunk.flows);
-        dns.push(chunk.dns);
-        macs.push(chunk.macs);
-        associations.push(chunk.associations);
-        latency.push(chunk.latency);
-        nat_probes.push(chunk.nat_probes);
-        punch_trials.push(chunk.punch_trials);
-        upload_gaps.push(chunk.upload_gaps);
-        segments.push(chunk.segments);
-        // Routers are partitioned across shards, so no key collides.
-        heartbeats.extend(chunk.heartbeats);
-    }
     routers.sort_by_key(|m| m.router);
+    let mut data = Datasets { routers, collector_downtime, ..Datasets::default() };
+    let mut uptime = Vec::with_capacity(chunks.len());
+    let mut capacity = Vec::with_capacity(chunks.len());
+    let mut devices = Vec::with_capacity(chunks.len());
+    let mut upload_gaps = Vec::with_capacity(chunks.len());
+    for chunk in &mut chunks {
+        // Routers are partitioned across shards, so no key collides.
+        data.heartbeats.append(&mut chunk.heartbeats);
+        uptime.push(std::mem::take(&mut chunk.uptime));
+        capacity.push(std::mem::take(&mut chunk.capacity));
+        devices.push(std::mem::take(&mut chunk.devices));
+        upload_gaps.push(std::mem::take(&mut chunk.upload_gaps));
+    }
+    // The ledger is tiny (one row per declared loss); merge it inline
+    // rather than on the scoped threads below.
+    data.upload_gaps = merge_table(upload_gaps, |r: &UploadGapRecord| (r.router, r.first_seq));
 
-    // The spilled merge path engages only when some shard actually sealed a
-    // segment: a spill-armed run that stayed under budget takes the plain
-    // in-memory path and produces bit-identical in-memory Datasets.
-    let total_segments: usize = segments.iter().map(Vec::len).sum();
-    let spill = spill.filter(|_| total_segments > 0);
-
-    let mut data = Datasets {
-        routers,
-        heartbeats,
-        collector_downtime,
-        // The ledger is tiny (one row per declared loss); merge it inline
-        // rather than on the scoped threads below.
-        upload_gaps: merge_table(upload_gaps, |r: &UploadGapRecord| (r.router, r.first_seq)),
-        ..Datasets::default()
+    let merge_id = match spill.filter(|_| segments > 0) {
+        Some(store) => {
+            // Merge fan-in: every sealed segment plus every shard with
+            // resident columnar rows contributes one sorted input run.
+            let resident = chunks.iter().filter(|c| c.has_resident_columns()).count() as u64;
+            obs::gauge("spill_merge_fanin").set(segments + resident);
+            // Snapshots can merge repeatedly over the same store, so
+            // every merged output gets a unique file-name generation.
+            store.next_merge_id()
+        }
+        None => 0,
     };
     // The per-table merges are independent; run them on scoped threads so a
-    // snapshot of a 33M-record study sorts all ten tables concurrently.
+    // snapshot of a 33M-record study sorts all twelve tables concurrently.
     crossbeam::scope(|scope| -> Result<(), SpillError> {
         let uptime = scope.spawn(|_| merge_table(uptime, |r: &UptimeRecord| (r.router, r.at)));
         let capacity =
             scope.spawn(|_| merge_table(capacity, |r: &CapacityRecord| (r.router, r.at)));
         let devices =
             scope.spawn(|_| merge_table(devices, |r: &DeviceCensusRecord| (r.router, r.at)));
-        let (packet_stats, flows, dns, macs, wifi, associations, latency, nat_probes, punch_trials) =
-            match &spill {
-                None => (
-                    scope.spawn(|_| Ok(PacketStatsTable::merge(packet_stats))),
-                    scope.spawn(|_| Ok(FlowTable::merge(flows))),
-                    scope.spawn(|_| Ok(DnsTable::merge(dns))),
-                    scope.spawn(|_| Ok(MacTable::merge(macs))),
-                    scope.spawn(|_| Ok(WifiTable::merge(wifi))),
-                    scope.spawn(|_| Ok(AssociationTable::merge(associations))),
-                    scope.spawn(|_| Ok(LatencyTable::merge(latency))),
-                    scope.spawn(|_| Ok(NatProbeTable::merge(nat_probes))),
-                    scope.spawn(|_| Ok(PunchTrialTable::merge(punch_trials))),
-                ),
-                Some(store) => {
-                    // Merge fan-in: every sealed segment plus every shard with
-                    // resident columnar rows contributes one sorted input run.
-                    let resident_shards = packet_stats
-                        .iter()
-                        .zip(&flows)
-                        .zip(&dns)
-                        .zip(&macs)
-                        .zip(&wifi)
-                        .zip(&associations)
-                        .zip(&latency)
-                        .zip(&nat_probes)
-                        .zip(&punch_trials)
-                        .filter(|((((((((p, f), d), m), w), a), l), n), u)| {
-                            p.len()
-                                + f.len()
-                                + d.len()
-                                + m.len()
-                                + w.len()
-                                + a.len()
-                                + l.len()
-                                + n.len()
-                                + u.len()
-                                > 0
-                        })
-                        .count();
-                    obs::gauge("spill_merge_fanin").set((total_segments + resident_shards) as u64);
-                    // Snapshots can merge repeatedly over the same store, so
-                    // every merged output gets a unique file-name generation.
-                    let merge_id = store.next_merge_id();
-                    let tocs = split_tocs(std::mem::take(&mut segments));
-                    let ps_in: Vec<_> = tocs.packet_stats.into_iter().zip(packet_stats).collect();
-                    let fl_in: Vec<_> = tocs.flows.into_iter().zip(flows).collect();
-                    let dn_in: Vec<_> = tocs.dns.into_iter().zip(dns).collect();
-                    let mc_in: Vec<_> = tocs.macs.into_iter().zip(macs).collect();
-                    let wf_in: Vec<_> = tocs.wifi.into_iter().zip(wifi).collect();
-                    let ac_in: Vec<_> = tocs.associations.into_iter().zip(associations).collect();
-                    let lt_in: Vec<_> = tocs.latency.into_iter().zip(latency).collect();
-                    let np_in: Vec<_> = tocs.nat_probes.into_iter().zip(nat_probes).collect();
-                    let pt_in: Vec<_> = tocs.punch_trials.into_iter().zip(punch_trials).collect();
-                    let (s1, s2, s3, s4) = (
-                        Arc::clone(store),
-                        Arc::clone(store),
-                        Arc::clone(store),
-                        Arc::clone(store),
-                    );
-                    let (s5, s6, s7) =
-                        (Arc::clone(store), Arc::clone(store), Arc::clone(store));
-                    let (s8, s9) = (Arc::clone(store), Arc::clone(store));
-                    (
-                        scope.spawn(move |_| {
-                            PacketStatsTable::merge_spilled(
-                                ps_in,
-                                &s1,
-                                &format!("merged-{merge_id}-packet-stats.col"),
-                            )
-                        }),
-                        scope.spawn(move |_| {
-                            FlowTable::merge_spilled(
-                                fl_in,
-                                &s2,
-                                &format!("merged-{merge_id}-flows.col"),
-                            )
-                        }),
-                        scope.spawn(move |_| {
-                            DnsTable::merge_spilled(dn_in, &s3, &format!("merged-{merge_id}-dns.col"))
-                        }),
-                        scope.spawn(move |_| {
-                            MacTable::merge_spilled(mc_in, &s4, &format!("merged-{merge_id}-macs.col"))
-                        }),
-                        scope.spawn(move |_| {
-                            WifiTable::merge_spilled(
-                                wf_in,
-                                &s5,
-                                &format!("merged-{merge_id}-wifi.col"),
-                            )
-                        }),
-                        scope.spawn(move |_| {
-                            AssociationTable::merge_spilled(
-                                ac_in,
-                                &s6,
-                                &format!("merged-{merge_id}-associations.col"),
-                            )
-                        }),
-                        scope.spawn(move |_| {
-                            LatencyTable::merge_spilled(
-                                lt_in,
-                                &s7,
-                                &format!("merged-{merge_id}-latency.col"),
-                            )
-                        }),
-                        scope.spawn(move |_| {
-                            NatProbeTable::merge_spilled(
-                                np_in,
-                                &s8,
-                                &format!("merged-{merge_id}-nat-probes.col"),
-                            )
-                        }),
-                        scope.spawn(move |_| {
-                            PunchTrialTable::merge_spilled(
-                                pt_in,
-                                &s9,
-                                &format!("merged-{merge_id}-punch-trials.col"),
-                            )
-                        }),
-                    )
-                }
-            };
+        let columns = data.merge_columns(&mut chunks, merge_id);
         data.uptime = join_merged(uptime);
         data.capacity = join_merged(capacity);
         data.devices = join_merged(devices);
-        data.packet_stats = join_merged(packet_stats)?;
-        data.flows = join_merged(flows)?;
-        data.dns = join_merged(dns)?;
-        data.macs = join_merged(macs)?;
-        data.wifi = join_merged(wifi)?;
-        data.associations = join_merged(associations)?;
-        data.latency = join_merged(latency)?;
-        data.nat_probes = join_merged(nat_probes)?;
-        data.punch_trials = join_merged(punch_trials)?;
-        Ok(())
+        columns
     })
     .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
     Ok(data)
@@ -1581,24 +1290,6 @@ mod tests {
         let snap = collector.snapshot();
         let order: Vec<(u32, SimTime)> = snap.uptime.iter().map(|r| (r.router.0, r.at)).collect();
         assert_eq!(order, vec![(1, m(50)), (1, m(200)), (2, m(10)), (2, m(100))]);
-    }
-
-    #[test]
-    fn shard_handle_matches_global_ingest() {
-        let direct = Collector::new();
-        let via_handle = Collector::new();
-        let records: Vec<Record> = (0..100u64)
-            .map(|i| {
-                Record::Uptime(UptimeRecord {
-                    router: RouterId(7),
-                    at: m(i),
-                    uptime: SimDuration::from_mins(i),
-                })
-            })
-            .collect();
-        direct.ingest_batch(records.clone());
-        via_handle.shard_handle(RouterId(7)).ingest_batch(records);
-        assert_eq!(direct.snapshot().uptime, via_handle.snapshot().uptime);
     }
 
     #[test]
@@ -1868,6 +1559,42 @@ mod tests {
         let owned = spilled.into_datasets();
         assert_eq!(owned.packet_stats, from_memory.packet_stats);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_seals_keep_the_shard_resident_and_the_merge_exact() {
+        let base =
+            std::env::temp_dir().join(format!("bismark-seal-fail-test-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        let spilled = Collector::new();
+        spilled
+            .set_spill(&SpillConfig { budget_bytes: 0, dir: Some(base.clone()) })
+            .expect("spill dir creation");
+        // Replace the store's fresh directory with a regular file: every
+        // segment write from here on fails, even for root.
+        let store_dir = spilled.spill.lock().as_ref().expect("spilling armed").dir().to_path_buf();
+        std::fs::remove_dir_all(&store_dir).unwrap();
+        std::fs::write(&store_dir, b"not a directory").unwrap();
+        let unbounded = Collector::new();
+        for c in [&spilled, &unbounded] {
+            for router in [2u32, 130, 7] {
+                for chunk in 0..3u64 {
+                    c.ingest_batch(traffic_records(router, 40 + chunk));
+                }
+                c.ingest_heartbeat(HeartbeatRecord { router: RouterId(router), at: m(1) });
+            }
+        }
+        let stats = spilled.spill_stats().expect("spilling armed");
+        assert_eq!((stats.segments, stats.bytes_written), (0, 0), "no segment was sealed");
+        assert!(stats.error.is_some(), "the failed write is reported");
+
+        let snap = spilled.snapshot();
+        assert_eq!(snap.spilled_bytes(), 0, "the shards stayed resident");
+        assert!(snap.columnar_heap_bytes() > 0);
+        assert_eq!(snap, unbounded.snapshot());
+        assert_eq!(spilled.into_datasets(), unbounded.into_datasets());
+        std::fs::remove_file(&store_dir).ok();
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]

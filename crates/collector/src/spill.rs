@@ -1,22 +1,24 @@
 //! Out-of-core segment storage for the columnar dataset tables.
 //!
 //! When a study runs with a spill budget (see [`SpillConfig`]), every
-//! collector shard that outgrows its slice of the budget *seals* its four
-//! columnar tables into one segment file on disk — a compact little-endian
-//! framing of the existing column representation (delta-coded times,
-//! narrow counters, interned domains) — and keeps simulating into fresh
-//! in-memory columns. At snapshot the sealed segments are k-way merged
-//! with the resident columns into per-table merged files, in the same
-//! router-ID/stable order as the in-memory shard merge, so reports are
-//! byte-identical to the unbounded run at every scale and thread count.
+//! collector shard that outgrows its slice of the budget *seals* its nine
+//! columnar tables (of the collector's 14) into one segment file on disk —
+//! a compact little-endian framing of the existing column representation
+//! (delta-coded times, narrow counters, interned domains) — and keeps
+//! simulating into fresh in-memory columns. At snapshot the sealed
+//! segments are k-way merged with the resident columns into per-table
+//! merged files, in the same router-ID/stable order as the in-memory shard
+//! merge, so reports are byte-identical to the unbounded run at every
+//! scale and thread count.
 //!
 //! Layout and lifetime:
 //!
-//! * A [`SegmentStore`] owns one freshly created directory (under the
+//! * A `SegmentStore` owns one freshly created directory (under the
 //!   configured `--spill-dir`, or the OS temp dir) and removes it when the
 //!   last reference drops. Segments never outlive the process, so files
-//!   carry no self-describing table of contents — each seal returns an
-//!   in-memory [`SealedSegment`] mapping routers to [`BlockRef`]s.
+//!   carry no self-describing table of contents — each seal leaves every
+//!   columnar table an in-memory part mapping its routers to
+//!   `BlockRef`s in the segment.
 //! * Every block is the encoding of one router's column group for one
 //!   table. Blocks are written in ascending router order within a
 //!   segment, and the merge reads them back in ascending router order, so
@@ -29,9 +31,6 @@ use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use firmware::records::RouterId;
-use std::collections::BTreeMap;
 
 /// First bytes of every segment and merged-column file, for debuggability
 /// when poking at a spill directory (readers address blocks by offset and
@@ -89,43 +88,6 @@ pub(crate) struct BlockRef {
     pub len: u64,
     /// Records the block decodes to.
     pub rows: u64,
-}
-
-/// The in-memory table of contents of one sealed shard segment: for each
-/// of the seven columnar tables, which routers have a block and where.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SealedSegment {
-    /// File name inside the store directory.
-    pub file: String,
-    /// Packet-statistics blocks by router.
-    pub packet_stats: BTreeMap<RouterId, BlockRef>,
-    /// Flow blocks by router.
-    pub flows: BTreeMap<RouterId, BlockRef>,
-    /// DNS-sample blocks by router.
-    pub dns: BTreeMap<RouterId, BlockRef>,
-    /// MAC-sighting blocks by router.
-    pub macs: BTreeMap<RouterId, BlockRef>,
-    /// WiFi-scan blocks by router.
-    pub wifi: BTreeMap<RouterId, BlockRef>,
-    /// Association blocks by router.
-    pub associations: BTreeMap<RouterId, BlockRef>,
-    /// Latency-probe blocks by router.
-    pub latency: BTreeMap<RouterId, BlockRef>,
-    /// NAT-probe blocks by router.
-    pub nat_probes: BTreeMap<RouterId, BlockRef>,
-    /// Hole-punch-trial blocks by router.
-    pub punch_trials: BTreeMap<RouterId, BlockRef>,
-    /// Total bytes written for this segment (including the magic).
-    pub bytes: u64,
-}
-
-/// One table's slice of a [`SealedSegment`], fed to the spilled merge.
-#[derive(Debug, Clone)]
-pub(crate) struct TableToc {
-    /// File name inside the store directory.
-    pub file: String,
-    /// This table's blocks by router.
-    pub blocks: BTreeMap<RouterId, BlockRef>,
 }
 
 /// Process-unique suffix for store directories (several collectors may

@@ -85,7 +85,8 @@ fn fresh_collector() -> Collector {
 fn deliver(collector: &Collector, router: RouterId, seq: u64, attempt: u32) {
     let mut records = batch_records(router, seq);
     let gaps = gaps_for(router, seq);
-    collector.ingest_upload(t(10_000), router, seq, attempt, &gaps, &mut records);
+    let shard = collector.shard_handle(router);
+    shard.ingest_upload(t(10_000), router, seq, attempt, &gaps, &mut records);
 }
 
 fn reference_datasets() -> Datasets {

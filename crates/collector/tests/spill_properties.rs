@@ -1,21 +1,25 @@
-//! Property-based tests for the out-of-core spill path: a collector that
-//! seals columnar segments to disk whenever its memory estimate crosses an
-//! arbitrary budget must produce data sets *identical* to the unbounded
-//! in-memory collector, for arbitrary record mixes, batch arrival orders,
-//! and shard collision patterns.
+//! Property-based tests for the out-of-core spill path and the three ways
+//! of taking data out of a collector: a collector that seals columnar
+//! segments to disk whenever its memory estimate crosses an arbitrary
+//! budget must produce data sets *identical* to the unbounded in-memory
+//! collector, for arbitrary record mixes over all 13 record kinds, batch
+//! arrival orders, and shard collision patterns.
 //!
-//! The in-memory columnar model is the specification: spilling is purely a
-//! storage decision, so `into_datasets()` after any sequence of seals must
-//! equal the run where nothing ever left RAM — including the degenerate
-//! budget of zero bytes, where every batch seals its own segment.
+//! The unbounded collector's `into_datasets()` is the specification:
+//! spilling is purely a storage decision, and clone (`snapshot`), move
+//! (`into_datasets`) and take (`drain_delta`, folded with
+//! `Datasets::absorb`) are three routes to the same merge. Each must equal
+//! the model as a whole `Datasets` — including at the degenerate budget of
+//! zero bytes, where every batch seals its own segment, and for drains at
+//! arbitrary cut points.
 
-use collector::{Collector, RouterMeta, SpillConfig};
+use collector::{Collector, Datasets, DatasetsAbsorber, RouterMeta, SpillConfig};
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::latency::LatencyRecord;
 use firmware::records::{
-    ApSighting, AssociationRecord, DnsSampleRecord, FlowRecord, MacSightingRecord, Medium,
-    NatProbeRecord, NatType, PacketStatsRecord, PunchTrialRecord, Record, RouterId,
-    WifiScanRecord,
+    ApSighting, AssociationRecord, CapacityRecord, DeviceCensusRecord, DnsSampleRecord, FlowRecord,
+    HeartbeatRecord, MacSightingRecord, Medium, NatProbeRecord, NatType, PacketStatsRecord,
+    PunchTrialRecord, Record, RouterId, UptimeRecord, WifiScanRecord,
 };
 use household::Country;
 use proptest::prelude::*;
@@ -46,13 +50,15 @@ fn domain_from(selector: u8) -> ReportedDomain {
     }
 }
 
-/// Expand one spec into a columnar-table record; the kind selector cycles
-/// through all nine spilled tables so every segment carries a mix.
-fn record_from(spec: RecordSpec) -> Record {
+/// Expand the `index`-th spec into a record; the kind selector cycles
+/// through all nine spilled tables, so every segment carries a mix, and the
+/// four resident kinds. Heartbeats take their time from `index` instead of
+/// the spec: run logs require each router's heartbeats in order.
+fn record_from(index: usize, spec: RecordSpec) -> Record {
     let (router_sel, kind, at_us, dev, dom, bytes) = spec;
     let router = RouterId(ROUTERS[usize::from(router_sel) % ROUTERS.len()]);
     let at = SimTime::from_micros(at_us);
-    match kind % 9 {
+    match kind % 13 {
         0 => Record::PacketStats(PacketStatsRecord {
             router,
             at,
@@ -131,7 +137,7 @@ fn record_from(spec: RecordSpec) -> Record {
             mapped_port: 1024 | u16::from(dom) << 4,
             cgn_detected: dev % 2 == 0,
         }),
-        _ => Record::PunchTrial(PunchTrialRecord {
+        8 => Record::PunchTrial(PunchTrialRecord {
             router,
             at,
             peer: RouterId(ROUTERS[usize::from(dev) % ROUTERS.len()]),
@@ -139,14 +145,44 @@ fn record_from(spec: RecordSpec) -> Record {
             peer_type: NatType::from_code(dev % 5).expect("codes 0..5 are valid"),
             success: bytes % 2 == 1,
         }),
+        // One minute per spec index: a router's gap to its previous
+        // heartbeat is however many specs lie between, so runs both
+        // continue and break.
+        9 => Record::Heartbeat(HeartbeatRecord {
+            router,
+            at: SimTime::from_micros(index as u64 * 60_000_000),
+        }),
+        10 => Record::Uptime(UptimeRecord {
+            router,
+            at,
+            uptime: SimDuration::from_micros(bytes),
+        }),
+        11 => Record::Capacity(CapacityRecord {
+            router,
+            at,
+            down_bps: bytes,
+            up_bps: bytes / 8,
+            shaping_detected: dev % 2 == 0,
+        }),
+        _ => Record::DeviceCensus(DeviceCensusRecord {
+            router,
+            at,
+            wired: dev % 4,
+            wireless_24: dom,
+            wireless_5: dev / 4,
+        }),
     }
+}
+
+fn records_from(specs: Vec<RecordSpec>) -> Vec<Record> {
+    specs.into_iter().enumerate().map(|(i, spec)| record_from(i, spec)).collect()
 }
 
 /// Arbitrary record specs: timestamps mix in-order and out-of-order
 /// arrivals and byte counts cross the narrow-column escape threshold.
 fn specs() -> impl Strategy<Value = Vec<RecordSpec>> {
     proptest::collection::vec(
-        (0u8..6, 0u8..9, 0u64..20_000_000_000, 0u8..20, 0u8..16, 0u64..1 << 40),
+        (0u8..6, 0u8..13, 0u64..20_000_000_000, 0u8..20, 0u8..16, 0u64..1 << 40),
         0..300,
     )
 }
@@ -164,7 +200,7 @@ fn register_all(collector: &Collector) {
 /// Ingest the same stream into a spilled and an unbounded collector in the
 /// same chunked arrival order, then assert the merged data sets agree.
 fn assert_spill_matches_memory(specs: Vec<RecordSpec>, batch: usize, budget: u64) {
-    let records: Vec<Record> = specs.into_iter().map(record_from).collect();
+    let records = records_from(specs);
     let spilled = Collector::new();
     spilled
         .set_spill(&SpillConfig { budget_bytes: budget, dir: None })
@@ -184,21 +220,12 @@ fn assert_spill_matches_memory(specs: Vec<RecordSpec>, batch: usize, budget: u64
 
     // snapshot() merges while the collector stays live; into_datasets()
     // merges again as a fresh generation. Both must equal the in-memory
-    // model, row for row.
+    // model, table for table.
     let snap = spilled.snapshot();
     let owned = spilled.into_datasets();
     let model = unbounded.into_datasets();
-    for got in [&snap, &owned] {
-        assert_eq!(got.packet_stats, model.packet_stats);
-        assert_eq!(got.flows, model.flows);
-        assert_eq!(got.dns, model.dns);
-        assert_eq!(got.macs, model.macs);
-        assert_eq!(got.wifi, model.wifi);
-        assert_eq!(got.associations, model.associations);
-        assert_eq!(got.latency, model.latency);
-        assert_eq!(got.nat_probes, model.nat_probes);
-        assert_eq!(got.punch_trials, model.punch_trials);
-    }
+    assert_eq!(snap, model, "clone path");
+    assert_eq!(owned, model, "move path");
     assert_eq!(
         snap.flows.iter().collect::<Vec<_>>(),
         model.flows.iter().collect::<Vec<_>>(),
@@ -228,7 +255,52 @@ fn assert_spill_matches_memory(specs: Vec<RecordSpec>, batch: usize, budget: u64
     }
 }
 
+/// The take path: one live, spill-armed collector drained with
+/// `drain_delta` after every batch whose `cuts` entry is set (and once at
+/// the end), each delta folded into an accumulator with
+/// `Datasets::absorb`, must equal the unbounded model's `into_datasets()`.
+fn assert_drained_stream_matches_memory(
+    specs: Vec<RecordSpec>,
+    batch: usize,
+    budget: u64,
+    cuts: Vec<bool>,
+) {
+    let records = records_from(specs);
+    let stream = Collector::new();
+    stream
+        .set_spill(&SpillConfig { budget_bytes: budget, dir: None })
+        .expect("spill dir creation");
+    let unbounded = Collector::new();
+    register_all(&stream);
+    register_all(&unbounded);
+    let mut acc = Datasets::default();
+    let mut absorber = DatasetsAbsorber::default();
+    for (i, chunk) in records.chunks(batch.max(1)).enumerate() {
+        stream.ingest_batch(chunk.to_vec());
+        unbounded.ingest_batch(chunk.to_vec());
+        if cuts.get(i % cuts.len().max(1)).copied().unwrap_or(false) {
+            acc.absorb(stream.drain_delta(), &mut absorber);
+        }
+    }
+    acc.absorb(stream.drain_delta(), &mut absorber);
+    let stats = stream.spill_stats().expect("spilling armed");
+    assert_eq!(stats.error, None, "segment I/O must not fail");
+    assert_eq!(stats.segments, 0, "every sealed segment moved into a delta");
+    assert_eq!(acc.spilled_bytes(), 0, "the accumulator stays resident");
+    assert_eq!(acc, unbounded.into_datasets(), "take path");
+}
+
 proptest! {
+    #[test]
+    fn drained_stream_equals_in_memory_model(
+        specs in specs(),
+        batch in 1usize..64,
+        budget in prop_oneof![Just(0u64), 1u64..8192, Just(1u64 << 30)],
+        cuts in proptest::collection::vec(any::<bool>(), 0..16),
+    ) {
+        assert_drained_stream_matches_memory(specs, batch, budget, cuts);
+    }
+
     #[test]
     fn spill_merge_equals_in_memory_model(
         specs in specs(),

@@ -94,10 +94,10 @@ fn parallel_shard_ingest_matches_serial() {
                 for (i, hb) in heartbeats_for(router).into_iter().enumerate() {
                     shard.ingest_heartbeat(hb);
                     if i % 100 == 99 {
-                        shard.ingest_batch(pending.by_ref().take(20).collect());
+                        collector.ingest_batch(pending.by_ref().take(20).collect());
                     }
                 }
-                shard.ingest_batch(pending.collect());
+                collector.ingest_batch(pending.collect());
             });
         }
     });

@@ -447,27 +447,12 @@ fn window_manifest(
     seed: u64,
     config: &StudyConfig,
 ) -> obs::manifest::RunManifest {
-    let d = w.datasets;
-    let heartbeats: u64 = d.heartbeats.values().map(|log| log.total_heartbeats()).sum();
-    let mut gauges = std::collections::BTreeMap::new();
-    for (key, value) in [
-        ("dataset_heartbeat_records", heartbeats),
-        ("dataset_uptime_records", d.uptime.len() as u64),
-        ("dataset_capacity_records", d.capacity.len() as u64),
-        ("dataset_device_census_records", d.devices.len() as u64),
-        ("dataset_wifi_scan_records", d.wifi.len() as u64),
-        ("dataset_packet_stat_records", d.packet_stats.len() as u64),
-        ("dataset_flow_records", d.flows.len() as u64),
-        ("dataset_dns_records", d.dns.len() as u64),
-        ("dataset_mac_sighting_records", d.macs.len() as u64),
-        ("dataset_association_records", d.associations.len() as u64),
-        ("dataset_latency_records", d.latency.len() as u64),
-        ("dataset_nat_probe_records", d.nat_probes.len() as u64),
-        ("dataset_punch_trial_records", d.punch_trials.len() as u64),
-        ("dataset_upload_gap_records", d.upload_gaps.len() as u64),
-    ] {
-        gauges.insert(key.to_string(), value);
-    }
+    let gauges = w
+        .datasets
+        .record_counts()
+        .into_iter()
+        .map(|(key, rows)| (key.to_string(), rows))
+        .collect();
     let mut manifest =
         obs::manifest::RunManifest::new(obs::Snapshot { gauges, ..obs::Snapshot::default() });
     manifest.set_meta("schema", "bismark-metrics/1");

@@ -201,21 +201,9 @@ impl StudyOutput {
 /// epilogue, so their exported values are deterministic.
 fn publish_study_metrics(homes: &[HomeConfig], datasets: &Datasets) {
     obs::gauge("study_homes").set(homes.len() as u64);
-    let hb: u64 = datasets.heartbeats.values().map(|log| log.total_heartbeats()).sum();
-    obs::gauge("dataset_heartbeat_records").set(hb);
-    obs::gauge("dataset_uptime_records").set(datasets.uptime.len() as u64);
-    obs::gauge("dataset_capacity_records").set(datasets.capacity.len() as u64);
-    obs::gauge("dataset_device_census_records").set(datasets.devices.len() as u64);
-    obs::gauge("dataset_wifi_scan_records").set(datasets.wifi.len() as u64);
-    obs::gauge("dataset_packet_stat_records").set(datasets.packet_stats.len() as u64);
-    obs::gauge("dataset_flow_records").set(datasets.flows.len() as u64);
-    obs::gauge("dataset_dns_records").set(datasets.dns.len() as u64);
-    obs::gauge("dataset_mac_sighting_records").set(datasets.macs.len() as u64);
-    obs::gauge("dataset_association_records").set(datasets.associations.len() as u64);
-    obs::gauge("dataset_latency_records").set(datasets.latency.len() as u64);
-    obs::gauge("dataset_nat_probe_records").set(datasets.nat_probes.len() as u64);
-    obs::gauge("dataset_punch_trial_records").set(datasets.punch_trials.len() as u64);
-    obs::gauge("dataset_upload_gap_records").set(datasets.upload_gaps.len() as u64);
+    for (key, rows) in datasets.record_counts() {
+        obs::gauge(key).set(rows);
+    }
 }
 
 /// Everything both drivers build before the first event runs: the

@@ -83,7 +83,7 @@ PYEOF
     # bounded (budget + a fixed slack for the non-columnar simulation
     # state, which the budget deliberately does not govern), and produce a
     # byte-identical report. 4 MiB is two orders of magnitude under this
-    # study's columnar heap (all seven high-volume tables), so every
+    # study's columnar heap (all nine columnar tables), so every
     # shard seals many segments.
     ./target/release/bismark-study run --seed 7 --days 2 --homes 20000 \
         --report "$smoke_dir/unbounded_report.txt"
