@@ -1,5 +1,5 @@
 //! Usage-cap management — the uCap tool the BISmark firmware shipped
-//! (the paper's reference [24], "Communicating with caps: managing usage
+//! (the paper's reference \[24\], "Communicating with caps: managing usage
 //! caps in home networks") as a library feature.
 //!
 //! Given the Traffic data set, a plan cap, and a billing window, the

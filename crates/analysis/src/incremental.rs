@@ -39,7 +39,7 @@ use crate::latency;
 use crate::natchar;
 use crate::report::{ReportWindows, StudyReport};
 use crate::stats::Cdf;
-use crate::usage;
+use crate::usage::{self, DomainTally};
 use collector::Datasets;
 use firmware::anonymize::AnonMac;
 use firmware::records::{Medium, RouterId};
@@ -47,6 +47,9 @@ use household::VendorClass;
 use simnet::time::SimTime;
 use simnet::wifi::Band;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// One device within one home: router, OUI and anonymized NIC suffix.
+type DeviceKey = (RouterId, u32, u32);
 
 /// Mergeable per-figure partial state for a streaming study.
 ///
@@ -66,18 +69,18 @@ pub struct IncrementalReport {
     fig10_band_devices: HashMap<(RouterId, Band), HashSet<AnonMac>>,
     fig11_scanned: HashSet<RouterId>,
     fig11_neighbors: HashMap<RouterId, HashSet<u64>>,
-    fig12_seen: HashSet<(RouterId, u32, u32)>,
+    fig12_seen: HashSet<DeviceKey>,
     fig12_counts: HashMap<VendorClass, usize>,
     /// Presence count per (home, device), plus the maximal `(at, medium)`
     /// stamp seen — equal to the batch path's "last medium in table
     /// order" because the association table is sorted by that very key.
-    presence: HashMap<(RouterId, u32, u32), (usize, (SimTime, Medium))>,
+    presence: HashMap<DeviceKey, (usize, (SimTime, Medium))>,
 
     // §6 usage (wifi scans / packet stats / flows).
     per_scan: BTreeMap<(RouterId, SimTime), u32>,
     peaks: HashMap<RouterId, (Vec<f64>, Vec<f64>)>,
     device_bytes: HashMap<(RouterId, AnonMac), u64>,
-    domain_bytes: BTreeMap<RouterId, BTreeMap<String, (u64, u64)>>,
+    domain_bytes: BTreeMap<RouterId, DomainTally>,
     device_domains: HashMap<(RouterId, AnonMac), HashMap<String, u64>>,
 
     // Deployment tables and the companion latency set.
@@ -247,7 +250,7 @@ impl IncrementalReport {
         let fig11 = infrastructure::fig11_from_sets(&idx, &self.fig11_scanned, &self.fig11_neighbors);
         let fig12 = infrastructure::fig12_from_counts(&self.fig12_counts);
         let census_count = infrastructure::census_counts(acc, w.devices);
-        let presence: HashMap<(RouterId, u32, u32), (usize, Medium)> = self
+        let presence: HashMap<DeviceKey, (usize, Medium)> = self
             .presence
             .iter()
             .map(|(&key, &(count, (_, medium)))| (key, (count, medium)))
@@ -499,7 +502,7 @@ mod tests {
                     nat_type: NatType::PortRestricted,
                     mapped_ip_hash: 7,
                     mapped_port: 2_048 + (m / 360 % 2) as u16 * 600,
-                    cgn_detected: router % 2 == 0,
+                    cgn_detected: router.is_multiple_of(2),
                 }));
                 out.push(Record::PunchTrial(PunchTrialRecord {
                     router: r,

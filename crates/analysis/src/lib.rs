@@ -15,7 +15,7 @@
 //! * [`stats`] — CDFs, quantiles, moments;
 //! * [`artifacts`] — correlated-gap detection separating collector-side
 //!   failures from genuine home downtime (§3.3's limitation, auditable);
-//! * [`caps`] — the uCap usage-cap manager (paper ref [24]);
+//! * [`caps`] — the uCap usage-cap manager (paper ref \[24\]);
 //! * [`natchar`] — NAT-type characterization and CGN detection from the
 //!   firmware's STUN-style probe tables;
 //! * [`fingerprint`] — §7's device-fingerprinting future work, implemented;

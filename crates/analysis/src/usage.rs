@@ -303,6 +303,9 @@ pub(crate) fn domain_key(d: &ReportedDomain) -> String {
     }
 }
 
+/// One home's domain → (bytes, connections) tally.
+pub type DomainTally = BTreeMap<String, (u64, u64)>;
+
 /// Per-home domain volumes and connection counts, ordered by router so
 /// every figure derived from them accumulates deterministically.
 #[derive(Debug, Clone)]
@@ -311,7 +314,7 @@ pub struct DomainTallies {
     /// with no flows in the window are absent. The inner map is ordered so
     /// the rank sorts below see ties in one deterministic order whether
     /// the tally was built in one batch pass or folded window by window.
-    pub per_home: Vec<(RouterId, BTreeMap<String, (u64, u64)>)>,
+    pub per_home: Vec<(RouterId, DomainTally)>,
 }
 
 /// Tally per-home domain volumes and connection counts once; Figures 18
@@ -319,7 +322,7 @@ pub struct DomainTallies {
 pub fn domain_tallies(idx: &DataIndex, window: Window) -> DomainTallies {
     let mut per_home = Vec::new();
     for meta in idx.routers() {
-        let mut tally: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut tally = DomainTally::new();
         for flow in idx.flows(meta.router) {
             if window.contains(flow.ended) {
                 let entry = tally.entry(domain_key(&flow.domain)).or_default();

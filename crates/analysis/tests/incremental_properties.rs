@@ -58,7 +58,7 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
             at,
             down_bps: 5_000_000 + u64::from(a) * 1_000_000,
             up_bps: 500_000 + u64::from(b) * 100_000,
-            shaping_detected: a % 2 == 0,
+            shaping_detected: a.is_multiple_of(2),
         }),
         3 => Record::DeviceCensus(DeviceCensusRecord {
             router: r,
@@ -70,7 +70,7 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
         4 => Record::WifiScan(WifiScanRecord {
             router: r,
             at,
-            band: if a % 2 == 0 { Band::Ghz24 } else { Band::Ghz5 },
+            band: if a.is_multiple_of(2) { Band::Ghz24 } else { Band::Ghz5 },
             aps: vec![ApSighting {
                 bssid_hash: 100 + u64::from(b),
                 channel_number: 1 + a % 11,
@@ -119,7 +119,7 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
             first_seen: at,
             device: mac(router * 10 + u32::from(a % 4)),
             // Straddle the 100 KiB prevalence threshold from both sides.
-            bytes_total: if a % 2 == 0 { 500_000 } else { 50_000 },
+            bytes_total: if a.is_multiple_of(2) { 500_000 } else { 50_000 },
         }),
         9 => Record::Latency(LatencyRecord {
             router: r,
@@ -135,7 +135,7 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
             nat_type: NatType::ALL[(a % 5) as usize],
             mapped_ip_hash: u64::from(b),
             mapped_port: 1_024 + u16::from(a) * 97,
-            cgn_detected: b % 2 == 0,
+            cgn_detected: b.is_multiple_of(2),
         }),
         11 => Record::PunchTrial(PunchTrialRecord {
             router: r,
@@ -143,7 +143,7 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
             peer: RouterId((router + 1) % ROUTERS),
             local_type: NatType::ALL[(a % 5) as usize],
             peer_type: NatType::ALL[(b % 5) as usize],
-            success: (a ^ b) % 2 == 0,
+            success: (a ^ b).is_multiple_of(2),
         }),
         _ => Record::DnsSample(DnsSampleRecord {
             router: r,
@@ -154,7 +154,7 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
                 _ => ReportedDomain::Obfuscated(u64::from(a)),
             },
             cname_links: b % 4,
-            resolved: a % 2 == 0,
+            resolved: a.is_multiple_of(2),
         }),
     }
 }

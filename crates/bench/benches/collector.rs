@@ -171,7 +171,7 @@ fn flow_record(router: RouterId, m: u64) -> FlowRecord {
         router,
         started: mins(m),
         ended: mins(m) + SimDuration::from_secs(30),
-        device: AnonMac { oui: 0x0001_02, suffix_hash: (m % 7) as u32 },
+        device: AnonMac { oui: 0x0000_0102, suffix_hash: (m % 7) as u32 },
         remote_ip_hash: m.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         remote_port: 443,
         proto: IpProtocol::Tcp,

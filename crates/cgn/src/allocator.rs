@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn lease_budget_bounds_rearrivals() {
         let s = supply(1, 32_000); // 2 blocks
-        let arrivals: Vec<SimTime> = (0..6).map(|i| t(i)).collect();
+        let arrivals: Vec<SimTime> = (0..6).map(t).collect();
         let alloc = allocate(span(10), &s, &arrivals, SimDuration::from_mins(1), 2);
         for leases in &alloc.leases {
             assert!(leases.len() <= 2, "lease budget exceeded");

@@ -230,26 +230,26 @@ impl CgnPlan {
             .enumerate()
             .map(|(i, &(router, _))| {
                 let mut prng = root.derive_indexed("punch", u64::from(router.0));
-                let punches = (homes.len() > 1)
-                    .then(|| {
-                        (0..trials)
-                            .map(|k| {
-                                let offset = prng.uniform_int(0, slot.max(1));
-                                let at = usable_start
-                                    + SimDuration::from_micros(slot * k as u64 + offset);
-                                let mut peer = prng.index(homes.len());
-                                if peer == i {
-                                    peer = (peer + 1) % homes.len();
-                                }
-                                PunchTrialPlan {
-                                    at,
-                                    peer: homes[peer].0,
-                                    peer_behavior: behaviors[peer],
-                                }
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                let punches = if homes.len() > 1 {
+                    (0..trials)
+                        .map(|k| {
+                            let offset = prng.uniform_int(0, slot.max(1));
+                            let at = usable_start
+                                + SimDuration::from_micros(slot * k as u64 + offset);
+                            let mut peer = prng.index(homes.len());
+                            if peer == i {
+                                peer = (peer + 1) % homes.len();
+                            }
+                            PunchTrialPlan {
+                                at,
+                                peer: homes[peer].0,
+                                peer_behavior: behaviors[peer],
+                            }
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 HomeCgn { router, assignment: assignment[i].take(), punches }
             })
             .collect();

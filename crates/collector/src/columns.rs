@@ -1265,7 +1265,7 @@ macro_rules! columnar_table {
             }
 
             /// Stable-sort rows by the table's time subkey.
-            fn sort_rows(rows: &mut Vec<$Record>) {
+            fn sort_rows(rows: &mut [$Record]) {
                 rows.sort_by(|a, b| {
                     let ka = {
                         let $r = a;

@@ -369,7 +369,7 @@ impl Datasets {
 /// element the order one batch-wide stable sort of all arrivals produces.
 fn absorb_rows<T, K: Ord>(acc: &mut Vec<T>, delta: Vec<T>, key: impl Fn(&T) -> K) {
     let Some(first) = delta.first() else { return };
-    if acc.last().map_or(true, |last| key(last) <= key(first)) {
+    if acc.last().is_none_or(|last| key(last) <= key(first)) {
         acc.extend(delta);
         return;
     }
@@ -1136,7 +1136,7 @@ fn merge_table<T, K: Ord, F: Fn(&T) -> K>(mut chunks: Vec<Vec<T>>, key: F) -> Ve
     if chunks.is_empty() {
         return Vec::new();
     }
-    chunks.sort_by(|a, b| a.first().map(&key).cmp(&b.first().map(&key)));
+    chunks.sort_by_key(|c| c.first().map(&key));
     let internally_sorted =
         chunks.iter().all(|c| c.iter().zip(c.iter().skip(1)).all(|(a, b)| key(a) <= key(b)));
     let ranges_disjoint =
@@ -1151,7 +1151,7 @@ fn merge_table<T, K: Ord, F: Fn(&T) -> K>(mut chunks: Vec<Vec<T>>, key: F) -> Ve
         out.extend(chunk);
     }
     if !sorted_disjoint {
-        out.sort_by(|a, b| key(a).cmp(&key(b)));
+        out.sort_by_key(&key);
     }
     out
 }
@@ -1449,7 +1449,7 @@ mod tests {
         collector.set_downtime(vec![Window { start: m(10), end: m(20) }]);
         let handle = collector.shard_handle(RouterId(5));
         let mut batch = uptime_batch(5, 0..4);
-        let out = handle.ingest_upload(m(15), RouterId(5), 1, 0, &mut [], &mut batch);
+        let out = handle.ingest_upload(m(15), RouterId(5), 1, 0, &[], &mut batch);
         assert_eq!(out, UploadOutcome::Down { retry_at: m(20) });
         assert_eq!(batch.len(), 4, "nacked batch is untouched");
         assert_eq!(collector.upload_counters().rejected, 1);

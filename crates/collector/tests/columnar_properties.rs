@@ -127,7 +127,7 @@ proptest! {
             dns.push(r.clone());
         }
         for r in &stat_rows {
-            stats.push(r.clone());
+            stats.push(*r);
         }
         let dns_back: Vec<DnsSampleRecord> = dns.iter().collect();
         let stats_back: Vec<PacketStatsRecord> = stats.iter().collect();

@@ -160,6 +160,10 @@ pub struct HomeSim<'a> {
     gateway: Gateway,
     monitor: Option<TrafficMonitor>,
     flows: FlowScheduler,
+    /// Per-station throughput of the 2.4 GHz radio, the per-flow cap of
+    /// every traffic tick. It depends only on the radio's channel and the
+    /// neighborhood, and neither changes during a run.
+    wireless_cap_bps: u64,
     up_link: Link,
     down_link: Link,
     wan: WanPath,
@@ -313,15 +317,18 @@ impl<'a> HomeSim<'a> {
             .iter()
             .map(|_| DeviceState { online: false, band: None })
             .collect();
+        let gateway = Gateway::new(router, cfg.wan_addr);
+        let wireless_cap_bps = gateway.radio_24.per_station_throughput_bps(&cfg.neighborhood, 1);
 
         HomeSim {
             cfg,
             universe: params.universe,
             zone: params.zone,
             windows,
-            gateway: Gateway::new(router, cfg.wan_addr),
+            gateway,
             monitor,
             flows: FlowScheduler::new(),
+            wireless_cap_bps,
             up_link: Link::new(cfg.up_link),
             down_link: Link::new(cfg.down_link),
             wan: WanPath { transit_delay: cfg.wan_transit, loss_prob: cfg.heartbeat_loss_prob },
@@ -537,7 +544,7 @@ impl<'a> HomeSim<'a> {
         self.abort_flows(end);
         if let Some(monitor) = self.monitor.as_mut() {
             monitor.finalize(end);
-            self.out.extend(monitor.drain());
+            monitor.drain_into(&mut self.out);
         }
         match self.upload_queue.is_some() {
             false => self.flush(end, &shard),
@@ -1232,54 +1239,45 @@ impl<'a> HomeSim<'a> {
             // Power-off already aborted the flows; nothing to do.
             return;
         }
-        let wireless_cap = self
-            .gateway
-            .radio_24
-            .per_station_throughput_bps(&self.cfg.neighborhood, 1);
-        let down_bps = self.cfg.down_link.rate_bps;
-        let up_bps = self.cfg.up_link.rate_bps;
-        let outcome = if self.is_isp_up(now) {
-            self.flows.tick(
+        // ISP down: nothing moves and flows stall, so only the next tick
+        // is scheduled.
+        if self.is_isp_up(now) {
+            let outcome = self.flows.tick(
                 SimDuration::from_secs(1),
-                down_bps,
-                up_bps,
-                Some(wireless_cap),
+                self.cfg.down_link.rate_bps,
+                self.cfg.up_link.rate_bps,
+                Some(self.wireless_cap_bps),
                 self.cfg.up_link.queue_limit_bytes,
-            )
-        } else {
-            // ISP down: nothing moves, flows stall.
-            netstack::TickOutcome::default()
-        };
-        let window = now.align_down(SimDuration::from_secs(1));
-        let mut drained_up = 0;
-        let mut skew_from = None;
-        if let Some(monitor) = self.monitor.as_mut() {
-            for progress in &outcome.progress {
-                drained_up += progress.bytes_up;
-                monitor.on_flow_progress(window, progress);
+            );
+            let window = now.align_down(SimDuration::from_secs(1));
+            let mut skew_from = None;
+            if let Some(monitor) = self.monitor.as_mut() {
+                let mut drained_up = 0;
+                for progress in &outcome.progress {
+                    drained_up += progress.bytes_up;
+                    monitor.on_flow_progress(window, progress);
+                }
+                let burst = outcome.total_up_offered.saturating_sub(drained_up);
+                monitor.add_uplink_burst(window, burst);
+                for flow in &outcome.completed {
+                    monitor.on_flow_end(now, flow.id);
+                }
+                if !outcome.completed.is_empty() {
+                    skew_from = Some(self.out.len());
+                    monitor.drain_into(&mut self.out);
+                }
             }
-            let burst = outcome.total_up_offered.saturating_sub(drained_up);
-            monitor.add_uplink_burst(window, burst);
-            for flow in &outcome.completed {
-                monitor.on_flow_end(now, flow.id);
-            }
-        }
-        if !outcome.completed.is_empty() {
-            self.metrics.flows.record_completions(now, &outcome.completed);
-        }
-        if let Some(monitor) = self.monitor.as_mut() {
             if !outcome.completed.is_empty() {
-                skew_from = Some(self.out.len());
-                self.out.extend(monitor.drain());
+                self.metrics.flows.record_completions(now, &outcome.completed);
             }
-        }
-        if let Some(from) = skew_from {
-            self.apply_skew_from(now, from);
-        }
-        if self.uploader_active
-            && outcome.completed.iter().any(|f| f.kind == AppKind::BulkUpload)
-        {
-            self.uploader_active = false;
+            if self.uploader_active
+                && outcome.completed.iter().any(|f| f.kind == AppKind::BulkUpload)
+            {
+                self.uploader_active = false;
+            }
+            if let Some(from) = skew_from {
+                self.apply_skew_from(now, from);
+            }
         }
         if self.flows.active_count() > 0 {
             self.tick_scheduled = true;

@@ -8,11 +8,12 @@
 //! orchestrator compiles it into simulation events.
 //!
 //! The plan is pure data and its compilation draws only from labeled
-//! [`DetRng`] streams, so a scenario replayed from the same seed injects
-//! bit-identical faults — which is what turns the plan into *ground truth*:
-//! the analysis crate's collector-outage detector can be scored for
-//! precision and recall against [`FaultPlan::collector_downtime`], and the
-//! collector's gap ledger can be checked against the injected flash wipes.
+//! [`DetRng`](simnet::rng::DetRng) streams, so a scenario replayed from
+//! the same seed injects bit-identical faults — which is what turns the
+//! plan into *ground truth*: the analysis crate's collector-outage
+//! detector can be scored for precision and recall against
+//! [`FaultPlan::collector_downtime`], and the collector's gap ledger can
+//! be checked against the injected flash wipes.
 //!
 //! An empty plan is the absolute zero: the study runner treats it as "no
 //! fault subsystem at all" and produces byte-identical datasets and

@@ -1,6 +1,6 @@
 //! Last-mile latency probing — the BISmark platform capability behind the
 //! authors' companion performance study ("Broadband Internet Performance:
-//! A View from the Gateway", the paper's reference [32]).
+//! A View from the Gateway", the paper's reference \[32\]).
 //!
 //! Every probe round sends a small train of ICMP echo requests through the
 //! access link to the nearest measurement server and reads the RTT
@@ -10,7 +10,9 @@
 
 use crate::records::RouterId;
 use serde::{Deserialize, Serialize};
+#[cfg(debug_assertions)]
 use simnet::icmp::IcmpEcho;
+use simnet::icmp::ICMP_HEADER_LEN;
 use simnet::link::{Link, TxOutcome, WanPath};
 use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
@@ -19,6 +21,9 @@ use simnet::time::{SimDuration, SimTime};
 pub const PING_TRAIN: u16 = 10;
 /// Ping payload size (timestamp cookie + padding, classic 56-byte ping).
 pub const PING_PAYLOAD: usize = 56;
+/// Bytes one echo request puts on the uplink: ICMP header, payload and
+/// the 20-byte IPv4 header.
+const PING_WIRE_LEN: u64 = (ICMP_HEADER_LEN + PING_PAYLOAD + 20) as u64;
 
 /// One latency measurement (a data set the platform collected alongside
 /// the six the paper analyzes).
@@ -48,44 +53,51 @@ pub fn probe_latency(
     wan: &WanPath,
     rng: &mut DetRng,
 ) -> Option<LatencyRecord> {
-    let mut rtts: Vec<SimDuration> = Vec::with_capacity(PING_TRAIN as usize);
+    let mut rtts = [SimDuration::ZERO; PING_TRAIN as usize];
+    let mut replies = 0usize;
     let mut lost = 0u8;
     for seq in 0..PING_TRAIN {
-        let echo = IcmpEcho::request(router.0 as u16, seq, vec![0xA5; PING_PAYLOAD]);
-        let wire_len = (echo.wire_len() + 20) as u64; // + IPv4 header
         // Pings are paced 100 ms apart, as ping(8) does by default... the
         // deployment used sub-second spacing; 100 ms keeps the train short.
         let send_at = now + SimDuration::from_millis(100) * u64::from(seq);
-        match up_link.transmit(send_at, wire_len) {
+        match up_link.transmit(send_at, PING_WIRE_LEN) {
             TxOutcome::Delivered { at } => {
                 if !wan.survives(rng) || !wan.survives(rng) {
                     // Forward or return leg lost.
                     lost += 1;
                     continue;
                 }
+                // Debug builds also emit the reply as a real wire image and
+                // parse it back. Release builds skip that heap traffic; it
+                // draws no random number and changes no record.
+                #[cfg(debug_assertions)]
+                {
+                    // simlint: allow(hot-path-alloc) — debug-only wire check, absent in release
+                    let echo = IcmpEcho::request(router.0 as u16, seq, vec![0xA5; PING_PAYLOAD]);
+                    debug_assert_eq!(echo.wire_len() as u64 + 20, PING_WIRE_LEN);
+                    let reply = echo.reply_to();
+                    debug_assert_eq!(IcmpEcho::parse(&reply.emit()).map(|e| e.seq), Ok(seq));
+                }
                 // Reply path: transit out and back plus a small server turn
                 // and downstream serialization (negligible for 84 bytes).
-                let reply = echo.reply_to();
-                debug_assert_eq!(IcmpEcho::parse(&reply.emit()).map(|e| e.seq), Ok(seq));
-                let rtt = at.since(send_at)
+                rtts[replies] = at.since(send_at)
                     + wan.transit_delay
                     + wan.transit_delay
                     + SimDuration::from_micros(rng.uniform_int(100, 900));
-                rtts.push(rtt);
+                replies += 1;
             }
             TxOutcome::Dropped => lost += 1,
         }
     }
-    if rtts.is_empty() {
-        return None;
-    }
-    rtts.sort();
+    let rtts = &mut rtts[..replies];
+    rtts.sort_unstable();
+    let (&rtt_min, &rtt_max) = (rtts.first()?, rtts.last()?);
     Some(LatencyRecord {
         router,
         at: now,
-        rtt_min: rtts[0],
+        rtt_min,
         rtt_median: rtts[rtts.len() / 2],
-        rtt_max: *rtts.last().expect("non-empty"),
+        rtt_max,
         lost,
     })
 }

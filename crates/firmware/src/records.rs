@@ -350,22 +350,22 @@ impl Record {
     /// assigned collector-side on arrival.
     pub fn shift_time(&mut self, offset: SimDuration) {
         match self {
-            Record::Heartbeat(r) => r.at = r.at + offset,
-            Record::Uptime(r) => r.at = r.at + offset,
-            Record::Capacity(r) => r.at = r.at + offset,
-            Record::DeviceCensus(r) => r.at = r.at + offset,
-            Record::WifiScan(r) => r.at = r.at + offset,
-            Record::PacketStats(r) => r.at = r.at + offset,
+            Record::Heartbeat(r) => r.at += offset,
+            Record::Uptime(r) => r.at += offset,
+            Record::Capacity(r) => r.at += offset,
+            Record::DeviceCensus(r) => r.at += offset,
+            Record::WifiScan(r) => r.at += offset,
+            Record::PacketStats(r) => r.at += offset,
             Record::Flow(r) => {
-                r.started = r.started + offset;
-                r.ended = r.ended + offset;
+                r.started += offset;
+                r.ended += offset;
             }
-            Record::DnsSample(r) => r.at = r.at + offset,
-            Record::MacSighting(r) => r.first_seen = r.first_seen + offset,
-            Record::Association(r) => r.at = r.at + offset,
-            Record::Latency(r) => r.at = r.at + offset,
-            Record::NatProbe(r) => r.at = r.at + offset,
-            Record::PunchTrial(r) => r.at = r.at + offset,
+            Record::DnsSample(r) => r.at += offset,
+            Record::MacSighting(r) => r.first_seen += offset,
+            Record::Association(r) => r.at += offset,
+            Record::Latency(r) => r.at += offset,
+            Record::NatProbe(r) => r.at += offset,
+            Record::PunchTrial(r) => r.at += offset,
         }
     }
 

@@ -20,7 +20,7 @@ use crate::records::{
 use simnet::dns::{DnsResponse, RecordData};
 use simnet::packet::MacAddr;
 use simnet::time::SimTime;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// Metadata the monitor keeps per active flow.
@@ -43,12 +43,15 @@ pub struct TrafficMonitor {
     /// The gateway's DNS view: remote address → last domain that resolved
     /// to it. This is how the deployment attributed flows to services.
     ip_to_domain: HashMap<Ipv4Addr, simnet::dns::DomainName>,
-    flows: HashMap<netstack::FlowId, FlowMeta>,
+    /// Active flows sorted by id. The scheduler issues ids in increasing
+    /// order, so a start appends and a lookup is a binary search over the
+    /// handful of flows a home has open.
+    flows: Vec<(netstack::FlowId, FlowMeta)>,
     /// Accumulator for the current one-second bucket: (second, down, up).
     second: Option<(SimTime, u64, u64)>,
     /// Accumulator for the current one-minute window.
     minute: Option<PacketStatsRecord>,
-    device_bytes: HashMap<MacAddr, (SimTime, u64)>,
+    device_bytes: BTreeMap<MacAddr, (SimTime, u64)>,
     out: Vec<Record>,
 }
 
@@ -59,10 +62,10 @@ impl TrafficMonitor {
             router,
             anonymizer,
             ip_to_domain: HashMap::new(),
-            flows: HashMap::new(),
+            flows: Vec::new(),
             second: None,
             minute: None,
-            device_bytes: HashMap::new(),
+            device_bytes: BTreeMap::new(),
             out: Vec::new(),
         }
     }
@@ -169,28 +172,35 @@ impl TrafficMonitor {
         }));
     }
 
-    /// A new flow appeared at the NAT.
+    /// A new flow appeared at the NAT. Restarting a tracked id replaces its
+    /// metadata.
     pub fn on_flow_start(&mut self, flow: &netstack::Flow) {
-        self.flows.insert(
-            flow.id,
-            FlowMeta {
-                started: flow.started,
-                device: flow.device,
-                remote_ip: flow.remote.addr,
-                remote_port: flow.remote.port,
-                proto: flow.kind.protocol(),
-                bytes_down: 0,
-                bytes_up: 0,
-            },
-        );
+        let meta = FlowMeta {
+            started: flow.started,
+            device: flow.device,
+            remote_ip: flow.remote.addr,
+            remote_port: flow.remote.port,
+            proto: flow.kind.protocol(),
+            bytes_down: 0,
+            bytes_up: 0,
+        };
+        match self.flow_index(flow.id) {
+            Ok(idx) => self.flows[idx].1 = meta,
+            Err(idx) => self.flows.insert(idx, (flow.id, meta)),
+        }
         self.device_bytes.entry(flow.device).or_insert((flow.started, 0));
+    }
+
+    /// Where `id` sits in `flows` (`Ok`), or where it would go (`Err`).
+    fn flow_index(&self, id: netstack::FlowId) -> Result<usize, usize> {
+        self.flows.binary_search_by_key(&id, |(id, _)| *id)
     }
 
     /// Per-tick progress for one flow plus the window it fell in.
     pub fn on_flow_progress(&mut self, window_start: SimTime, progress: &netstack::FlowProgress) {
-        let meta = match self.flows.get_mut(&progress.id) {
-            Some(m) => m,
-            None => return, // flow predates monitoring (e.g. consent toggled)
+        let meta = match self.flow_index(progress.id) {
+            Ok(idx) => &mut self.flows[idx].1,
+            Err(_) => return, // flow predates monitoring (e.g. consent toggled)
         };
         meta.bytes_down += progress.bytes_down;
         meta.bytes_up += progress.bytes_up;
@@ -222,9 +232,9 @@ impl TrafficMonitor {
     /// never moved a byte (e.g. cut off by a power-cycle in the same tick
     /// they opened) leave no record — the capture box never saw data.
     pub fn on_flow_end(&mut self, now: SimTime, id: netstack::FlowId) {
-        let meta = match self.flows.remove(&id) {
-            Some(m) => m,
-            None => return,
+        let meta = match self.flow_index(id) {
+            Ok(idx) => self.flows.remove(idx).1,
+            Err(_) => return,
         };
         if meta.bytes_down + meta.bytes_up == 0 {
             return;
@@ -262,7 +272,6 @@ impl TrafficMonitor {
         }
         let mut sightings: Vec<MacSightingRecord> = self
             .device_bytes
-            // simlint: allow(nondeterministic-iteration) — the sort below re-keys by the total (first_seen, device) key, so collection order never reaches the record stream
             .iter()
             .map(|(mac, (first_seen, bytes))| MacSightingRecord {
                 router: self.router,
@@ -275,9 +284,10 @@ impl TrafficMonitor {
         self.out.extend(sightings.into_iter().map(Record::MacSighting));
     }
 
-    /// Drain records accumulated so far (upload to the collector).
-    pub fn drain(&mut self) -> Vec<Record> {
-        std::mem::take(&mut self.out)
+    /// Move the records accumulated so far onto the end of `out` (upload
+    /// to the collector). The monitor keeps its buffer's capacity.
+    pub fn drain_into(&mut self, out: &mut Vec<Record>) {
+        out.append(&mut self.out);
     }
 
     /// Number of flows currently tracked.
@@ -334,6 +344,12 @@ mod tests {
         }
     }
 
+    fn drain(mon: &mut TrafficMonitor) -> Vec<Record> {
+        let mut out = Vec::new();
+        mon.drain_into(&mut out);
+        out
+    }
+
     fn one_byte(mon: &mut TrafficMonitor, id: u64) {
         mon.on_flow_progress(
             SimTime::EPOCH,
@@ -351,7 +367,7 @@ mod tests {
         mon.on_flow_start(&flow);
         one_byte(&mut mon, 1);
         mon.on_flow_end(SimTime::EPOCH + SimDuration::from_secs(60), flow.id);
-        let records = mon.drain();
+        let records = drain(&mut mon);
         let dns: Vec<&Record> =
             records.iter().filter(|r| matches!(r, Record::DnsSample(_))).collect();
         assert_eq!(dns.len(), 1);
@@ -377,7 +393,7 @@ mod tests {
             one_byte(&mut mon, id);
             mon.on_flow_end(SimTime::EPOCH + SimDuration::from_secs(1), flow.id);
         }
-        let records = mon.drain();
+        let records = drain(&mut mon);
         let flows: Vec<&FlowRecord> = records
             .iter()
             .filter_map(|r| match r {
@@ -397,7 +413,7 @@ mod tests {
         mon.on_flow_start(&flow);
         one_byte(&mut mon, 9);
         mon.on_flow_end(SimTime::EPOCH, flow.id);
-        let records = mon.drain();
+        let records = drain(&mut mon);
         match &records[0] {
             Record::Flow(f) => assert!(!f.domain.is_clear()),
             other => panic!("unexpected {other:?}"),
@@ -481,7 +497,7 @@ mod tests {
             );
         }
         mon.on_flow_end(SimTime::EPOCH + SimDuration::from_secs(5), FlowId(1));
-        let records = mon.drain();
+        let records = drain(&mut mon);
         let f = records
             .iter()
             .find_map(|r| match r {
@@ -504,7 +520,7 @@ mod tests {
             &FlowProgress { id: FlowId(1), bytes_down: 200_000, bytes_up: 0, pkts_down: 141, pkts_up: 0 },
         );
         mon.finalize(SimTime::EPOCH + SimDuration::from_secs(10));
-        let records = mon.drain();
+        let records = drain(&mut mon);
         let sighting = records
             .iter()
             .find_map(|r| match r {
@@ -522,7 +538,144 @@ mod tests {
         let flow = mk_flow(4, Ipv4Addr::new(23, 64, 1, 10));
         mon.on_flow_start(&flow);
         mon.on_flow_end(SimTime::EPOCH, flow.id);
-        assert!(mon.drain().is_empty(), "a data-less flow is invisible to the capture");
+        assert!(drain(&mut mon).is_empty(), "a data-less flow is invisible to the capture");
+    }
+
+    fn flow_records(records: &[Record]) -> Vec<&FlowRecord> {
+        records
+            .iter()
+            .filter_map(|r| match r {
+                Record::Flow(f) => Some(f),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn flows_ending_out_of_start_order_keep_their_own_totals() {
+        let mut mon = monitor();
+        for id in 1..=4u64 {
+            mon.on_flow_start(&mk_flow(id, Ipv4Addr::new(23, 64, 1, id as u8)));
+        }
+        let progress = |mon: &mut TrafficMonitor, id: u64| {
+            mon.on_flow_progress(
+                SimTime::EPOCH,
+                &FlowProgress {
+                    id: FlowId(id),
+                    bytes_down: id * 1_000,
+                    bytes_up: id,
+                    pkts_down: 1,
+                    pkts_up: 1,
+                },
+            );
+        };
+        for id in 1..=4 {
+            progress(&mut mon, id);
+        }
+        let end = |mon: &mut TrafficMonitor, id: u64| {
+            mon.on_flow_end(SimTime::EPOCH + SimDuration::from_secs(id), FlowId(id));
+        };
+        // End from the middle, then the tail, then the head; the survivors
+        // keep accumulating in between.
+        end(&mut mon, 3);
+        progress(&mut mon, 4);
+        end(&mut mon, 4);
+        progress(&mut mon, 1);
+        progress(&mut mon, 2);
+        end(&mut mon, 1);
+        assert_eq!(mon.active_flows(), 1);
+        end(&mut mon, 2);
+        assert_eq!(mon.active_flows(), 0);
+        let records = drain(&mut mon);
+        let totals: Vec<(u64, u64, SimTime)> =
+            flow_records(&records).iter().map(|f| (f.bytes_down, f.bytes_up, f.ended)).collect();
+        let at = |s| SimTime::EPOCH + SimDuration::from_secs(s);
+        assert_eq!(
+            totals,
+            vec![(3_000, 3, at(3)), (8_000, 8, at(4)), (2_000, 2, at(1)), (4_000, 4, at(2))]
+        );
+    }
+
+    #[test]
+    fn progress_and_end_for_untracked_ids_change_nothing() {
+        let mut mon = monitor();
+        mon.on_flow_start(&mk_flow(1, Ipv4Addr::new(23, 64, 1, 1)));
+        mon.on_flow_start(&mk_flow(3, Ipv4Addr::new(23, 64, 1, 3)));
+        one_byte(&mut mon, 1);
+        one_byte(&mut mon, 3);
+        mon.on_flow_end(SimTime::EPOCH, FlowId(3));
+        // An id between the tracked ones, one past them, and one that
+        // already ended.
+        for id in [2u64, 9, 3] {
+            one_byte(&mut mon, id);
+            mon.on_flow_end(SimTime::EPOCH, FlowId(id));
+        }
+        assert_eq!(mon.active_flows(), 1);
+        one_byte(&mut mon, 1);
+        mon.on_flow_end(SimTime::EPOCH, FlowId(1));
+        mon.finalize(SimTime::EPOCH + SimDuration::from_secs(1));
+        let records = drain(&mut mon);
+        let totals: Vec<u64> = flow_records(&records).iter().map(|f| f.bytes_down).collect();
+        assert_eq!(totals, vec![1, 2], "flow 3 once, then flow 1");
+        let stats = records
+            .iter()
+            .find_map(|r| match r {
+                Record::PacketStats(s) => Some(*s),
+                _ => None,
+            })
+            .expect("one minute of traffic");
+        assert_eq!(stats.bytes_down, 3, "untracked progress is not counted");
+    }
+
+    #[test]
+    fn repeated_start_replaces_the_flow() {
+        let mut mon = monitor();
+        let mut flow = mk_flow(5, Ipv4Addr::new(23, 64, 1, 5));
+        mon.on_flow_start(&flow);
+        one_byte(&mut mon, 5);
+        flow.started = SimTime::EPOCH + SimDuration::from_secs(30);
+        mon.on_flow_start(&flow);
+        assert_eq!(mon.active_flows(), 1);
+        one_byte(&mut mon, 5);
+        one_byte(&mut mon, 5);
+        mon.on_flow_end(SimTime::EPOCH + SimDuration::from_secs(40), FlowId(5));
+        mon.finalize(SimTime::EPOCH + SimDuration::from_secs(41));
+        let records = drain(&mut mon);
+        let flows = flow_records(&records);
+        assert_eq!(flows.len(), 1);
+        assert_eq!(flows[0].started, flow.started, "the second start wins");
+        assert_eq!(flows[0].bytes_down, 2, "bytes before the restart are dropped");
+        let sighting = records
+            .iter()
+            .find_map(|r| match r {
+                Record::MacSighting(s) => Some(*s),
+                _ => None,
+            })
+            .expect("sighting emitted");
+        assert_eq!(sighting.bytes_total, 3, "the device keeps its full volume");
+        assert_eq!(sighting.first_seen, SimTime::EPOCH);
+    }
+
+    #[test]
+    #[ignore = "known bug: a minute's first-second packet counts land in the previous \
+                minute's record; the fix changes every workload's CSV digest, so it waits \
+                for the next re-bless of benchmark/workload-digests.tsv"]
+    fn packet_counts_stay_in_their_own_minute() {
+        let mut mon = monitor();
+        mon.on_flow_start(&mk_flow(1, Ipv4Addr::new(23, 64, 1, 10)));
+        let packet =
+            FlowProgress { id: FlowId(1), bytes_down: 1_420, bytes_up: 0, pkts_down: 1, pkts_up: 0 };
+        mon.on_flow_progress(SimTime::EPOCH + SimDuration::from_secs(59), &packet);
+        mon.on_flow_progress(SimTime::EPOCH + SimDuration::from_secs(60), &packet);
+        mon.finalize(SimTime::EPOCH + SimDuration::from_secs(61));
+        let split: Vec<(u64, u64)> = drain(&mut mon)
+            .iter()
+            .filter_map(|r| match r {
+                Record::PacketStats(s) => Some((s.bytes_down, s.pkts_down)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(split, vec![(1_420, 1), (1_420, 1)], "one packet in each minute");
     }
 
     #[test]
@@ -533,6 +686,6 @@ mod tests {
             &FlowProgress { id: FlowId(99), bytes_down: 1, bytes_up: 1, pkts_down: 1, pkts_up: 1 },
         );
         mon.on_flow_end(SimTime::EPOCH, FlowId(99));
-        assert!(mon.drain().is_empty());
+        assert!(drain(&mut mon).is_empty());
     }
 }

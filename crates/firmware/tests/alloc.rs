@@ -4,14 +4,21 @@
 //! study run, so this path is required to touch the heap zero times per
 //! packet; the store-and-forward upload queue sits on the same hot path
 //! whenever a fault plan is active, so its steady state (fill → seal →
-//! attempt → fail → ack) carries the same requirement. The `obs` metric
-//! handles ride these same hot paths, so their increments are held to the
-//! same bar. A counting global allocator makes all of this hard tests
-//! rather than code-review promises.
+//! attempt → fail → ack) carries the same requirement. So do the
+//! one-second traffic tick (flow scheduler plus traffic monitor), which
+//! runs millions of times in a traffic-capturing study, and the hourly
+//! latency probe. The `obs` metric handles ride these same hot paths, so
+//! their increments are held to the same bar. A counting global allocator
+//! makes all of this hard tests rather than code-review promises.
 
+use firmware::latency::{probe_latency, PING_TRAIN};
 use firmware::records::{Record, RouterId, UptimeRecord};
 use firmware::uploader::{Uploader, UploaderConfig};
-use firmware::Heartbeat;
+use firmware::{Anonymizer, Heartbeat, TrafficMonitor};
+use netstack::{AppKind, Flow, FlowId, FlowScheduler};
+use simnet::dns::DomainName;
+use simnet::link::{Link, LinkConfig, WanPath};
+use simnet::packet::{Endpoint, MacAddr};
 use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -146,4 +153,118 @@ fn upload_queue_steady_state_allocates_nothing() {
     );
     assert_eq!(up.stats().acked_batches, 1_004);
     assert_eq!(up.stats().failed_attempts, 1_004);
+}
+
+/// One traffic tick as the simulator drives it: every third second a flow
+/// starts on one of three devices, then the scheduler advances, the
+/// monitor sees each flow's progress, the uplink burst and every
+/// completion, and completions drain the monitor's records into `out`.
+fn traffic_second(
+    sched: &mut FlowScheduler,
+    mon: &mut TrafficMonitor,
+    out: &mut Vec<Record>,
+    template: &Flow,
+    t: u64,
+) {
+    let now = SimTime::EPOCH + SimDuration::from_secs(t);
+    if t.is_multiple_of(3) {
+        let mut flow = template.clone();
+        flow.id = sched.next_id();
+        flow.device = MacAddr::from_oui_nic(0x00_17_F2, (t % 9 / 3) as u32);
+        flow.started = now;
+        flow.remaining_down = 200_000 + (t % 7) * 150_000;
+        flow.remaining_up = 20_000 + (t % 5) * 60_000;
+        mon.on_flow_start(&flow);
+        sched.start(flow);
+    }
+    let outcome =
+        sched.tick(SimDuration::from_secs(1), 8_000_000, 1_000_000, Some(20_000_000), 256 * 1024);
+    let mut drained_up = 0;
+    for progress in &outcome.progress {
+        drained_up += progress.bytes_up;
+        mon.on_flow_progress(now, progress);
+    }
+    mon.add_uplink_burst(now, outcome.total_up_offered.saturating_sub(drained_up));
+    for flow in &outcome.completed {
+        mon.on_flow_end(now, flow.id);
+    }
+    if !outcome.completed.is_empty() {
+        mon.drain_into(out);
+        out.clear(); // the collector takes the batch
+    }
+}
+
+#[test]
+fn traffic_tick_steady_state_allocates_nothing() {
+    let mut sched = FlowScheduler::new();
+    let mut mon = TrafficMonitor::new(
+        RouterId(5),
+        Anonymizer::new(0x5EED, [DomainName::new("netflix.com").expect("valid name")]),
+    );
+    // The remote address never resolved through the gateway, so records
+    // carry the obfuscated address: the no-DNS-context path.
+    let template = Flow {
+        id: FlowId(0),
+        device: MacAddr::from_oui_nic(0x00_17_F2, 0),
+        local: Endpoint::new(Ipv4Addr::new(192, 168, 1, 10), 40_000),
+        remote: Endpoint::new(Ipv4Addr::new(198, 51, 100, 7), 443),
+        domain: DomainName::new("example.com").expect("valid name"),
+        kind: AppKind::Web,
+        started: SimTime::EPOCH,
+        remaining_down: 0,
+        remaining_up: 0,
+        rate_cap_bps: None,
+        rate_cap_up_bps: None,
+        saturated_ticks: 0,
+    };
+    let mut out: Vec<Record> = Vec::new();
+    // Warm-up grows every buffer to the pattern's high-water mark and
+    // registers all three devices.
+    for t in 0..1_000 {
+        traffic_second(&mut sched, &mut mon, &mut out, &template, t);
+    }
+
+    let started_before = sched.started_total();
+    let completed_before = sched.completed_total();
+    let before = ALLOCATIONS.with(Cell::get);
+    for t in 1_000..101_000 {
+        traffic_second(&mut sched, &mut mon, &mut out, &template, t);
+    }
+    let after = ALLOCATIONS.with(Cell::get);
+    assert!(
+        after == before,
+        "traffic ticks allocated {} times over 100k seconds",
+        after - before
+    );
+    assert!(sched.started_total() - started_before > 30_000, "flows kept starting");
+    assert!(sched.completed_total() - completed_before > 30_000, "flows kept completing");
+}
+
+#[test]
+fn latency_probe_allocates_nothing_in_release() {
+    let mut link =
+        Link::new(LinkConfig::simple(1_000_000, SimDuration::from_millis(10), 64 * 1024));
+    let wan = WanPath { transit_delay: SimDuration::from_millis(20), loss_prob: 0.05 };
+    let mut rng = DetRng::new(43).derive("alloc-latency");
+    let hour = |n: u64| SimTime::EPOCH + SimDuration::from_hours(n);
+    probe_latency(RouterId(9), hour(0), &mut link, &wan, &mut rng).expect("warm-up probe");
+
+    let mut replies = 0u64;
+    let before = ALLOCATIONS.with(Cell::get);
+    for n in 1..=10_000 {
+        if let Some(rec) = probe_latency(RouterId(9), hour(n), &mut link, &wan, &mut rng) {
+            replies += u64::from(PING_TRAIN - u16::from(rec.lost));
+        }
+    }
+    let after = ALLOCATIONS.with(Cell::get);
+    // Debug builds also round-trip every answered echo through its wire
+    // image: the request payload, the reply's copy, the emitted reply and
+    // the parsed payload are four allocations per reply.
+    let expected = if cfg!(debug_assertions) { 4 * replies } else { 0 };
+    assert!(replies > 80_000, "most pings answered: {replies}");
+    assert!(
+        after - before == expected,
+        "latency probes allocated {} times over 10k probes ({replies} replies), want {expected}",
+        after - before
+    );
 }

@@ -242,7 +242,7 @@ pub fn build_deployment_with(
     let root = DetRng::new(seed);
     let plan: Vec<(HomeId, Country)> = apportion(homes)
         .into_iter()
-        .flat_map(|(country, count)| std::iter::repeat(country).take(count as usize))
+        .flat_map(|(country, count)| std::iter::repeat_n(country, count as usize))
         .zip(0..)
         .map(|(country, id)| (HomeId(id), country))
         .collect();

@@ -34,14 +34,33 @@ pub struct Demand {
 /// * unused capacity exists only when every flow is cap-limited;
 /// * flows with equal caps get equal rates.
 pub fn max_min_fair(capacity_bps: f64, demands: &[Demand]) -> Vec<f64> {
+    let mut rates = Vec::new();
+    max_min_fair_into(capacity_bps, demands, &mut rates, &mut Vec::new());
+    rates
+}
+
+/// [`max_min_fair`] into caller-owned buffers: `rates` receives one rate
+/// per demand, and `order` is scratch for the cap-ascending sort. Both
+/// are overwritten, so a caller that keeps them across rounds allocates
+/// only when the demand count reaches a new high.
+pub fn max_min_fair_into(
+    capacity_bps: f64,
+    demands: &[Demand],
+    rates: &mut Vec<f64>,
+    order: &mut Vec<usize>,
+) {
     assert!(capacity_bps >= 0.0);
     let n = demands.len();
-    let mut rates = vec![0.0f64; n];
+    rates.clear();
+    rates.resize(n, 0.0);
     if n == 0 || capacity_bps == 0.0 {
-        return rates;
+        return;
     }
     // Sort indices by cap ascending; satisfy the smallest demands first.
-    let mut order: Vec<usize> = (0..n).collect();
+    // The sort is stable, so equal caps are served in demand order and the
+    // `remaining` subtractions always run in the same sequence.
+    order.clear();
+    order.extend(0..n);
     order.sort_by(|&a, &b| {
         demands[a]
             .rate_cap_bps
@@ -50,14 +69,13 @@ pub fn max_min_fair(capacity_bps: f64, demands: &[Demand]) -> Vec<f64> {
     });
     let mut remaining = capacity_bps;
     let mut unsatisfied = n;
-    for &i in &order {
+    for &i in order.iter() {
         let fair_share = remaining / unsatisfied as f64;
         let rate = demands[i].rate_cap_bps.min(fair_share);
         rates[i] = rate;
         remaining -= rate;
         unsatisfied -= 1;
     }
-    rates
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! here per second). Measurement-relevant packets (DNS, heartbeats, probe
 //! trains) are real wire images built in `simnet`.
 
-use crate::fair::{max_min_fair, Demand};
+use crate::fair::{max_min_fair_into, Demand};
 use simnet::dns::DomainName;
 use simnet::packet::{Endpoint, FiveTuple, IpProtocol, MacAddr};
 use simnet::time::{SimDuration, SimTime};
@@ -177,6 +177,14 @@ pub struct FlowScheduler {
     started: u64,
     /// Cumulative flows that ran to completion (aborts excluded).
     completed: u64,
+    /// Per-tick buffers, overwritten by every [`Self::tick`] and kept so a
+    /// steady-state tick allocates nothing.
+    down_demands: Vec<Demand>,
+    up_demands: Vec<Demand>,
+    down_rates: Vec<f64>,
+    up_rates: Vec<f64>,
+    order: Vec<usize>,
+    outcome: TickOutcome,
 }
 
 impl FlowScheduler {
@@ -231,6 +239,9 @@ impl FlowScheduler {
     /// model honest enough. `up_queue_bytes` scales how quickly sustained
     /// saturation builds a standing queue (deeper buffers take longer to
     /// enter the pathological regime).
+    ///
+    /// The outcome lives in the scheduler and is overwritten by the next
+    /// tick.
     pub fn tick(
         &mut self,
         dt: SimDuration,
@@ -238,7 +249,7 @@ impl FlowScheduler {
         up_capacity_bps: u64,
         per_flow_cap_bps: Option<u64>,
         up_queue_bytes: u64,
-    ) -> TickOutcome {
+    ) -> &TickOutcome {
         let secs = dt.as_secs_f64();
         let clamp = |d: Demand| -> Demand {
             match per_flow_cap_bps {
@@ -246,28 +257,35 @@ impl FlowScheduler {
                 None => d,
             }
         };
-        let down_demands: Vec<Demand> = self
-            .active
-            .iter()
-            .map(|f| clamp(f.demand(f.remaining_down, f.rate_cap_bps)))
-            .collect();
-        let up_demands: Vec<Demand> = self
-            .active
-            .iter()
-            .map(|f| clamp(f.demand(f.remaining_up, f.rate_cap_up_bps)))
-            .collect();
-        let down_rates = max_min_fair(down_capacity_bps as f64, &down_demands);
+        self.down_demands.clear();
+        self.down_demands
+            .extend(self.active.iter().map(|f| clamp(f.demand(f.remaining_down, f.rate_cap_bps))));
+        self.up_demands.clear();
+        self.up_demands
+            .extend(self.active.iter().map(|f| clamp(f.demand(f.remaining_up, f.rate_cap_up_bps))));
+        max_min_fair_into(
+            down_capacity_bps as f64,
+            &self.down_demands,
+            &mut self.down_rates,
+            &mut self.order,
+        );
         // Upstream: senders *offer* at their demanded rate; the link drains
         // at `up_capacity_bps`. We still allocate fairly for what gets
         // through, but record the offered load separately.
-        let up_rates = max_min_fair(up_capacity_bps as f64, &up_demands);
+        max_min_fair_into(
+            up_capacity_bps as f64,
+            &self.up_demands,
+            &mut self.up_rates,
+            &mut self.order,
+        );
 
-        let mut outcome = TickOutcome::default();
-        for ((flow, down_rate), (up_rate, up_demand)) in self
-            .active
-            .iter_mut()
-            .zip(&down_rates)
-            .zip(up_rates.iter().zip(&up_demands))
+        let outcome = &mut self.outcome;
+        outcome.progress.clear();
+        outcome.completed.clear();
+        outcome.total_down = 0;
+        outcome.total_up_offered = 0;
+        for ((flow, down_rate), up_rate) in
+            self.active.iter_mut().zip(&self.down_rates).zip(&self.up_rates)
         {
             let down_bytes = ((down_rate * secs) / 8.0) as u64;
             let up_bytes = ((up_rate * secs) / 8.0) as u64;
@@ -303,10 +321,11 @@ impl FlowScheduler {
             } else {
                 flow.saturated_ticks = 0;
             }
-            let _ = up_demand;
             outcome.total_up_offered += offered;
         }
-        // Remove completed flows.
+        // Remove completed flows. `remove` (not `swap_remove`) keeps the
+        // survivors in start order, which fixes the order of next tick's
+        // demands and therefore of its floating-point sums.
         let mut idx = 0;
         while idx < self.active.len() {
             if self.active[idx].is_complete() {

@@ -1,8 +1,10 @@
 //! Property-based tests for the flow layer: max-min fairness axioms and
-//! flow-scheduler conservation laws under arbitrary workloads.
+//! flow-scheduler conservation laws under arbitrary workloads, plus
+//! differential tests showing that the allocator's and the scheduler's
+//! reused buffers give exactly what fresh ones give.
 
-use netstack::fair::{max_min_fair, Demand};
-use netstack::{Flow, FlowId, FlowScheduler};
+use netstack::fair::{max_min_fair, max_min_fair_into, Demand};
+use netstack::{AppKind, Flow, FlowId, FlowScheduler};
 use proptest::prelude::*;
 use simnet::dns::DomainName;
 use simnet::packet::{Endpoint, MacAddr};
@@ -20,7 +22,127 @@ fn arb_demands() -> impl Strategy<Value = Vec<Demand>> {
     )
 }
 
+fn bits(rates: &[f64]) -> Vec<u64> {
+    rates.iter().map(|r| r.to_bits()).collect()
+}
+
+const KINDS: [AppKind; 8] = [
+    AppKind::Web,
+    AppKind::StreamingVideo,
+    AppKind::StreamingAudio,
+    AppKind::Voip,
+    AppKind::BulkUpload,
+    AppKind::CloudSync,
+    AppKind::Background,
+    AppKind::Gaming,
+];
+
+/// One step of a scheduler's life: `Start` opens a flow, `Tick` advances
+/// one second against the given capacities and optional per-flow cap.
+#[derive(Debug)]
+enum Step {
+    Start { down: u64, up: u64, caps: u8, kind: usize, saturated: u32 },
+    Tick { down_mbps: u64, up_mbps: u64, per_flow_cap_mbps: Option<u64> },
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let start = (0u64..3_000_000, 0u64..1_500_000, 0u8..4, 0usize..KINDS.len(), 0u32..200);
+    let tick = (1u64..60, 1u64..20, 0u64..30);
+    proptest::collection::vec(
+        (0u8..5, start, tick).prop_map(
+            |(pick, (down, up, caps, kind, saturated), (down_mbps, up_mbps, cap))| {
+                // Two starts in five steps: bursts of starts grow the active
+                // set, runs of ticks drain it.
+                if pick < 2 {
+                    Step::Start { down, up, caps, kind, saturated }
+                } else {
+                    // A zero cap turns the per-flow cap off.
+                    Step::Tick { down_mbps, up_mbps, per_flow_cap_mbps: (cap > 0).then_some(cap) }
+                }
+            },
+        ),
+        1..120,
+    )
+}
+
+fn step_flow(id: FlowId, down: u64, up: u64, caps: u8, kind: usize, saturated: u32) -> Flow {
+    let (rate_cap_bps, rate_cap_up_bps) = match caps {
+        0 => (None, None),
+        1 => (Some(4_000_000), Some(400_000)),
+        2 => (Some(0), None), // an idle-but-open connection
+        _ => (Some(2_000_000), None),
+    };
+    Flow {
+        id,
+        device: MacAddr::from_oui_nic(0x00_17_F2, id.0 as u32),
+        local: Endpoint::new(Ipv4Addr::new(192, 168, 1, 10), 40_000 + id.0 as u16),
+        remote: Endpoint::new(Ipv4Addr::new(23, 64, 1, 10), 443),
+        domain: DomainName::new("example.com").unwrap(),
+        kind: KINDS[kind],
+        started: SimTime::EPOCH,
+        remaining_down: down,
+        remaining_up: up,
+        rate_cap_bps,
+        rate_cap_up_bps,
+        saturated_ticks: saturated,
+    }
+}
+
 proptest! {
+    #[test]
+    fn fair_into_on_dirty_buffers_matches_fresh(
+        first_capacity in 0.0f64..1e9,
+        first in arb_demands(),
+        capacity in prop_oneof![Just(0.0f64), 0.0f64..1e9],
+        demands in arb_demands(),
+    ) {
+        let mut rates = Vec::new();
+        let mut order = Vec::new();
+        max_min_fair_into(first_capacity, &first, &mut rates, &mut order);
+        max_min_fair_into(capacity, &demands, &mut rates, &mut order);
+        prop_assert_eq!(bits(&rates), bits(&max_min_fair(capacity, &demands)));
+    }
+
+    #[test]
+    fn long_lived_scheduler_ticks_like_a_fresh_one(steps in arb_steps()) {
+        let mut sched = FlowScheduler::new();
+        for step in &steps {
+            match *step {
+                Step::Start { down, up, caps, kind, saturated } => {
+                    let id = sched.next_id();
+                    sched.start(step_flow(id, down, up, caps, kind, saturated));
+                }
+                Step::Tick { down_mbps, up_mbps, per_flow_cap_mbps } => {
+                    let mut fresh = FlowScheduler::new();
+                    for flow in sched.active() {
+                        fresh.start(flow.clone());
+                    }
+                    let args = (
+                        SimDuration::from_secs(1),
+                        down_mbps * 1_000_000,
+                        up_mbps * 1_000_000,
+                        per_flow_cap_mbps.map(|m| m * 1_000_000),
+                        256 * 1024,
+                    );
+                    let want = fresh.tick(args.0, args.1, args.2, args.3, args.4);
+                    let got = sched.tick(args.0, args.1, args.2, args.3, args.4);
+                    prop_assert_eq!(&got.progress, &want.progress);
+                    prop_assert_eq!(got.total_down, want.total_down);
+                    prop_assert_eq!(got.total_up_offered, want.total_up_offered);
+                    let ids = |flows: &[Flow]| flows.iter().map(|f| f.id).collect::<Vec<_>>();
+                    prop_assert_eq!(ids(&got.completed), ids(&want.completed));
+                    let state = |flows: &[Flow]| {
+                        flows
+                            .iter()
+                            .map(|f| (f.id, f.remaining_down, f.remaining_up, f.saturated_ticks))
+                            .collect::<Vec<_>>()
+                    };
+                    prop_assert_eq!(state(sched.active()), state(fresh.active()));
+                }
+            }
+        }
+    }
+
     #[test]
     fn fairness_axioms(capacity in 0.0f64..1e9, demands in arb_demands()) {
         let rates = max_min_fair(capacity, &demands);

@@ -205,7 +205,7 @@ impl HistogramSnapshot {
 
     /// Mean sample value, rounded down (0 if empty).
     pub fn mean(&self) -> u64 {
-        if self.count == 0 { 0 } else { self.sum / self.count }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 }
 

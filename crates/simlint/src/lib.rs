@@ -447,8 +447,7 @@ mod tests {
 
     #[test]
     fn report_rendering() {
-        let mut r = Report::default();
-        r.files = 3;
+        let mut r = Report { files: 3, ..Report::default() };
         r.findings.push(Finding {
             rule: "wall-clock".into(),
             path: "crates/core/src/study.rs".into(),

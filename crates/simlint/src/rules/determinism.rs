@@ -113,9 +113,9 @@ pub(crate) fn rule_nondeterministic_iteration(
                 }
                 // Walk a field chain (`self.a.b`): the final segment names
                 // the collection being looped over.
-                while tokens.get(k).map_or(false, |x| x.kind == TokenKind::Ident)
+                while tokens.get(k).is_some_and(|x| x.kind == TokenKind::Ident)
                     && tokens.get(k + 1).is_some_and(|x| x.is_punct('.'))
-                    && tokens.get(k + 2).map_or(false, |x| x.kind == TokenKind::Ident)
+                    && tokens.get(k + 2).is_some_and(|x| x.kind == TokenKind::Ident)
                 {
                     k += 2;
                 }
@@ -145,9 +145,9 @@ pub(crate) fn rule_nondeterministic_iteration(
             while tokens.get(k).is_some_and(|x| x.is_punct('&') || x.is_ident("mut")) {
                 k += 1;
             }
-            while tokens.get(k).map_or(false, |x| x.kind == TokenKind::Ident)
+            while tokens.get(k).is_some_and(|x| x.kind == TokenKind::Ident)
                 && tokens.get(k + 1).is_some_and(|x| x.is_punct('.'))
-                && tokens.get(k + 2).map_or(false, |x| x.kind == TokenKind::Ident)
+                && tokens.get(k + 2).is_some_and(|x| x.kind == TokenKind::Ident)
             {
                 k += 2;
             }

@@ -329,7 +329,7 @@ fn apply_suppressions(
         // exist (adjacent suppressed lines), each must pair with its own
         // finding or the same-line one is falsely reported as unused.
         let names_rule =
-            |s: &&Suppression| s.rules.iter().any(|r| *r == f.rule);
+            |s: &&Suppression| s.rules.contains(&f.rule);
         let hit = suppressions
             .iter()
             .enumerate()

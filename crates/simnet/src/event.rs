@@ -353,7 +353,7 @@ mod tests {
         q.cancel(b); // not at the head yet: becomes a buried tombstone
         assert_eq!(q.pop(), Some((t(10), Ev::A)));
         // Popping A exposed B's tombstone; the head must already be live.
-        assert_eq!((&q).peek_time(), Some(t(30)));
+        assert_eq!(q.peek_time(), Some(t(30)));
         assert_eq!(q.pop(), Some((t(30), Ev::C)));
     }
 
