@@ -49,61 +49,8 @@ pub struct Table2Row {
     pub window: Window,
 }
 
-/// Compute Table 2 from the data sets and their windows.
-pub fn table2(data: &Datasets, windows: &[(&'static str, Window)]) -> Vec<Table2Row> {
-    use std::collections::HashSet;
-    windows
-        .iter()
-        .map(|(name, window)| {
-            let routers: HashSet<_> = match *name {
-                "Heartbeats" => data
-                    .heartbeats
-                    .iter()
-                    .filter(|(_, log)| {
-                        log.extent().is_some_and(|(first, _)| window.contains(first) || first < window.end)
-                    })
-                    .map(|(r, _)| *r)
-                    .collect(),
-                "Uptime" => data
-                    .uptime
-                    .iter()
-                    .filter(|r| window.contains(r.at))
-                    .map(|r| r.router)
-                    .collect(),
-                "Capacity" => data
-                    .capacity
-                    .iter()
-                    .filter(|r| window.contains(r.at))
-                    .map(|r| r.router)
-                    .collect(),
-                "Devices" => data
-                    .devices
-                    .iter()
-                    .filter(|r| window.contains(r.at))
-                    .map(|r| r.router)
-                    .collect(),
-                "WiFi" => data
-                    .wifi
-                    .iter()
-                    .filter(|r| window.contains(r.at))
-                    .map(|r| r.router)
-                    .collect(),
-                "Traffic" => data
-                    .flows
-                    .iter()
-                    .filter(|r| window.contains(r.ended))
-                    .map(|r| r.router)
-                    .collect(),
-                other => panic!("unknown dataset {other}"),
-            };
-            table2_row(data, name, *window, &routers)
-        })
-        .collect()
-}
-
-/// One [`table2`] row from an already-collected contributing-router set
-/// (shared by the batch arms above and the stream-mode accumulator,
-/// which maintains the WiFi and Traffic sets incrementally).
+/// One Table 2 row from the set of routers contributing to the data set
+/// within its window.
 pub(crate) fn table2_row(
     data: &Datasets,
     dataset: &'static str,
@@ -183,17 +130,8 @@ pub struct Table4 {
     pub median_aps_developing: f64,
 }
 
-/// Compute Table 4.
-pub fn table4(data: &Datasets, devices_window: Window, wifi_window: Window) -> Table4 {
-    table4_from(
-        &infrastructure::table5(data, devices_window),
-        &infrastructure::fig10(data, devices_window),
-        &infrastructure::fig11(data, wifi_window),
-    )
-}
-
-/// [`table4`] from the already-computed figures it summarizes — the
-/// report computes Table 5 and Figures 10/11 once and shares them here.
+/// Compute Table 4 from the figures it summarizes: Table 5 and Figures
+/// 10/11.
 pub fn table4_from(
     table5: &[infrastructure::Table5Row],
     fig10: &infrastructure::Fig10,
@@ -241,18 +179,8 @@ pub struct Table6 {
     pub whitelisted_byte_fraction: f64,
 }
 
-/// Compute Table 6.
-pub fn table6(data: &Datasets, traffic_window: Window, wifi_window: Window) -> Table6 {
-    table6_from(
-        &usage::fig13(data, wifi_window),
-        &usage::fig15(data, traffic_window),
-        &usage::fig17(data, traffic_window),
-        &usage::fig19(data, traffic_window, 10),
-    )
-}
-
-/// [`table6`] from the already-computed figures it summarizes. Only each
-/// figure's rank-1 entries are read, so any `max_rank >= 1` Figure 19 works.
+/// Compute Table 6 from the figures it summarizes. Only each figure's
+/// rank-1 entries are read, so any `max_rank >= 1` Figure 19 works.
 pub fn table6_from(
     fig13: &usage::Fig13,
     fig15: &[usage::Fig15Point],

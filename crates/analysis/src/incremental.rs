@@ -1,35 +1,33 @@
-//! Stream-mode incremental report state.
+//! The report engine: per-figure partial state folded delta by delta,
+//! then finished into a [`StudyReport`].
 //!
-//! Batch mode computes every figure from the final snapshot in one pass
-//! ([`StudyReport::compute`]). Stream mode instead folds each window's
-//! sealed-behind-the-watermark delta into per-figure partial state as it
-//! arrives ([`IncrementalReport::update`]) and materializes the report
-//! from that state at any window boundary ([`IncrementalReport::finalize`])
-//! — without ever re-scanning the nine high-volume columnar tables that
-//! dominate batch-compute cost.
+//! There is one report path. [`IncrementalReport::update`] folds a
+//! snapshot's columnar tables into partial state, one scan per table, and
+//! [`IncrementalReport::finalize`] funnels that state, the accumulated
+//! snapshot and its per-router [`DataIndex`] through one finisher per
+//! figure. A stream study calls `update` with each window's drained
+//! delta and `finalize` at every window boundary; a batch report
+//! ([`StudyReport::compute`]) is the same fold over one window holding
+//! the whole snapshot.
 //!
-//! # Why the result is *identical* to batch, not merely close
+//! # Why any split of the stream finalizes to the same bytes
 //!
-//! Every partial state kept here is either a set, an integer sum, or a
-//! sample multiset feeding an aggregate that sorts its inputs
-//! ([`crate::stats::Cdf`], medians). Sets and integer sums are fold-order
-//! independent outright; sample vectors only ever feed order-insensitive
-//! aggregates, and window deltas arrive in arrival order so even
-//! order-sensitive consumers would see the batch order. Finalization then
-//! funnels each state through the *same* `*_from_*` constructor the batch
-//! path uses (`fig13_from_scans`, `table5_from_parts`, …), so the two
-//! paths cannot diverge in the aggregation step either. The cheap
-//! artifacts that derive from the run-length-encoded heartbeat logs and
-//! the small row tables (availability, Figs 8/9, Tables 1/3, and the row
-//! halves of Table 2) are recomputed from the accumulated snapshot at
-//! finalize — their cost is negligible and recomputing sidesteps the one
-//! genuinely order-sensitive aggregate in the report (the population
-//! standard deviation of Figs 8/9, whose squared-residual sum is a float
-//! fold in table order).
+//! Every partial state kept here is a set or an integer sum, and both are
+//! fold-order independent. `finalize` then reads the rest from the
+//! accumulated snapshot:
+//! * availability, Figs 8/9, Tables 1/3 and the row halves of Table 2
+//!   refold the run-length-encoded heartbeat logs and the small row
+//!   tables. Refolding sidesteps the one order-sensitive aggregate in the
+//!   report: the population standard deviation of Figs 8/9, whose
+//!   squared-residual sum is a float fold in table order.
+//! * Fig 15's peak samples and the latency samples are read per router
+//!   from the index, so no partial state grows with every record. Each
+//!   feeds only medians and quantiles, which sort their inputs.
 //!
-//! The differential harness in `tests/streaming.rs` and the property
-//! tests in `tests/incremental_properties.rs` hold this module to
-//! byte-identical output against batch at every window split.
+//! The fixed-cut unit test below, the property tests in
+//! `tests/incremental_properties.rs` and the stream differential harness
+//! in `tests/streaming.rs` hold any number of windows to the bytes of
+//! one.
 
 use crate::availability;
 use crate::highlights;
@@ -38,7 +36,6 @@ use crate::infrastructure;
 use crate::latency;
 use crate::natchar;
 use crate::report::{ReportWindows, StudyReport};
-use crate::stats::Cdf;
 use crate::usage::{self, DomainTally};
 use collector::Datasets;
 use firmware::anonymize::AnonMac;
@@ -51,18 +48,34 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 /// One device within one home: router, OUI and anonymized NIC suffix.
 type DeviceKey = (RouterId, u32, u32);
 
-/// Mergeable per-figure partial state for a streaming study.
-///
-/// Feed every window's drained delta to [`IncrementalReport::update`]
-/// *before* absorbing it into the accumulated snapshot, then call
-/// [`IncrementalReport::finalize`] with the accumulator whenever a
-/// report is due. Updates scan only the delta; finalize touches only
-/// the heartbeat logs, the small row tables, and a handful of
-/// single-router columnar slices.
-#[derive(Debug, Default)]
-pub struct IncrementalReport {
-    windows: Option<ReportWindows>,
+/// Compute one artifact while measuring its wall-clock cost into the named
+/// `obs` wall span. The artifact is a pure function of its inputs and the
+/// span is write-only host profiling (it reaches the manifest's text
+/// summary, never `metrics.json` or the report), so timing cannot perturb
+/// results.
+fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    // simlint: allow(wall-clock) — per-figure host profiling recorded into obs wall spans; never feeds figures or exports
+    let start = std::time::Instant::now();
+    let value = f();
+    obs::wall_span(name).record_micros(start.elapsed().as_micros() as u64);
+    value
+}
 
+/// Mergeable per-figure partial state for one study's report.
+///
+/// Feed every delta to [`IncrementalReport::update`] *before* absorbing
+/// it into the accumulated snapshot, then call
+/// [`IncrementalReport::finalize`] with the accumulator whenever a
+/// report is due.
+#[derive(Debug)]
+pub struct IncrementalReport {
+    windows: ReportWindows,
+    folded: Folded,
+}
+
+/// The state `update` folds: one field group per table it scans.
+#[derive(Debug, Default)]
+struct Folded {
     // §5 infrastructure (associations / wifi scans / mac sightings).
     fig7_devices: HashMap<RouterId, HashSet<AnonMac>>,
     fig10_homes: HashSet<RouterId>,
@@ -72,21 +85,19 @@ pub struct IncrementalReport {
     fig12_seen: HashSet<DeviceKey>,
     fig12_counts: HashMap<VendorClass, usize>,
     /// Presence count per (home, device), plus the maximal `(at, medium)`
-    /// stamp seen — equal to the batch path's "last medium in table
-    /// order" because the association table is sorted by that very key.
+    /// stamp seen: the device's last medium in association-table order,
+    /// because the table is sorted by that very key.
     presence: HashMap<DeviceKey, (usize, (SimTime, Medium))>,
 
-    // §6 usage (wifi scans / packet stats / flows).
+    // §6 usage (wifi scans / flows).
     per_scan: BTreeMap<(RouterId, SimTime), u32>,
-    peaks: HashMap<RouterId, (Vec<f64>, Vec<f64>)>,
     device_bytes: HashMap<(RouterId, AnonMac), u64>,
     domain_bytes: BTreeMap<RouterId, DomainTally>,
     device_domains: HashMap<(RouterId, AnonMac), HashMap<String, u64>>,
 
-    // Deployment tables and the companion latency set.
+    // Table 2's columnar data sets.
     wifi_routers: HashSet<RouterId>,
     traffic_routers: HashSet<RouterId>,
-    latency_samples: HashMap<RouterId, (Vec<f64>, Vec<f64>)>,
 
     // NAT characterization (nat probes / punch trials; unwindowed).
     nat_tally: BTreeMap<RouterId, ([usize; 5], usize, usize)>,
@@ -98,24 +109,178 @@ pub struct IncrementalReport {
 
 impl IncrementalReport {
     /// Fresh state for a study reporting over `windows`. The windows are
-    /// fixed up front: every delta record is bucketed against them at
-    /// update time, exactly as the batch figures filter at compute time.
+    /// fixed up front: every record is bucketed against them as it is
+    /// folded.
     pub fn new(windows: ReportWindows) -> IncrementalReport {
-        IncrementalReport { windows: Some(windows), ..IncrementalReport::default() }
+        IncrementalReport { windows, folded: Folded::default() }
     }
 
-    /// The windows this report accumulates over.
-    pub fn windows(&self) -> ReportWindows {
-        self.windows.expect("IncrementalReport::new sets the windows")
-    }
-
-    /// Fold one window's drained delta into the partial state. Cost is
-    /// one pass over the delta's records; the accumulated history is
+    /// Fold one delta into the partial state: one pass over each of its
+    /// columnar tables the state derives from. The accumulated history is
     /// never touched. Call this before absorbing the delta into the
     /// accumulated snapshot (absorption consumes it).
     pub fn update(&mut self, delta: &Datasets) {
-        let w = self.windows();
+        timed("analysis_update", || self.folded.fold(delta, self.windows));
+    }
 
+    /// Materialize the full report from the partial state plus the
+    /// accumulated snapshot: registration metadata, heartbeat logs, the
+    /// small row tables, and per-router slices of the packet-stats and
+    /// latency tables.
+    pub fn finalize(&self, acc: &Datasets) -> StudyReport {
+        let w = self.windows;
+        let s = &self.folded;
+        let idx = &timed("analysis_index", || DataIndex::new(acc));
+
+        // §4 availability: RLE heartbeat logs, cheap to refold entirely.
+        let routers = timed("analysis_availability_per_router", || {
+            availability::per_router(acc, w.heartbeats)
+        });
+        let fig3 = timed("analysis_fig3", || availability::fig3(&routers));
+        let fig4 = timed("analysis_fig4", || availability::fig4(&routers));
+        let fig5 = timed("analysis_fig5", || availability::fig5(&routers));
+        let fig6 = timed("analysis_fig6", || availability::fig6_archetypes_with(idx, &routers));
+        let table3 = timed("analysis_table3", || highlights::table3(&routers));
+        let coverage =
+            timed("analysis_coverage", || availability::median_coverage_by_country(&routers));
+
+        // §5 infrastructure from the folded sets; Figs 8/9 and Table 5's
+        // census counts refold the small census row table.
+        let fig7 = timed("analysis_fig7", || infrastructure::fig7_from_sets(&s.fig7_devices));
+        let fig8 = timed("analysis_fig8", || infrastructure::fig8_with(idx, w.devices));
+        let fig9 = timed("analysis_fig9", || infrastructure::fig9(acc, w.devices));
+        let fig10 = timed("analysis_fig10", || {
+            infrastructure::fig10_from_sets(&s.fig10_homes, &s.fig10_band_devices)
+        });
+        let fig11 = timed("analysis_fig11", || {
+            infrastructure::fig11_from_sets(idx, &s.fig11_scanned, &s.fig11_neighbors)
+        });
+        let fig12 = timed("analysis_fig12", || infrastructure::fig12_from_counts(&s.fig12_counts));
+        let table5 = timed("analysis_table5", || {
+            let census_count = infrastructure::census_counts(acc, w.devices);
+            let presence: HashMap<DeviceKey, (usize, Medium)> = s
+                .presence
+                .iter()
+                .map(|(&key, &(count, (_, medium)))| (key, (count, medium)))
+                .collect();
+            infrastructure::table5_from_parts(idx, w.devices, &census_count, &presence)
+        });
+        let table4 = timed("analysis_table4", || highlights::table4_from(&table5, &fig10, &fig11));
+
+        // §6 usage. Figs 14-16 read each router's packet-stats and
+        // capacity slices; the rest finish the folded maps.
+        let fig13 = timed("analysis_fig13", || usage::fig13_from_scans(idx, &s.per_scan));
+        let fig15 = timed("analysis_fig15", || usage::fig15_with(idx, w.traffic));
+        // Fig 14 exemplar: an ordinary busy home — meaningful utilization
+        // with clear headroom, as in the paper's example (its Fig 14 home
+        // peaks well below capacity on most days).
+        let fig14 = timed("analysis_fig14", || {
+            fig15
+                .iter()
+                .filter(|p| p.up_utilization <= 1.0)
+                .min_by(|a, b| {
+                    (a.down_utilization - 0.5)
+                        .abs()
+                        .partial_cmp(&(b.down_utilization - 0.5).abs())
+                        .expect("finite")
+                })
+                .and_then(|p| usage::fig14_with(idx, w.traffic, p.router))
+        });
+        let fig16 = timed("analysis_fig16", || usage::fig16_from(idx, w.traffic, &fig15));
+        let fig17 =
+            timed("analysis_fig17", || usage::fig17_from_device_bytes(&s.device_bytes));
+        // Per-home domain tallies in router order, so the figures derived
+        // from them accumulate deterministically.
+        let tallies: Vec<&DomainTally> = timed("analysis_domain_tallies", || {
+            idx.routers().iter().filter_map(|meta| s.domain_bytes.get(&meta.router)).collect()
+        });
+        let fig18 = timed("analysis_fig18", || usage::fig18_from(&tallies));
+        let fig19 = timed("analysis_fig19", || usage::fig19_from(&tallies, 15));
+        let fig20 = timed("analysis_fig20", || {
+            usage::fig20_from_device_domains(&s.device_domains, 100 * 1024)
+        });
+        let table6 =
+            timed("analysis_table6", || highlights::table6_from(&fig13, &fig15, &fig17, &fig19));
+
+        // Deployment tables: row-table sets refolded from the
+        // accumulator, columnar sets from the partial state.
+        let table1 = timed("analysis_table1", || highlights::table1(acc));
+        let table2 = timed("analysis_table2", || {
+            let heartbeat_routers: HashSet<RouterId> = acc
+                .heartbeats
+                .iter()
+                .filter(|(_, log)| {
+                    log.extent().is_some_and(|(first, _)| {
+                        w.heartbeats.contains(first) || first < w.heartbeats.end
+                    })
+                })
+                .map(|(r, _)| *r)
+                .collect();
+            let capacity_routers: HashSet<RouterId> =
+                acc.capacity.iter().filter(|r| w.capacity.contains(r.at)).map(|r| r.router).collect();
+            let uptime_routers: HashSet<RouterId> =
+                acc.uptime.iter().filter(|r| w.uptime.contains(r.at)).map(|r| r.router).collect();
+            let devices_routers: HashSet<RouterId> =
+                acc.devices.iter().filter(|r| w.devices.contains(r.at)).map(|r| r.router).collect();
+            vec![
+                highlights::table2_row(acc, "Heartbeats", w.heartbeats, &heartbeat_routers),
+                highlights::table2_row(acc, "Capacity", w.capacity, &capacity_routers),
+                highlights::table2_row(acc, "Uptime", w.uptime, &uptime_routers),
+                highlights::table2_row(acc, "Devices", w.devices, &devices_routers),
+                highlights::table2_row(acc, "WiFi", w.wifi, &s.wifi_routers),
+                highlights::table2_row(acc, "Traffic", w.traffic, &s.traffic_routers),
+            ]
+        });
+        let latency = timed("analysis_latency", || latency::by_region_with(idx, w.heartbeats));
+        let natchar = timed("analysis_natchar", || {
+            (s.nat_probes_total > 0).then(|| {
+                natchar::characterize_from_parts(
+                    acc,
+                    &s.nat_tally,
+                    &s.punch_cells,
+                    s.nat_probes_total,
+                    s.punch_trials_total,
+                    &s.nat_ports,
+                )
+            })
+        });
+
+        StudyReport {
+            windows: w,
+            routers,
+            fig3,
+            fig4,
+            fig5,
+            fig6,
+            fig7,
+            fig8,
+            fig9,
+            fig10,
+            fig11,
+            fig12,
+            fig13,
+            fig14,
+            fig15,
+            fig16,
+            fig17,
+            fig18,
+            fig19,
+            fig20,
+            table1,
+            table2,
+            table3,
+            table4,
+            table5,
+            table6,
+            coverage,
+            latency,
+            natchar,
+        }
+    }
+}
+
+impl Folded {
+    fn fold(&mut self, delta: &Datasets, w: ReportWindows) {
         for assoc in &delta.associations {
             if !w.devices.contains(assoc.at) {
                 continue;
@@ -154,14 +319,6 @@ impl IncrementalReport {
             }
         }
 
-        for stats in &delta.packet_stats {
-            if w.traffic.contains(stats.at) {
-                let entry = self.peaks.entry(stats.router).or_default();
-                entry.0.push(stats.peak_down_bps() as f64);
-                entry.1.push(stats.peak_up_bps() as f64);
-            }
-        }
-
         for flow in &delta.flows {
             if !w.traffic.contains(flow.ended) {
                 continue;
@@ -195,14 +352,6 @@ impl IncrementalReport {
             }
         }
 
-        for rec in &delta.latency {
-            if w.heartbeats.contains(rec.at) {
-                let entry = self.latency_samples.entry(rec.router).or_default();
-                entry.0.push(rec.rtt_median.as_secs_f64() * 1e3);
-                entry.1.push(rec.rtt_max.as_secs_f64() * 1e3);
-            }
-        }
-
         for probe in &delta.nat_probes {
             let entry = self.nat_tally.entry(probe.router).or_insert(([0; 5], 0, 0));
             entry.0[probe.nat_type.code() as usize] += 1;
@@ -220,164 +369,6 @@ impl IncrementalReport {
             cell.0 += 1;
             cell.1 += usize::from(trial.success);
             self.punch_trials_total += 1;
-        }
-    }
-
-    /// Materialize the full report from the partial state plus the
-    /// accumulated snapshot (needed for registration metadata, heartbeat
-    /// logs, the small row tables, and the per-router capacity and
-    /// packet-stats slices of the few Fig 14/16 exemplar homes).
-    pub fn finalize(&self, acc: &Datasets) -> StudyReport {
-        let w = self.windows();
-        let idx = DataIndex::new(acc);
-
-        // §4 availability: RLE heartbeat logs, cheap to refold entirely.
-        let routers = availability::per_router(acc, w.heartbeats);
-        let fig3 = availability::fig3(&routers);
-        let fig4 = availability::fig4(&routers);
-        let fig5 = availability::fig5(&routers);
-        let fig6 = availability::fig6_archetypes_with(&idx, &routers);
-        let table3 = highlights::table3(&routers);
-        let coverage = availability::median_coverage_by_country(&routers);
-
-        // §5 infrastructure from the partial sets (Figs 8/9 refold the
-        // small census row table: their standard deviations are float
-        // folds in table order, so recomputing is the exact-match path).
-        let fig7 = infrastructure::fig7_from_sets(&self.fig7_devices);
-        let fig8 = infrastructure::fig8_with(&idx, w.devices);
-        let fig9 = infrastructure::fig9(acc, w.devices);
-        let fig10 = infrastructure::fig10_from_sets(&self.fig10_homes, &self.fig10_band_devices);
-        let fig11 = infrastructure::fig11_from_sets(&idx, &self.fig11_scanned, &self.fig11_neighbors);
-        let fig12 = infrastructure::fig12_from_counts(&self.fig12_counts);
-        let census_count = infrastructure::census_counts(acc, w.devices);
-        let presence: HashMap<DeviceKey, (usize, Medium)> = self
-            .presence
-            .iter()
-            .map(|(&key, &(count, (_, medium)))| (key, (count, medium)))
-            .collect();
-        let table5 = infrastructure::table5_from_parts(&idx, w.devices, &census_count, &presence);
-        let table4 = highlights::table4_from(&table5, &fig10, &fig11);
-
-        // §6 usage from the partial maps.
-        let fig13 = usage::fig13_from_scans(&idx, &self.per_scan);
-        let mut fig15 = Vec::new();
-        for meta in idx.routers() {
-            let router = meta.router;
-            let Some((down, up)) = self.peaks.get(&router) else { continue };
-            if down.len() < 10 {
-                continue;
-            }
-            let Some((down_cap, up_cap)) = usage::capacity_of(&idx, w.traffic, router) else {
-                continue;
-            };
-            if down_cap <= 0.0 || up_cap <= 0.0 {
-                continue;
-            }
-            let p95_down = Cdf::from_samples(down.iter().copied()).quantile(0.95);
-            let p95_up = Cdf::from_samples(up.iter().copied()).quantile(0.95);
-            fig15.push(usage::Fig15Point {
-                router,
-                down_capacity_bps: down_cap,
-                down_utilization: p95_down / down_cap,
-                up_capacity_bps: up_cap,
-                up_utilization: p95_up / up_cap,
-            });
-        }
-        let fig14_home = fig15
-            .iter()
-            .filter(|p| p.up_utilization <= 1.0)
-            .min_by(|a, b| {
-                (a.down_utilization - 0.5)
-                    .abs()
-                    .partial_cmp(&(b.down_utilization - 0.5).abs())
-                    .expect("finite")
-            })
-            .map(|p| p.router);
-        let fig14 = fig14_home.and_then(|r| usage::fig14_with(&idx, w.traffic, r));
-        let fig16 = usage::fig16_from(&idx, w.traffic, &fig15);
-        let fig17 = usage::fig17_from_device_bytes(&self.device_bytes);
-        let mut per_home = Vec::new();
-        for meta in idx.routers() {
-            if let Some(tally) = self.domain_bytes.get(&meta.router) {
-                if !tally.is_empty() {
-                    per_home.push((meta.router, tally.clone()));
-                }
-            }
-        }
-        let tallies = usage::DomainTallies { per_home };
-        let fig18 = usage::fig18_from(&tallies);
-        let fig19 = usage::fig19_from(&tallies, 15);
-        let fig20 = usage::fig20_from_device_domains(&self.device_domains, 100 * 1024);
-        let table6 = highlights::table6_from(&fig13, &fig15, &fig17, &fig19);
-
-        // Deployment tables: row-table sets refolded from the
-        // accumulator, columnar sets from the partial state.
-        let table1 = highlights::table1(acc);
-        let heartbeat_routers: HashSet<RouterId> = acc
-            .heartbeats
-            .iter()
-            .filter(|(_, log)| {
-                log.extent()
-                    .is_some_and(|(first, _)| w.heartbeats.contains(first) || first < w.heartbeats.end)
-            })
-            .map(|(r, _)| *r)
-            .collect();
-        let capacity_routers: HashSet<RouterId> =
-            acc.capacity.iter().filter(|r| w.capacity.contains(r.at)).map(|r| r.router).collect();
-        let uptime_routers: HashSet<RouterId> =
-            acc.uptime.iter().filter(|r| w.uptime.contains(r.at)).map(|r| r.router).collect();
-        let devices_routers: HashSet<RouterId> =
-            acc.devices.iter().filter(|r| w.devices.contains(r.at)).map(|r| r.router).collect();
-        let table2 = vec![
-            highlights::table2_row(acc, "Heartbeats", w.heartbeats, &heartbeat_routers),
-            highlights::table2_row(acc, "Capacity", w.capacity, &capacity_routers),
-            highlights::table2_row(acc, "Uptime", w.uptime, &uptime_routers),
-            highlights::table2_row(acc, "Devices", w.devices, &devices_routers),
-            highlights::table2_row(acc, "WiFi", w.wifi, &self.wifi_routers),
-            highlights::table2_row(acc, "Traffic", w.traffic, &self.traffic_routers),
-        ];
-        let latency = latency::by_region_from(acc, &self.latency_samples);
-        let natchar = (self.nat_probes_total > 0).then(|| {
-            natchar::characterize_from_parts(
-                acc,
-                &self.nat_tally,
-                &self.punch_cells,
-                self.nat_probes_total,
-                self.punch_trials_total,
-                &self.nat_ports,
-            )
-        });
-
-        StudyReport {
-            windows: w,
-            routers,
-            fig3,
-            fig4,
-            fig5,
-            fig6,
-            fig7,
-            fig8,
-            fig9,
-            fig10,
-            fig11,
-            fig12,
-            fig13,
-            fig14,
-            fig15,
-            fig16,
-            fig17,
-            fig18,
-            fig19,
-            fig20,
-            table1,
-            table2,
-            table3,
-            table4,
-            table5,
-            table6,
-            coverage,
-            latency,
-            natchar,
         }
     }
 }
@@ -528,17 +519,9 @@ mod tests {
     #[test]
     fn windowed_updates_finalize_to_the_batch_report() {
         const TOTAL_MINS: u64 = 4 * 24 * 60;
-        let span = Window { start: t(0), end: t(TOTAL_MINS) };
-        let windows = ReportWindows {
-            heartbeats: span,
-            uptime: span,
-            devices: span,
-            wifi: span,
-            capacity: span,
-            traffic: span,
-        };
+        let windows = ReportWindows::spanning(Window { start: t(0), end: t(TOTAL_MINS) });
 
-        // Batch: everything through one collector.
+        // One window: every record through one collector, one fold.
         let batch = Collector::new();
         register(&batch);
         for router in 0..3u32 {
@@ -547,7 +530,7 @@ mod tests {
         let data = batch.into_datasets();
         let expected = StudyReport::compute(&data, windows);
 
-        // Stream: the same records split at three uneven window
+        // Four windows: the same records split at three uneven
         // boundaries, each window folded through its own delta snapshot.
         let mut inc = IncrementalReport::new(windows);
         let cuts = [0, 1_000, 1_440, 3_000, TOTAL_MINS];

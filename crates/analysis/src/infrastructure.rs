@@ -11,20 +11,8 @@ use household::{Region, VendorClass};
 use simnet::wifi::Band;
 use std::collections::{HashMap, HashSet};
 
-/// Figure 7: CDF of unique devices per home (from the hourly association
-/// reports within the Devices window).
-pub fn fig7(data: &Datasets, window: Window) -> Cdf {
-    let mut per_home: HashMap<RouterId, HashSet<AnonMac>> = HashMap::new();
-    for assoc in &data.associations {
-        if window.contains(assoc.at) {
-            per_home.entry(assoc.router).or_default().insert(assoc.device);
-        }
-    }
-    fig7_from_sets(&per_home)
-}
-
-/// [`fig7`] from already-collected per-home device sets (shared by the
-/// batch pass above and the stream-mode incremental accumulator).
+/// Figure 7: CDF of unique devices per home, from each home's set of
+/// devices in the hourly association reports within the Devices window.
 pub(crate) fn fig7_from_sets(per_home: &HashMap<RouterId, HashSet<AnonMac>>) -> Cdf {
     Cdf::from_samples(per_home.values().map(|set| set.len() as f64))
 }
@@ -39,14 +27,9 @@ pub struct Fig8 {
     pub developing: (MeanStd, MeanStd),
 }
 
-/// Compute Figure 8 from the census records in `window`.
-pub fn fig8(data: &Datasets, window: Window) -> Fig8 {
-    fig8_with(&DataIndex::new(data), window)
-}
-
-/// [`fig8`] over a prebuilt index: one pass over the censuses with a
-/// run-cached region lookup (the table is router-sorted), instead of a
-/// registration scan per record per region.
+/// Compute Figure 8 from the census records in `window`: one pass over
+/// the censuses with a run-cached region lookup (the table is
+/// router-sorted), instead of a registration scan per record per region.
 pub fn fig8_with(idx: &DataIndex, window: Window) -> Fig8 {
     let mut buckets = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
     let mut current: Option<(RouterId, Option<Region>)> = None;
@@ -106,24 +89,8 @@ pub struct Fig10 {
     pub ghz5: Cdf,
 }
 
-/// Compute Figure 10 from the association reports in `window`.
-pub fn fig10(data: &Datasets, window: Window) -> Fig10 {
-    let mut per_home: HashMap<(RouterId, Band), HashSet<AnonMac>> = HashMap::new();
-    let mut homes: HashSet<RouterId> = HashSet::new();
-    for assoc in &data.associations {
-        if !window.contains(assoc.at) {
-            continue;
-        }
-        homes.insert(assoc.router);
-        if let Some(band) = assoc.medium.band() {
-            per_home.entry((assoc.router, band)).or_default().insert(assoc.device);
-        }
-    }
-    fig10_from_sets(&homes, &per_home)
-}
-
-/// [`fig10`] from already-collected per-band device sets (shared by the
-/// batch pass above and the stream-mode incremental accumulator).
+/// Compute Figure 10 from the homes with association reports in the
+/// Devices window and each home's per-band device sets.
 pub(crate) fn fig10_from_sets(
     homes: &HashSet<RouterId>,
     per_home: &HashMap<(RouterId, Band), HashSet<AnonMac>>,
@@ -145,29 +112,8 @@ pub struct Fig11 {
     pub developing: Cdf,
 }
 
-/// Compute Figure 11 from the WiFi scans in `window`.
-pub fn fig11(data: &Datasets, window: Window) -> Fig11 {
-    fig11_with(&DataIndex::new(data), window)
-}
-
-/// [`fig11`] over a prebuilt index (O(1) region lookups).
-pub fn fig11_with(idx: &DataIndex, window: Window) -> Fig11 {
-    let mut per_home: HashMap<RouterId, HashSet<u64>> = HashMap::new();
-    let mut scanned: HashSet<RouterId> = HashSet::new();
-    for scan in &idx.data().wifi {
-        if !window.contains(scan.at) || scan.band != Band::Ghz24 {
-            continue;
-        }
-        scanned.insert(scan.router);
-        for ap in &scan.aps {
-            per_home.entry(scan.router).or_default().insert(ap.bssid_hash);
-        }
-    }
-    fig11_from_sets(idx, &scanned, &per_home)
-}
-
-/// [`fig11`] from already-collected neighbor-BSSID sets (shared by the
-/// batch pass above and the stream-mode incremental accumulator).
+/// Compute Figure 11 from the homes with 2.4 GHz scans in the WiFi window
+/// and each home's set of neighbor BSSIDs.
 pub(crate) fn fig11_from_sets(
     idx: &DataIndex,
     scanned: &HashSet<RouterId>,
@@ -185,26 +131,8 @@ pub(crate) fn fig11_from_sets(
 }
 
 /// Figure 12: the vendor histogram over Traffic-home devices that moved at
-/// least 100 KB, via OUI lookup on the anonymized MACs.
-pub fn fig12(data: &Datasets) -> Vec<(VendorClass, usize)> {
-    let mut seen: HashSet<(RouterId, u32, u32)> = HashSet::new();
-    let mut counts: HashMap<VendorClass, usize> = HashMap::new();
-    for sighting in &data.macs {
-        if sighting.bytes_total < 100 * 1024 {
-            continue;
-        }
-        if !seen.insert((sighting.router, sighting.device.oui, sighting.device.suffix_hash)) {
-            continue;
-        }
-        if let Some(vendor) = VendorClass::from_oui(sighting.device.oui) {
-            *counts.entry(vendor).or_default() += 1;
-        }
-    }
-    fig12_from_counts(&counts)
-}
-
-/// [`fig12`]'s final ranking from already-deduplicated vendor counts
-/// (shared by the batch pass above and the incremental accumulator).
+/// least 100 KB, ranked from per-vendor counts of distinct devices (the
+/// vendor comes from an OUI lookup on the anonymized MAC).
 pub(crate) fn fig12_from_counts(counts: &HashMap<VendorClass, usize>) -> Vec<(VendorClass, usize)> {
     let mut out: Vec<(VendorClass, usize)> = counts.iter().map(|(&v, &n)| (v, n)).collect();
     out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -225,31 +153,6 @@ pub struct Table5Row {
     pub wireless: usize,
 }
 
-/// Compute Table 5: a device counts as always-connected when it appears in
-/// at least 99% of the home's censuses within the window (the window
-/// approximates the paper's five weeks) and the home has a meaningful
-/// number of censuses.
-pub fn table5(data: &Datasets, window: Window) -> Vec<Table5Row> {
-    table5_with(&DataIndex::new(data), window)
-}
-
-/// [`table5`] over a prebuilt index.
-pub fn table5_with(idx: &DataIndex, window: Window) -> Vec<Table5Row> {
-    let data = idx.data();
-    let census_count = census_counts(data, window);
-    let mut presence: HashMap<(RouterId, u32, u32), (usize, Medium)> = HashMap::new();
-    for assoc in &data.associations {
-        if window.contains(assoc.at) {
-            let entry = presence
-                .entry((assoc.router, assoc.device.oui, assoc.device.suffix_hash))
-                .or_insert((0, assoc.medium));
-            entry.0 += 1;
-            entry.1 = assoc.medium;
-        }
-    }
-    table5_from_parts(idx, window, &census_count, &presence)
-}
-
 /// Census count per home within `window` (Table 5's denominator).
 pub(crate) fn census_counts(data: &Datasets, window: Window) -> HashMap<RouterId, usize> {
     let mut census_count: HashMap<RouterId, usize> = HashMap::new();
@@ -261,12 +164,11 @@ pub(crate) fn census_counts(data: &Datasets, window: Window) -> HashMap<RouterId
     census_count
 }
 
-/// [`table5`]'s row construction from already-folded census counts and
-/// per-device presence tallies. The batch pass above records each
-/// device's *last* medium in association-table order; the incremental
-/// accumulator reproduces that as the medium at the maximal
-/// `(at, medium)` sort key, which is the same record because the table
-/// is sorted by exactly that key within a device's run.
+/// Compute Table 5 from census counts and per-device presence tallies
+/// (association count and last medium within the window): a device
+/// counts as always-connected when it appears in at least 99% of the
+/// home's censuses within the window (the window approximates the
+/// paper's five weeks) and the home has a meaningful number of censuses.
 pub(crate) fn table5_from_parts(
     idx: &DataIndex,
     window: Window,
@@ -336,6 +238,7 @@ pub fn all_four_ports_fraction(data: &Datasets, window: Window) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{ReportWindows, StudyReport};
     use collector::{Collector, RouterMeta};
     use firmware::records::{AssociationRecord, DeviceCensusRecord, Record};
     use firmware::AnonMac;
@@ -348,6 +251,10 @@ mod tests {
 
     fn window(hours_total: u64) -> Window {
         Window { start: SimTime::EPOCH, end: hours(hours_total) }
+    }
+
+    fn report(data: &Datasets, hours_total: u64) -> StudyReport {
+        StudyReport::compute(data, ReportWindows::spanning(window(hours_total)))
     }
 
     fn mac(n: u32) -> AnonMac {
@@ -426,7 +333,7 @@ mod tests {
     #[test]
     fn fig7_unique_devices() {
         let data = synthetic(48);
-        let cdf = fig7(&data, window(48));
+        let cdf = report(&data, 48).fig7;
         assert_eq!(cdf.len(), 2);
         // US home saw 3 distinct devices, India 1.
         assert_eq!(cdf.quantile(1.0), 3.0);
@@ -436,7 +343,7 @@ mod tests {
     #[test]
     fn fig8_region_split() {
         let data = synthetic(48);
-        let fig = fig8(&data, window(48));
+        let fig = report(&data, 48).fig8;
         assert!(fig.developed.0.mean > fig.developing.0.mean, "US has more wired");
         assert!(fig.developed.1.mean > fig.developing.1.mean);
         assert!(fig.developing.1.std > 0.0, "evening-only presence has variance");
@@ -445,14 +352,14 @@ mod tests {
     #[test]
     fn fig9_band_split() {
         let data = synthetic(48);
-        let fig = fig9(&data, window(48));
+        let fig = report(&data, 48).fig9;
         assert!(fig.ghz24.mean > fig.ghz5.mean);
     }
 
     #[test]
     fn fig10_per_band_uniques() {
         let data = synthetic(48);
-        let fig = fig10(&data, window(48));
+        let fig = report(&data, 48).fig10;
         // Homes: US (one 2.4 device, one 5 GHz device), India (one 2.4).
         assert_eq!(fig.ghz24.len(), 2);
         assert_eq!(fig.ghz24.quantile(1.0), 1.0);
@@ -463,7 +370,7 @@ mod tests {
     #[test]
     fn table5_always_connected() {
         let data = synthetic(24 * 8);
-        let rows = table5(&data, window(24 * 8));
+        let rows = report(&data, 24 * 8).table5;
         let developed = rows.iter().find(|r| r.region == Region::Developed).unwrap();
         let developing = rows.iter().find(|r| r.region == Region::Developing).unwrap();
         assert_eq!(developed.total, 1);
@@ -502,7 +409,7 @@ mod tests {
             mk(VendorClass::Samsung.oui(), 4, 10_000), // below 100 KB: dropped
             mk(0x12_34_56, 5, 500_000),                // unknown OUI: dropped
         ]);
-        let hist = fig12(&collector.snapshot());
+        let hist = report(&collector.snapshot(), 1).fig12;
         assert_eq!(hist[0], (VendorClass::Apple, 2));
         assert_eq!(hist[1], (VendorClass::Intel, 1));
         assert_eq!(hist.len(), 2);

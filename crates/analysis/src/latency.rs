@@ -4,12 +4,12 @@
 //! to the platform's companion performance study — but it closes the loop
 //! on the §6.2 bufferbloat discussion with direct evidence.
 
+use crate::index::DataIndex;
 use crate::stats::{median, Cdf};
 use collector::windows::Window;
 use collector::Datasets;
 use firmware::records::RouterId;
 use household::Region;
-use std::collections::HashMap;
 
 /// Per-region latency summary.
 #[derive(Debug, Clone, Copy)]
@@ -25,45 +25,44 @@ pub struct RegionLatency {
     pub homes: usize,
 }
 
-/// Summarize latency per region over `window`.
-pub fn by_region(data: &Datasets, window: Window) -> Vec<RegionLatency> {
-    let mut per_home: HashMap<RouterId, (Vec<f64>, Vec<f64>)> = HashMap::new();
-    for rec in &data.latency {
-        if window.contains(rec.at) {
-            let entry = per_home.entry(rec.router).or_default();
-            entry.0.push(rec.rtt_median.as_secs_f64() * 1e3);
-            entry.1.push(rec.rtt_max.as_secs_f64() * 1e3);
-        }
-    }
-    by_region_from(data, &per_home)
-}
-
-/// [`by_region`] from already-collected per-home RTT sample vectors
-/// (shared by the batch pass above and the stream-mode accumulator).
-/// Every aggregate below is a median, which sorts its inputs, so the
+/// Summarize latency per region over `window`: one pass over each
+/// registered router's latency slice, holding one router's samples at a
+/// time. Every aggregate is a median, which sorts its inputs, so the
 /// result depends only on the per-home sample multisets.
-pub(crate) fn by_region_from(
-    data: &Datasets,
-    per_home: &HashMap<RouterId, (Vec<f64>, Vec<f64>)>,
-) -> Vec<RegionLatency> {
-    let mut out = Vec::new();
-    for region in [Region::Developed, Region::Developing] {
-        let mut medians = Vec::new();
-        let mut peaks = Vec::new();
-        for (router, (med, max)) in per_home {
-            if data.meta(*router).map(|m| m.country.region()) == Some(region) {
-                medians.push(median(med));
-                peaks.push(median(max));
+pub(crate) fn by_region_with(idx: &DataIndex, window: Window) -> Vec<RegionLatency> {
+    // Per region: each home's median RTT and median peak RTT.
+    let mut homes: [(Vec<f64>, Vec<f64>); 2] = Default::default();
+    let mut med = Vec::new();
+    let mut max = Vec::new();
+    for meta in idx.routers() {
+        med.clear();
+        max.clear();
+        for rec in idx.latency(meta.router) {
+            if window.contains(rec.at) {
+                med.push(rec.rtt_median.as_secs_f64() * 1e3);
+                max.push(rec.rtt_max.as_secs_f64() * 1e3);
             }
         }
-        out.push(RegionLatency {
+        if med.is_empty() {
+            continue;
+        }
+        let bucket = match meta.country.region() {
+            Region::Developed => &mut homes[0],
+            Region::Developing => &mut homes[1],
+        };
+        bucket.0.push(median(&med));
+        bucket.1.push(median(&max));
+    }
+    [Region::Developed, Region::Developing]
+        .into_iter()
+        .zip(homes)
+        .map(|(region, (medians, peaks))| RegionLatency {
             region,
             median_rtt_ms: median(&medians),
             median_peak_rtt_ms: median(&peaks),
             homes: medians.len(),
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 /// The bufferbloat stretch for one home: ratio of its p95 max-RTT to its
@@ -93,6 +92,7 @@ pub fn bloat_stretch(data: &Datasets, window: Window, router: RouterId) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{ReportWindows, StudyReport};
     use collector::{Collector, RouterMeta};
     use firmware::latency::LatencyRecord;
     use firmware::records::Record;
@@ -133,7 +133,7 @@ mod tests {
         }
         let data = collector.snapshot();
         let window = Window { start: t(0), end: t(48) };
-        let regions = by_region(&data, window);
+        let regions = StudyReport::compute(&data, ReportWindows::spanning(window)).latency;
         let developed = regions.iter().find(|r| r.region == Region::Developed).unwrap();
         let developing = regions.iter().find(|r| r.region == Region::Developing).unwrap();
         assert!(developing.median_rtt_ms > developed.median_rtt_ms);

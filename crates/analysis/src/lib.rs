@@ -1,7 +1,10 @@
 //! # analysis — every figure and table of the paper, recomputed
 //!
-//! One function per artifact, each consuming only the collected
-//! [`collector::Datasets`] (never simulator ground truth):
+//! One report path: [`IncrementalReport`] folds the collected
+//! [`collector::Datasets`] (never simulator ground truth) with one scan
+//! per table and finishes each artifact with one function. A batch
+//! report ([`StudyReport::compute`]) is that fold over one window; a
+//! stream study folds window by window. The modules:
 //!
 //! * [`availability`] — §4: Figs 3–6, downtime extraction;
 //! * [`infrastructure`] — §5: Figs 7–12, Table 5;
@@ -9,9 +12,9 @@
 //! * [`highlights`] — Tables 1–4 and 6;
 //! * [`index`] — the shared per-router [`DataIndex`] the figures read
 //!   through instead of re-scanning whole tables;
-//! * [`incremental`] — stream-mode [`incremental::IncrementalReport`]:
-//!   per-figure partial state folded window by window, finalized to the
-//!   byte-identical batch report;
+//! * [`incremental`] — [`IncrementalReport`], the report engine:
+//!   per-figure partial state folded delta by delta, then finished into
+//!   a [`StudyReport`];
 //! * [`stats`] — CDFs, quantiles, moments;
 //! * [`artifacts`] — correlated-gap detection separating collector-side
 //!   failures from genuine home downtime (§3.3's limitation, auditable);

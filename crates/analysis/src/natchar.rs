@@ -3,13 +3,13 @@
 //!
 //! The firmware's STUN-style experiment leaves two tables in the
 //! snapshot: `nat_probes` (one classification verdict per probe cycle)
-//! and `punch_trials` (pairwise hole-punch outcomes). This module folds
-//! them into the report's NAT section: the modal NAT type per home, the
-//! deployment-wide type distribution, the CGN detection rate by country,
-//! and the punch-success matrix by NAT-type pair. A scoring helper
-//! compares the detection verdicts against a caller-supplied ground-truth
-//! set, so tests (which do hold the simulator's CGN plan) can grade the
-//! experiment as an instrument.
+//! and `punch_trials` (pairwise hole-punch outcomes). This module turns
+//! their folded tallies into the report's NAT section: the modal NAT type
+//! per home, the deployment-wide type distribution, the CGN detection
+//! rate by country, and the punch-success matrix by NAT-type pair. A
+//! scoring helper compares the detection verdicts against a
+//! caller-supplied ground-truth set, so tests (which do hold the
+//! simulator's CGN plan) can grade the experiment as an instrument.
 
 use collector::Datasets;
 use firmware::records::{NatType, RouterId};
@@ -110,36 +110,11 @@ pub struct NatCharacterization {
     pub trials: usize,
 }
 
-/// Fold the snapshot's probe tables into the NAT section.
-pub fn characterize(data: &Datasets) -> NatCharacterization {
-    // Per-home verdict tallies: counts by type code, plus CGN flags.
-    let mut tally: BTreeMap<RouterId, ([usize; 5], usize, usize)> = BTreeMap::new();
-    let mut ports: BTreeMap<RouterId, BTreeSet<u16>> = BTreeMap::new();
-    for probe in data.nat_probes.iter() {
-        let entry = tally.entry(probe.router).or_insert(([0; 5], 0, 0));
-        entry.0[probe.nat_type.code() as usize] += 1;
-        entry.1 += usize::from(probe.cgn_detected);
-        entry.2 += 1;
-        ports.entry(probe.router).or_default().insert(probe.mapped_port);
-    }
-
-    // Punch matrix: 5×5 cells keyed by (local, peer) wire code.
-    let mut cells: BTreeMap<(u8, u8), (usize, usize)> = BTreeMap::new();
-    let mut trials = 0usize;
-    for trial in data.punch_trials.iter() {
-        let cell = cells.entry((trial.local_type.code(), trial.peer_type.code())).or_insert((0, 0));
-        cell.0 += 1;
-        cell.1 += usize::from(trial.success);
-        trials += 1;
-    }
-
-    characterize_from_parts(data, &tally, &cells, data.nat_probes.len(), trials, &ports)
-}
-
-/// [`characterize`] from already-folded probe tallies — the batch path
-/// builds them in one pass above; the stream-mode accumulator maintains
-/// the same maps across windows (all entries are pure sums and sets, so
-/// fold order cannot matter) and finalizes here.
+/// Build the NAT section from the folded probe tables: per-home verdict
+/// tallies (counts by type code, CGN flags, probes), the punch matrix's
+/// `(attempts, successes)` keyed by (local, peer) wire code, the totals,
+/// and each home's observed mapped ports. Every entry is a pure sum or
+/// set, so the order the probes were folded in cannot matter.
 pub(crate) fn characterize_from_parts(
     data: &Datasets,
     tally: &BTreeMap<RouterId, ([usize; 5], usize, usize)>,
@@ -266,12 +241,20 @@ pub fn score_detection(homes: &[HomeNat], truth_fronted: &BTreeSet<RouterId>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collector::{Collector, RouterMeta};
+    use crate::report::{ReportWindows, StudyReport};
+    use collector::windows::Window;
+    use collector::{Collector, Datasets, RouterMeta};
     use firmware::records::{NatProbeRecord, PunchTrialRecord, Record};
     use simnet::time::{SimDuration, SimTime};
 
     fn t(mins: u64) -> SimTime {
         SimTime::EPOCH + SimDuration::from_mins(mins)
+    }
+
+    /// The report's NAT section over `data` (the section is unwindowed).
+    fn natchar(data: &Datasets) -> NatCharacterization {
+        let windows = ReportWindows::spanning(Window { start: t(0), end: t(2 * 1_440) });
+        StudyReport::compute(data, windows).natchar.expect("probes were collected")
     }
 
     fn probe(router: u32, at: u64, nat_type: NatType, cgn: bool) -> Record {
@@ -318,7 +301,7 @@ mod tests {
     #[test]
     fn characterize_folds_modal_types_and_matrix() {
         let data = snapshot();
-        let nc = characterize(&data);
+        let nc = natchar(&data);
         assert_eq!(nc.probes, 6);
         assert_eq!(nc.trials, 2);
         assert_eq!(nc.homes.len(), 2);
@@ -357,7 +340,7 @@ mod tests {
         // Home 2 was re-leased: its ports span two distant blocks.
         collector.ingest(probe_port(2, 0, 2_050));
         collector.ingest(probe_port(2, 720, 9_000));
-        let nc = characterize(&collector.snapshot());
+        let nc = natchar(&collector.snapshot());
         let pa = &nc.port_allocation;
         assert_eq!(pa.per_home.len(), 2);
         assert_eq!(pa.per_home[0], PortAllocRow {
@@ -378,7 +361,7 @@ mod tests {
         let collector = Collector::new();
         collector.ingest(probe(9, 0, NatType::Symmetric, false));
         collector.ingest(probe(9, 720, NatType::FullCone, false));
-        let nc = characterize(&collector.snapshot());
+        let nc = natchar(&collector.snapshot());
         assert_eq!(nc.homes[0].modal_type, NatType::FullCone);
     }
 
@@ -388,7 +371,7 @@ mod tests {
         // type and a single CGN flag is a detection (1 flag * 2 > 1 probe).
         let collector = Collector::new();
         collector.ingest(probe(5, 0, NatType::Symmetric, true));
-        let nc = characterize(&collector.snapshot());
+        let nc = natchar(&collector.snapshot());
         assert_eq!(nc.homes.len(), 1);
         assert_eq!(nc.homes[0].probes, 1);
         assert_eq!(nc.homes[0].modal_type, NatType::Symmetric);
@@ -409,7 +392,7 @@ mod tests {
         collector.ingest(probe(9, 0, NatType::Symmetric, false));
         collector.ingest(probe(9, 720, NatType::PortRestricted, false));
         collector.ingest(probe(9, 1_440, NatType::Restricted, false));
-        let nc = characterize(&collector.snapshot());
+        let nc = natchar(&collector.snapshot());
         assert_eq!(nc.homes[0].modal_type, NatType::Restricted);
     }
 

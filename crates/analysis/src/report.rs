@@ -1,10 +1,12 @@
-//! The full study report: every figure and table of the paper computed
-//! from a `Datasets` snapshot, plus a text renderer that prints them the
-//! way the paper reports them. `EXPERIMENTS.md` is generated from this.
+//! The full study report: every figure and table of the paper, one field
+//! each, plus a text renderer that prints them the way the paper reports
+//! them. `EXPERIMENTS.md` is generated from this. The fields are computed
+//! by [`IncrementalReport`], the one report engine;
+//! [`StudyReport::compute`] runs it over a whole snapshot at once.
 
 use crate::availability::{self, RouterAvailability};
 use crate::highlights::{self, Table3, Table4, Table6};
-use crate::index::DataIndex;
+use crate::incremental::IncrementalReport;
 use crate::infrastructure;
 use crate::render;
 use crate::usage;
@@ -27,6 +29,20 @@ pub struct ReportWindows {
     pub capacity: Window,
     /// Traffic capture.
     pub traffic: Window,
+}
+
+impl ReportWindows {
+    /// Every data set over the same `span`.
+    pub fn spanning(span: Window) -> ReportWindows {
+        ReportWindows {
+            heartbeats: span,
+            uptime: span,
+            devices: span,
+            wifi: span,
+            capacity: span,
+            traffic: span,
+        }
+    }
 }
 
 /// Every computed result, one field per paper artifact.
@@ -97,231 +113,14 @@ pub struct StudyReport {
     pub natchar: Option<crate::natchar::NatCharacterization>,
 }
 
-/// §4's artifacts, computed as one unit (they all derive from
-/// [`availability::per_router`]).
-struct AvailabilityPart {
-    routers: Vec<RouterAvailability>,
-    fig3: availability::Fig3,
-    fig4: availability::Fig4,
-    fig5: Vec<availability::Fig5Point>,
-    fig6: (
-        Option<firmware::records::RouterId>,
-        Option<firmware::records::RouterId>,
-        Option<firmware::records::RouterId>,
-    ),
-    table3: Table3,
-    coverage: Vec<(household::Country, f64, usize)>,
-}
-
-/// §5's artifacts (Table 4 summarizes Table 5 and Figs 10/11, so it is
-/// computed here from their shared results).
-struct InfrastructurePart {
-    fig7: crate::stats::Cdf,
-    fig8: infrastructure::Fig8,
-    fig9: infrastructure::Fig9,
-    fig10: infrastructure::Fig10,
-    fig11: infrastructure::Fig11,
-    fig12: Vec<(VendorClass, usize)>,
-    table4: Table4,
-    table5: Vec<infrastructure::Table5Row>,
-}
-
-/// §6's artifacts (Figs 18/19 and Table 6 share one domain tally; Figs
-/// 14/16 and Table 6 share one Fig 15 pass).
-struct UsagePart {
-    fig13: usage::Fig13,
-    fig14: Option<usage::Fig14>,
-    fig15: Vec<usage::Fig15Point>,
-    fig16: Vec<usage::Fig14>,
-    fig17: usage::Fig17,
-    fig18: Vec<usage::Fig18Row>,
-    fig19: usage::Fig19,
-    fig20: Vec<usage::Fig20Device>,
-    table6: Table6,
-}
-
-/// The deployment tables and the companion latency summary.
-struct DeploymentPart {
-    table1: Vec<highlights::Table1Row>,
-    table2: Vec<highlights::Table2Row>,
-    latency: Vec<crate::latency::RegionLatency>,
-    natchar: Option<crate::natchar::NatCharacterization>,
-}
-
-/// Compute one artifact while measuring its wall-clock cost into the named
-/// `obs` wall span. The artifact is a pure function of the snapshot and the
-/// span is write-only host profiling (it reaches the manifest's text
-/// summary, never `metrics.json` or the report), so timing cannot perturb
-/// results.
-fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    // simlint: allow(wall-clock) — per-figure host profiling recorded into obs wall spans; never feeds figures or exports
-    let start = std::time::Instant::now();
-    let value = f();
-    obs::wall_span(name).record_micros(start.elapsed().as_micros() as u64);
-    value
-}
-
 impl StudyReport {
-    /// Compute every figure and table from a snapshot.
-    ///
-    /// A shared [`DataIndex`] groups each table by router exactly once,
-    /// and the four independent artifact groups (availability,
-    /// infrastructure, usage, deployment tables) run on scoped threads.
-    /// Each group is internally deterministic, so the parallel report is
-    /// identical to the sequential one.
+    /// Compute every figure and table from a snapshot: the
+    /// [`IncrementalReport`] fold over one window that holds all of
+    /// `data`.
     pub fn compute(data: &Datasets, windows: ReportWindows) -> StudyReport {
-        let idx = &timed("analysis_index", || DataIndex::new(data));
-        let (avail, infra, usage_part, deploy) = crossbeam::scope(|scope| {
-            let avail = scope.spawn(move |_| Self::compute_availability(data, idx, windows));
-            let infra = scope.spawn(move |_| Self::compute_infrastructure(data, idx, windows));
-            let usage_part = scope.spawn(move |_| Self::compute_usage(data, idx, windows));
-            let deploy = scope.spawn(move |_| Self::compute_deployment(data, windows));
-            (
-                avail.join().expect("availability group"),
-                infra.join().expect("infrastructure group"),
-                usage_part.join().expect("usage group"),
-                deploy.join().expect("deployment group"),
-            )
-        })
-        .expect("report compute threads");
-        StudyReport {
-            fig3: avail.fig3,
-            fig4: avail.fig4,
-            fig5: avail.fig5,
-            fig6: avail.fig6,
-            fig7: infra.fig7,
-            fig8: infra.fig8,
-            fig9: infra.fig9,
-            fig10: infra.fig10,
-            fig11: infra.fig11,
-            fig12: infra.fig12,
-            fig13: usage_part.fig13,
-            fig14: usage_part.fig14,
-            fig15: usage_part.fig15,
-            fig16: usage_part.fig16,
-            fig17: usage_part.fig17,
-            fig18: usage_part.fig18,
-            fig19: usage_part.fig19,
-            fig20: usage_part.fig20,
-            table1: deploy.table1,
-            table2: deploy.table2,
-            table3: avail.table3,
-            table4: infra.table4,
-            table5: infra.table5,
-            table6: usage_part.table6,
-            coverage: avail.coverage,
-            latency: deploy.latency,
-            natchar: deploy.natchar,
-            routers: avail.routers,
-            windows,
-        }
-    }
-
-    fn compute_availability(
-        data: &Datasets,
-        idx: &DataIndex,
-        windows: ReportWindows,
-    ) -> AvailabilityPart {
-        let routers =
-            timed("analysis_availability_per_router", || availability::per_router(data, windows.heartbeats));
-        AvailabilityPart {
-            fig3: timed("analysis_fig3", || availability::fig3(&routers)),
-            fig4: timed("analysis_fig4", || availability::fig4(&routers)),
-            fig5: timed("analysis_fig5", || availability::fig5(&routers)),
-            fig6: timed("analysis_fig6", || availability::fig6_archetypes_with(idx, &routers)),
-            table3: timed("analysis_table3", || highlights::table3(&routers)),
-            coverage: timed("analysis_coverage", || {
-                availability::median_coverage_by_country(&routers)
-            }),
-            routers,
-        }
-    }
-
-    fn compute_infrastructure(
-        data: &Datasets,
-        idx: &DataIndex,
-        windows: ReportWindows,
-    ) -> InfrastructurePart {
-        let fig10 = timed("analysis_fig10", || infrastructure::fig10(data, windows.devices));
-        let fig11 = timed("analysis_fig11", || infrastructure::fig11_with(idx, windows.wifi));
-        let table5 =
-            timed("analysis_table5", || infrastructure::table5_with(idx, windows.devices));
-        InfrastructurePart {
-            fig7: timed("analysis_fig7", || infrastructure::fig7(data, windows.devices)),
-            fig8: timed("analysis_fig8", || infrastructure::fig8_with(idx, windows.devices)),
-            fig9: timed("analysis_fig9", || infrastructure::fig9(data, windows.devices)),
-            fig12: timed("analysis_fig12", || infrastructure::fig12(data)),
-            table4: timed("analysis_table4", || {
-                highlights::table4_from(&table5, &fig10, &fig11)
-            }),
-            fig10,
-            fig11,
-            table5,
-        }
-    }
-
-    fn compute_usage(data: &Datasets, idx: &DataIndex, windows: ReportWindows) -> UsagePart {
-        let fig13 = timed("analysis_fig13", || usage::fig13_with(idx, windows.wifi));
-        let fig15 = timed("analysis_fig15", || usage::fig15_with(idx, windows.traffic));
-        // Fig 14 exemplar: an ordinary busy home — meaningful utilization
-        // with clear headroom, as in the paper's example (its Fig 14 home
-        // peaks well below capacity on most days).
-        let fig14_home = fig15
-            .iter()
-            .filter(|p| p.up_utilization <= 1.0)
-            .min_by(|a, b| {
-                (a.down_utilization - 0.5)
-                    .abs()
-                    .partial_cmp(&(b.down_utilization - 0.5).abs())
-                    .expect("finite")
-            })
-            .map(|p| p.router);
-        let fig14 = timed("analysis_fig14", || {
-            fig14_home.and_then(|r| usage::fig14_with(idx, windows.traffic, r))
-        });
-        let fig16 = timed("analysis_fig16", || usage::fig16_from(idx, windows.traffic, &fig15));
-        let fig17 = timed("analysis_fig17", || usage::fig17(data, windows.traffic));
-        let tallies = timed("analysis_domain_tallies", || usage::domain_tallies(idx, windows.traffic));
-        let fig18 = timed("analysis_fig18", || usage::fig18_from(&tallies));
-        let fig19 = timed("analysis_fig19", || usage::fig19_from(&tallies, 15));
-        let table6 =
-            timed("analysis_table6", || highlights::table6_from(&fig13, &fig15, &fig17, &fig19));
-        UsagePart {
-            fig20: timed("analysis_fig20", || usage::fig20(data, windows.traffic, 100 * 1024)),
-            fig13,
-            fig14,
-            fig15,
-            fig16,
-            fig17,
-            fig18,
-            fig19,
-            table6,
-        }
-    }
-
-    fn compute_deployment(data: &Datasets, windows: ReportWindows) -> DeploymentPart {
-        DeploymentPart {
-            table1: timed("analysis_table1", || highlights::table1(data)),
-            table2: timed("analysis_table2", || {
-                highlights::table2(
-                    data,
-                    &[
-                        ("Heartbeats", windows.heartbeats),
-                        ("Capacity", windows.capacity),
-                        ("Uptime", windows.uptime),
-                        ("Devices", windows.devices),
-                        ("WiFi", windows.wifi),
-                        ("Traffic", windows.traffic),
-                    ],
-                )
-            }),
-            latency: timed("analysis_latency", || {
-                crate::latency::by_region(data, windows.heartbeats)
-            }),
-            natchar: timed("analysis_natchar", || {
-                (!data.nat_probes.is_empty()).then(|| crate::natchar::characterize(data))
-            }),
-        }
+        let mut report = IncrementalReport::new(windows);
+        report.update(data);
+        report.finalize(data)
     }
 
     /// Render the whole report as text, figure by figure.

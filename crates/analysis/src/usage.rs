@@ -4,12 +4,10 @@
 use crate::index::DataIndex;
 use crate::stats::{mean, median, Cdf};
 use collector::windows::Window;
-use collector::Datasets;
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::records::RouterId;
 use household::VendorClass;
 use simnet::time::SimTime;
-use simnet::wifi::Band;
 use std::collections::{BTreeMap, HashMap};
 
 /// Figure 13: mean wireless stations per local hour of day, weekday vs
@@ -31,30 +29,11 @@ impl Fig13 {
     }
 }
 
-/// Compute Figure 13 from 2.4 GHz + 5 GHz scan-time station counts.
-pub fn fig13(data: &Datasets, window: Window) -> Fig13 {
-    fig13_with(&DataIndex::new(data), window)
-}
-
-/// [`fig13`] over a prebuilt index (UTC-offset lookups become O(1)).
-pub fn fig13_with(idx: &DataIndex, window: Window) -> Fig13 {
-    // Sum both bands per (router, scan instant), then bucket by local hour.
-    // BTreeMap so the float accumulation below runs in key order — the
-    // sums are exact (small integers) but ordered iteration keeps the
-    // float-accum-order invariant by construction.
-    let mut per_scan: BTreeMap<(RouterId, SimTime), u32> = BTreeMap::new();
-    for scan in &idx.data().wifi {
-        if window.contains(scan.at) {
-            *per_scan.entry((scan.router, scan.at)).or_default() +=
-                u32::from(scan.associated_stations);
-        }
-    }
-    fig13_from_scans(idx, &per_scan)
-}
-
-/// [`fig13`] from an already-summed per-(router, instant) station map —
-/// the batch path builds the map in one pass above; the incremental path
-/// maintains it across stream windows and finalizes here.
+/// Compute Figure 13 from the station counts of the 2.4 GHz and 5 GHz
+/// scans in the WiFi window, summed per (router, scan instant), bucketed
+/// by local hour. The map is a BTreeMap so the float accumulation below
+/// runs in key order — the sums are exact (small integers) but ordered
+/// iteration keeps the float-accum-order invariant by construction.
 pub(crate) fn fig13_from_scans(
     idx: &DataIndex,
     per_scan: &BTreeMap<(RouterId, SimTime), u32>,
@@ -102,22 +81,6 @@ pub struct Fig14 {
     pub down_capacity_bps: f64,
 }
 
-/// Median capacity estimates per router within `window`.
-pub fn capacity_by_router(data: &Datasets, window: Window) -> HashMap<RouterId, (f64, f64)> {
-    let mut samples: HashMap<RouterId, (Vec<f64>, Vec<f64>)> = HashMap::new();
-    for rec in &data.capacity {
-        if window.contains(rec.at) {
-            let entry = samples.entry(rec.router).or_default();
-            entry.0.push(rec.down_bps as f64);
-            entry.1.push(rec.up_bps as f64);
-        }
-    }
-    samples
-        .into_iter()
-        .map(|(router, (down, up))| (router, (median(&down), median(&up))))
-        .collect()
-}
-
 /// Median capacity for one router within `window`, from its index slice.
 pub(crate) fn capacity_of(idx: &DataIndex, window: Window, router: RouterId) -> Option<(f64, f64)> {
     let mut down = Vec::new();
@@ -134,13 +97,8 @@ pub(crate) fn capacity_of(idx: &DataIndex, window: Window, router: RouterId) -> 
     Some((median(&down), median(&up)))
 }
 
-/// Compute Figure 14 for `router` (typically a busy, ordinary home).
-pub fn fig14(data: &Datasets, window: Window, router: RouterId) -> Option<Fig14> {
-    fig14_with(&DataIndex::new(data), window, router)
-}
-
-/// [`fig14`] over a prebuilt index: touches only `router`'s capacity and
-/// packet-stats slices instead of scanning whole tables.
+/// Compute Figure 14 for `router` (typically a busy, ordinary home) from
+/// its capacity and packet-stats slices alone.
 pub fn fig14_with(idx: &DataIndex, window: Window, router: RouterId) -> Option<Fig14> {
     let (down_cap, up_cap) = capacity_of(idx, window, router)?;
     let mut up_series = Vec::new();
@@ -180,14 +138,10 @@ pub struct Fig15Point {
 
 /// Compute Figure 15 over all Traffic homes: only minutes with traffic
 /// count ("we only consider instances when there is some device exchanging
-/// traffic with the Internet").
-pub fn fig15(data: &Datasets, window: Window) -> Vec<Fig15Point> {
-    fig15_with(&DataIndex::new(data), window)
-}
-
-/// [`fig15`] over a prebuilt index: walks each registered router's
+/// traffic with the Internet"). Walks each registered router's
 /// packet-stats slice in ID order, so the output needs no final sort and
-/// the accumulation order is independent of hash layout.
+/// the accumulation order is independent of hash layout; only one
+/// router's samples are held at a time.
 pub fn fig15_with(idx: &DataIndex, window: Window) -> Vec<Fig15Point> {
     let mut out = Vec::new();
     for meta in idx.routers() {
@@ -223,15 +177,8 @@ pub fn fig15_with(idx: &DataIndex, window: Window) -> Vec<Fig15Point> {
 }
 
 /// Figure 16: the homes whose p95 uplink utilization exceeds measured
-/// capacity, with their timeseries.
-pub fn fig16(data: &Datasets, window: Window) -> Vec<Fig14> {
-    let idx = DataIndex::new(data);
-    let points = fig15_with(&idx, window);
-    fig16_from(&idx, window, &points)
-}
-
-/// [`fig16`] when Figure 15's points are already computed — the report
-/// shares one `fig15` result between Figures 14, 15, 16, and Table 6.
+/// capacity, with their timeseries, from Figure 15's points (the report
+/// shares one Figure 15 result between Figures 14, 15, 16, and Table 6).
 pub fn fig16_from(idx: &DataIndex, window: Window, points: &[Fig15Point]) -> Vec<Fig14> {
     points
         .iter()
@@ -251,19 +198,8 @@ pub struct Fig17 {
     pub mean_second_share: f64,
 }
 
-/// Compute Figure 17 from flow records.
-pub fn fig17(data: &Datasets, window: Window) -> Fig17 {
-    let mut per_device: HashMap<(RouterId, AnonMac), u64> = HashMap::new();
-    for flow in &data.flows {
-        if window.contains(flow.ended) {
-            *per_device.entry((flow.router, flow.device)).or_default() += flow.total_bytes();
-        }
-    }
-    fig17_from_device_bytes(&per_device)
-}
-
-/// [`fig17`] from already-summed per-device byte totals (shared by the
-/// batch pass above and the stream-mode incremental accumulator).
+/// Compute Figure 17 from per-device byte totals over the flows in the
+/// Traffic window.
 pub(crate) fn fig17_from_device_bytes(per_device: &HashMap<(RouterId, AnonMac), u64>) -> Fig17 {
     let mut per_home: HashMap<RouterId, Vec<u64>> = HashMap::new();
     for (&(router, _), &bytes) in per_device {
@@ -303,51 +239,17 @@ pub(crate) fn domain_key(d: &ReportedDomain) -> String {
     }
 }
 
-/// One home's domain → (bytes, connections) tally.
+/// One home's domain → (bytes, connections) tally over the flows in the
+/// Traffic window. The map is ordered so the rank sorts below see ties in
+/// one deterministic order however the flows were folded.
 pub type DomainTally = BTreeMap<String, (u64, u64)>;
 
-/// Per-home domain volumes and connection counts, ordered by router so
-/// every figure derived from them accumulates deterministically.
-#[derive(Debug, Clone)]
-pub struct DomainTallies {
-    /// `(router, domain → (bytes, connections))`, sorted by router; homes
-    /// with no flows in the window are absent. The inner map is ordered so
-    /// the rank sorts below see ties in one deterministic order whether
-    /// the tally was built in one batch pass or folded window by window.
-    pub per_home: Vec<(RouterId, DomainTally)>,
-}
-
-/// Tally per-home domain volumes and connection counts once; Figures 18
-/// and 19 and Table 6 all read from the same result.
-pub fn domain_tallies(idx: &DataIndex, window: Window) -> DomainTallies {
-    let mut per_home = Vec::new();
-    for meta in idx.routers() {
-        let mut tally = DomainTally::new();
-        for flow in idx.flows(meta.router) {
-            if window.contains(flow.ended) {
-                let entry = tally.entry(domain_key(&flow.domain)).or_default();
-                entry.0 += flow.total_bytes();
-                entry.1 += 1;
-            }
-        }
-        if !tally.is_empty() {
-            per_home.push((meta.router, tally));
-        }
-    }
-    DomainTallies { per_home }
-}
-
-/// Compute Figure 18 (whitelisted names only, as the paper plots names).
-pub fn fig18(data: &Datasets, window: Window) -> Vec<Fig18Row> {
-    let idx = DataIndex::new(data);
-    fig18_from(&domain_tallies(&idx, window))
-}
-
-/// [`fig18`] from precomputed domain tallies.
-pub fn fig18_from(tallies: &DomainTallies) -> Vec<Fig18Row> {
+/// Compute Figure 18 (whitelisted names only, as the paper plots names)
+/// from the per-home domain tallies, in router order.
+pub fn fig18_from(tallies: &[&DomainTally]) -> Vec<Fig18Row> {
     let mut top5: HashMap<String, usize> = HashMap::new();
     let mut top10: HashMap<String, usize> = HashMap::new();
-    for (_, per_domain) in &tallies.per_home {
+    for per_domain in tallies {
         let mut ranked: Vec<(&String, u64)> =
             per_domain.iter().map(|(d, (bytes, _))| (d, *bytes)).collect();
         ranked.sort_by_key(|(_, bytes)| std::cmp::Reverse(*bytes));
@@ -392,20 +294,14 @@ pub struct Fig19 {
     pub whitelisted_byte_fraction: f64,
 }
 
-/// Compute Figure 19, averaging per-home fractions over the first
-/// `max_rank` ranks.
-pub fn fig19(data: &Datasets, window: Window, max_rank: usize) -> Fig19 {
-    let idx = DataIndex::new(data);
-    fig19_from(&domain_tallies(&idx, window), max_rank)
-}
-
-/// [`fig19`] from precomputed domain tallies.
-pub fn fig19_from(tallies: &DomainTallies, max_rank: usize) -> Fig19 {
+/// Compute Figure 19 from the per-home domain tallies, in router order,
+/// averaging per-home fractions over the first `max_rank` ranks.
+pub fn fig19_from(tallies: &[&DomainTally], max_rank: usize) -> Fig19 {
     let mut vol_shares = vec![Vec::new(); max_rank];
     let mut conn_shares = vec![Vec::new(); max_rank];
     let mut conn_of_vol = vec![Vec::new(); max_rank];
     let mut whitelisted = Vec::new();
-    for (_, per_domain) in &tallies.per_home {
+    for per_domain in tallies {
         let total_bytes: u64 = per_domain.values().map(|(b, _)| *b).sum();
         let total_conns: u64 = per_domain.values().map(|(_, c)| *c).sum();
         if total_bytes == 0 || total_conns == 0 {
@@ -454,23 +350,8 @@ pub struct Fig20Device {
 }
 
 /// Compute the domain mix for every Traffic-home device above a volume
-/// floor; callers pick exemplars (e.g. a streaming box vs a desktop).
-pub fn fig20(data: &Datasets, window: Window, min_bytes: u64) -> Vec<Fig20Device> {
-    let mut per_device: HashMap<(RouterId, AnonMac), HashMap<String, u64>> = HashMap::new();
-    for flow in &data.flows {
-        if window.contains(flow.ended) {
-            *per_device
-                .entry((flow.router, flow.device))
-                .or_default()
-                .entry(domain_key(&flow.domain))
-                .or_default() += flow.total_bytes();
-        }
-    }
-    fig20_from_device_domains(&per_device, min_bytes)
-}
-
-/// [`fig20`] from already-summed per-device domain volumes (shared by
-/// the batch pass above and the stream-mode incremental accumulator).
+/// floor, from per-device domain volumes; callers pick exemplars (e.g. a
+/// streaming box vs a desktop).
 pub(crate) fn fig20_from_device_domains(
     per_device: &HashMap<(RouterId, AnonMac), HashMap<String, u64>>,
     min_bytes: u64,
@@ -521,24 +402,17 @@ pub fn fig20_exemplars(devices: &[Fig20Device]) -> (Option<&Fig20Device>, Option
     (computer, streamer)
 }
 
-/// Hours of the day sorted by weekday activity, used in tests; exposed for
-/// the report renderer.
-pub fn band_label(band: Band) -> &'static str {
-    match band {
-        Band::Ghz24 => "2.4 GHz",
-        Band::Ghz5 => "5 GHz",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collector::{Collector, RouterMeta};
+    use crate::report::{ReportWindows, StudyReport};
+    use collector::{Collector, Datasets, RouterMeta};
     use firmware::records::{FlowRecord, PacketStatsRecord, Record, WifiScanRecord};
     use household::Country;
     use simnet::dns::DomainName;
     use simnet::packet::IpProtocol;
     use simnet::time::SimDuration;
+    use simnet::wifi::Band;
 
     fn t(mins: u64) -> SimTime {
         SimTime::EPOCH + SimDuration::from_mins(mins)
@@ -546,6 +420,10 @@ mod tests {
 
     fn window(days: u64) -> Window {
         Window { start: SimTime::EPOCH, end: SimTime::EPOCH + SimDuration::from_days(days) }
+    }
+
+    fn report(data: &Datasets, days: u64) -> StudyReport {
+        StudyReport::compute(data, ReportWindows::spanning(window(days)))
     }
 
     fn mac(n: u32) -> AnonMac {
@@ -603,7 +481,7 @@ mod tests {
                 associated_stations: stations,
             }));
         }
-        let fig = fig13(&collector.snapshot(), window(7));
+        let fig = report(&collector.snapshot(), 7).fig13;
         assert_eq!(fig.weekday[20], 4.0);
         assert_eq!(fig.weekend[20], 2.0);
         assert_eq!(fig.weekday.iter().sum::<f64>(), 4.0);
@@ -620,7 +498,7 @@ mod tests {
             flow(0, mac(3), clear("google.com"), 1_000, 12),
             flow(1, mac(4), clear("hulu.com"), 500, 13),
         ]);
-        let fig = fig17(&collector.snapshot(), window(1));
+        let fig = report(&collector.snapshot(), 1).fig17;
         assert_eq!(fig.per_home.len(), 2);
         let home0 = &fig.per_home.iter().find(|(r, _)| *r == RouterId(0)).unwrap().1;
         assert!((home0[0] - 0.6).abs() < 0.01);
@@ -637,7 +515,7 @@ mod tests {
             collector.ingest(flow(router, mac(1), clear("netflix.com"), 5_000, 6));
         }
         collector.ingest(flow(0, mac(1), ReportedDomain::Obfuscated(77), 9_000, 7));
-        let rows = fig18(&collector.snapshot(), window(1));
+        let rows = report(&collector.snapshot(), 1).fig18;
         let netflix = rows.iter().find(|r| r.domain == "netflix.com").unwrap();
         assert_eq!(netflix.top5_homes, 3);
         assert!(rows.iter().all(|r| !r.domain.starts_with("anon-")));
@@ -652,7 +530,7 @@ mod tests {
         for i in 0..3 {
             collector.ingest(flow(0, mac(1), clear("google.com"), 667, 6 + i));
         }
-        let fig = fig19(&collector.snapshot(), window(1), 5);
+        let fig = report(&collector.snapshot(), 1).fig19;
         // Volume rank 1 = netflix: 8400/10401 ≈ 0.807 of bytes.
         assert!(fig.volume_share_by_rank[0] > 0.75);
         // Connection rank 1 = google with 3 of 4 connections.
@@ -688,15 +566,15 @@ mod tests {
                 }));
             }
         }
-        let data = collector.snapshot();
-        let points = fig15(&data, window(1));
+        let report = report(&collector.snapshot(), 1);
+        let points = &report.fig15;
         assert_eq!(points.len(), 2);
         let normal = points.iter().find(|p| p.router == RouterId(0)).unwrap();
         let uploader = points.iter().find(|p| p.router == RouterId(1)).unwrap();
         assert!((normal.down_utilization - 0.2).abs() < 0.01);
         assert!(normal.up_utilization < 0.2);
         assert!(uploader.up_utilization > 1.2, "uploader exceeds capacity");
-        let over = fig16(&data, window(1));
+        let over = &report.fig16;
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].router, RouterId(1));
     }
@@ -712,7 +590,7 @@ mod tests {
             flow(0, mac(1), clear("dropbox.com"), 500_000, 7),
             flow(0, mac(1), clear("google.com"), 200_000, 8),
         ]);
-        let devices = fig20(&collector.snapshot(), window(1), 100_000);
+        let devices = report(&collector.snapshot(), 1).fig20;
         assert_eq!(devices.len(), 2);
         let (computer, streamer) = fig20_exemplars(&devices);
         let streamer = streamer.expect("roku found");

@@ -1,7 +1,9 @@
 //! Property-based differential testing for [`analysis::IncrementalReport`]:
 //! for *arbitrary* record soups, *arbitrary* window boundaries, *arbitrary*
 //! ingest orderings, and duplicated records, folding the stream window by
-//! window must finalize to exactly the report a batch recompute produces.
+//! window must finalize to exactly the report the fold over one window
+//! (`StudyReport::compute`) produces. That is the property a fold must
+//! have: any number of cuts gives the bytes of one.
 //!
 //! This is the generalization of the fixed-cut unit test in
 //! `analysis::incremental`: proptest explores the partition space (empty
@@ -212,24 +214,16 @@ proptest! {
             records[slot] = beat;
         }
 
-        let span = Window { start: t(0), end: t(TOTAL_MINS) };
-        let windows = ReportWindows {
-            heartbeats: span,
-            uptime: span,
-            devices: span,
-            wifi: span,
-            capacity: span,
-            traffic: span,
-        };
+        let windows = ReportWindows::spanning(Window { start: t(0), end: t(TOTAL_MINS) });
 
-        // Batch: every record through one collector, one recompute.
+        // One window: every record through one collector, one fold.
         let batch = Collector::new();
         register(&batch);
         batch.ingest_batch(records.clone());
         let data = batch.into_datasets();
         let expected = StudyReport::compute(&data, windows);
 
-        // Stream: the same arrival sequence partitioned at arbitrary cut
+        // N windows: the same arrival sequence partitioned at arbitrary cut
         // points (dedup'd and sorted; empty windows are legal and must be
         // no-ops). Each window's delta feeds `update`, then is absorbed
         // into the accumulated snapshot exactly as `run_study_stream` does.
@@ -259,7 +253,7 @@ proptest! {
 
         // The windowed partition reassembles the batch snapshot exactly...
         prop_assert!(acc == data, "absorbed windows diverged from the batch datasets");
-        // ...and the incremental report finalizes to the batch recompute,
+        // ...and the N-window fold finalizes to the one-window report,
         // byte for byte in its rendered form.
         let streamed = inc.finalize(&acc);
         prop_assert_eq!(expected.render(&data), streamed.render(&acc));

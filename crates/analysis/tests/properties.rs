@@ -3,6 +3,7 @@
 //! ordering, since the collector merges parallel uploads).
 
 use analysis::stats::{mean, median, std_dev, Cdf, MeanStd};
+use analysis::{ReportWindows, StudyReport};
 use collector::windows::Window;
 use collector::{Collector, RouterMeta};
 use firmware::records::{DeviceCensusRecord, Record, RouterId};
@@ -103,16 +104,15 @@ proptest! {
         rng.shuffle(&mut shuffled);
         let a = build(&forward);
         let b = build(&shuffled);
-        let window = Window {
+        let windows = ReportWindows::spanning(Window {
             start: SimTime::EPOCH,
             end: SimTime::EPOCH + SimDuration::from_hours(200),
-        };
-        let fig8_a = analysis::infrastructure::fig8(&a, window);
-        let fig8_b = analysis::infrastructure::fig8(&b, window);
+        });
+        let report_a = StudyReport::compute(&a, windows);
+        let report_b = StudyReport::compute(&b, windows);
+        let (fig8_a, fig8_b) = (&report_a.fig8, &report_b.fig8);
         prop_assert_eq!(fig8_a.developed.0.mean.to_bits(), fig8_b.developed.0.mean.to_bits());
         prop_assert_eq!(fig8_a.developing.1.std.to_bits(), fig8_b.developing.1.std.to_bits());
-        let fig9_a = analysis::infrastructure::fig9(&a, window);
-        let fig9_b = analysis::infrastructure::fig9(&b, window);
-        prop_assert_eq!(fig9_a.ghz24.mean.to_bits(), fig9_b.ghz24.mean.to_bits());
+        prop_assert_eq!(report_a.fig9.ghz24.mean.to_bits(), report_b.fig9.ghz24.mean.to_bits());
     }
 }

@@ -27,22 +27,6 @@ fn bench_event_queue(c: &mut Criterion) {
             black_box(sum)
         })
     });
-    group.bench_function("schedule_cancel_half_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..10_000u64)
-                .map(|i| q.schedule(SimTime::from_micros(i), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
-        })
-    });
     group.finish();
 }
 

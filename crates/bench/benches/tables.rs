@@ -1,4 +1,4 @@
-//! Deployment tables (1–2) and the full-report render path.
+//! Table 1 and the full report's compute and render paths.
 
 use bench::shared::{print_once, report, study, windows};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -17,29 +17,6 @@ fn bench_table1(c: &mut Criterion) {
     });
 }
 
-fn bench_table2(c: &mut Criterion) {
-    let data = &study().datasets;
-    let w = windows();
-    print_once("Table 2: data sets", || {
-        report()
-            .table2
-            .iter()
-            .map(|r| format!("  {:<10} {:>4} routers  {:>3} countries\n", r.dataset, r.routers, r.countries))
-            .collect()
-    });
-    let spec = [
-        ("Heartbeats", w.heartbeats),
-        ("Capacity", w.capacity),
-        ("Uptime", w.uptime),
-        ("Devices", w.devices),
-        ("WiFi", w.wifi),
-        ("Traffic", w.traffic),
-    ];
-    c.bench_function("table2_dataset_summary", |b| {
-        b.iter(|| black_box(analysis::highlights::table2(data, &spec)))
-    });
-}
-
 fn bench_full_report(c: &mut Criterion) {
     let data = &study().datasets;
     let w = windows();
@@ -54,6 +31,6 @@ fn bench_full_report(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_table1, bench_table2, bench_full_report
+    targets = bench_table1, bench_full_report
 );
 criterion_main!(benches);

@@ -533,7 +533,7 @@ mod tests {
         let f = scan("crates/core/src/study.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "wall-clock");
-        assert!(scan("crates/bench/src/bin/e2e.rs", src).is_empty(), "bench crate exempt");
+        assert!(scan("crates/bench/benches/study.rs", src).is_empty(), "bench crate exempt");
     }
 
     #[test]

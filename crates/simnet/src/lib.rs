@@ -51,6 +51,6 @@ pub mod rng;
 pub mod time;
 pub mod wifi;
 
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};

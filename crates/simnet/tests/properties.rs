@@ -232,26 +232,6 @@ proptest! {
     }
 
     #[test]
-    fn event_queue_cancellation_exact(cancel_mask in proptest::collection::vec(any::<bool>(), 1..100)) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = cancel_mask
-            .iter()
-            .enumerate()
-            .map(|(i, _)| q.schedule(SimTime::from_micros(i as u64), i))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, (&cancel, id)) in cancel_mask.iter().zip(&ids).enumerate() {
-            if cancel {
-                prop_assert!(q.cancel(*id));
-            } else {
-                expected.push(i);
-            }
-        }
-        let delivered: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(delivered, expected);
-    }
-
-    #[test]
     fn nat_round_trip_any_flow(host in 2u8..250, sport in 1024u16..65000,
                                dst in arb_ipv4(), dport in 1u16..65000, proto_tcp in any::<bool>()) {
         let wan = Ipv4Addr::new(203, 0, 113, 9);

@@ -19,7 +19,6 @@
 //! ```
 
 use analysis::fingerprint::{evaluate, evaluate_labeled, features, Features};
-use analysis::usage::fig20;
 use bismark::study::{run_study, StudyConfig};
 use household::DeviceType;
 use std::collections::HashMap;
@@ -27,8 +26,8 @@ use std::collections::HashMap;
 fn main() {
     println!("Running a 20-day study for fingerprinting data...");
     let output = run_study(&StudyConfig::quick(77, 20));
-    let windows = output.windows.report_windows();
-    let devices = fig20(&output.datasets, windows.traffic, 200 * 1024);
+    let devices: Vec<_> =
+        output.report().fig20.into_iter().filter(|d| d.total_bytes >= 200 * 1024).collect();
     println!("{} devices with enough traffic to fingerprint.\n", devices.len());
 
     // Experiment 1: vendor labels straight from the OUI.

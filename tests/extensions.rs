@@ -25,8 +25,7 @@ fn latency_dataset_is_regional_and_sane() {
         assert!(rec.rtt_min.as_secs_f64() > 0.005, "RTT above 5 ms");
         assert!(rec.rtt_max.as_secs_f64() < 30.0, "RTT below 30 s");
     }
-    let windows = output.windows.report_windows();
-    let regions = analysis::latency::by_region(&output.datasets, windows.heartbeats);
+    let regions = output.report().latency;
     let developed = regions
         .iter()
         .find(|r| r.region == household::Region::Developed)
@@ -69,8 +68,8 @@ fn caps_manager_accounts_every_traffic_home() {
 #[test]
 fn fingerprinting_beats_chance_on_type_labels() {
     let output = study();
-    let windows = output.windows.report_windows();
-    let devices = analysis::usage::fig20(&output.datasets, windows.traffic, 200 * 1024);
+    let devices: Vec<_> =
+        output.report().fig20.into_iter().filter(|d| d.total_bytes >= 200 * 1024).collect();
     // Survey-style labels: unambiguous OUI matches within each home.
     let mut labeled: Vec<(DeviceType, Features)> = Vec::new();
     for observed in &devices {
