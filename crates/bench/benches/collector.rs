@@ -7,7 +7,7 @@ use collector::{Collector, FlowTable, PacketStatsTable, RouterMeta};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::records::{
-    FlowRecord, HeartbeatRecord, PacketStatsRecord, Record, RouterId, UptimeRecord,
+    FlowRecord, PacketStatsRecord, Record, RouterId, UptimeRecord,
 };
 use household::Country;
 use simnet::packet::IpProtocol;
@@ -105,12 +105,15 @@ fn bench_contended_ingest(c: &mut Criterion) {
                         for r in (t..ROUTERS).step_by(THREADS as usize) {
                             let router = RouterId(r);
                             let shard = collector.shard_handle(router);
+                            let mut stamps = Vec::with_capacity(100);
                             for m in 0..HEARTBEATS {
-                                shard.ingest_heartbeat(HeartbeatRecord { router, at: mins(m) });
+                                stamps.push(mins(m));
                                 if m % 100 == 99 {
+                                    shard.ingest_heartbeats(router, &mut stamps);
                                     collector.ingest_batch(uptime_records(router, 50));
                                 }
                             }
+                            shard.ingest_heartbeats(router, &mut stamps);
                         }
                     });
                 }
@@ -131,9 +134,8 @@ fn bench_snapshot_merge(c: &mut Criterion) {
             let router = RouterId(r);
             let shard = collector.shard_handle(router);
             collector.ingest_batch(uptime_records(router, RECORDS_PER_HOME));
-            for m in (0..RECORDS_PER_HOME).step_by(10) {
-                shard.ingest_heartbeat(HeartbeatRecord { router, at: mins(m) });
-            }
+            let mut stamps: Vec<SimTime> = (0..RECORDS_PER_HOME).step_by(10).map(mins).collect();
+            shard.ingest_heartbeats(router, &mut stamps);
         }
         collector
     };

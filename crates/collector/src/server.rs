@@ -579,16 +579,40 @@ impl Shard {
         Ok(())
     }
 
-    fn ingest_heartbeat(&mut self, rec: HeartbeatRecord) {
-        if !self.downtime.is_empty() && self.downtime_at(rec.at).is_some() {
+    /// Heartbeat admission, the one check every heartbeat path shares: a
+    /// datagram arriving at `at` during announced downtime is dropped and
+    /// counted there first; otherwise one arriving during an outage is
+    /// lost and counted as such.
+    fn admit_heartbeat(&mut self, at: SimTime) -> bool {
+        if !self.downtime.is_empty() && self.downtime_at(at).is_some() {
             self.dropped_in_downtime += 1;
-            return;
+            return false;
         }
-        if !self.outages.is_empty() && self.in_outage(rec.at) {
+        if !self.outages.is_empty() && self.in_outage(at) {
             self.dropped_in_outage += 1;
+            return false;
+        }
+        true
+    }
+
+    fn ingest_heartbeat(&mut self, rec: HeartbeatRecord) {
+        if self.admit_heartbeat(rec.at) {
+            self.tables.heartbeats.entry(rec.router).or_default().push(rec.at);
+        }
+    }
+
+    /// Admit each of `router`'s arrival stamps in turn and log the
+    /// survivors, leaving `stamps` empty. A router none of whose stamps
+    /// survive gets no log.
+    fn ingest_heartbeats(&mut self, router: RouterId, stamps: &mut Vec<SimTime>) {
+        stamps.retain(|&at| self.admit_heartbeat(at));
+        if stamps.is_empty() {
             return;
         }
-        self.tables.heartbeats.entry(rec.router).or_default().push(rec.at);
+        let log = self.tables.heartbeats.entry(router).or_default();
+        for at in stamps.drain(..) {
+            log.push(at);
+        }
     }
 
     fn downtime_at(&self, at: SimTime) -> Option<Window> {
@@ -794,9 +818,16 @@ impl ShardHandle<'_> {
         self.shard.lock().ingest_many(records.drain(..));
     }
 
-    /// Ingest an already-parsed heartbeat record.
-    pub fn ingest_heartbeat(&self, rec: HeartbeatRecord) {
-        self.shard.lock().ingest_heartbeat(rec);
+    /// Hand over `router`'s heartbeat arrival stamps, in arrival order,
+    /// under one lock acquisition. Each stamp is admitted on its own,
+    /// exactly as [`Collector::ingest_heartbeat`] admits one record:
+    /// downtime first, then outage. The buffer is left empty with its
+    /// capacity intact.
+    pub fn ingest_heartbeats(&self, router: RouterId, stamps: &mut Vec<SimTime>) {
+        if stamps.is_empty() {
+            return;
+        }
+        self.shard.lock().ingest_heartbeats(router, stamps);
     }
 
     /// Offer a sequence-numbered batch (plus any gap declarations riding
@@ -953,10 +984,10 @@ impl Collector {
         }
     }
 
-    /// Ingest an already-parsed heartbeat record (the fast path the home
-    /// simulations use for the bulk of the six-month log; a sampled subset
-    /// goes through [`Collector::ingest_heartbeat_wire`] to keep the wire
-    /// path honest).
+    /// Ingest one already-parsed heartbeat record. Home simulations hand
+    /// theirs over in batches instead, through
+    /// [`ShardHandle::ingest_heartbeats`], which admits each stamp the
+    /// same way.
     pub fn ingest_heartbeat(&self, rec: HeartbeatRecord) {
         self.shard(rec.router).lock().ingest_heartbeat(rec);
     }

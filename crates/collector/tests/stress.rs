@@ -87,16 +87,22 @@ fn parallel_shard_ingest_matches_serial() {
             let collector = &parallel;
             scope.spawn(move || {
                 let shard = collector.shard_handle(router);
-                // Interleave heartbeats with small batch uploads so shard
-                // locks are taken and released many times mid-stream while
-                // other homes hammer the same and neighbouring shards.
+                // Interleave small heartbeat hand-overs with small batch
+                // uploads so shard locks are taken and released many times
+                // mid-stream while other homes hammer the same and
+                // neighbouring shards.
                 let mut pending = records_for(router).into_iter().peekable();
+                let mut stamps = Vec::new();
                 for (i, hb) in heartbeats_for(router).into_iter().enumerate() {
-                    shard.ingest_heartbeat(hb);
+                    stamps.push(hb.at);
+                    if i % 10 == 9 {
+                        shard.ingest_heartbeats(router, &mut stamps);
+                    }
                     if i % 100 == 99 {
                         collector.ingest_batch(pending.by_ref().take(20).collect());
                     }
                 }
+                shard.ingest_heartbeats(router, &mut stamps);
                 collector.ingest_batch(pending.collect());
             });
         }

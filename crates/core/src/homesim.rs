@@ -15,7 +15,11 @@
 //!   application sessions (DNS lookup through the gateway resolver, NAT
 //!   translation, then a fluid flow that shares the access link);
 //! * every observation is emitted as a [`firmware::records::Record`] and
-//!   uploaded to the collector in batches.
+//!   uploaded to the collector in batches, except heartbeats: the
+//!   collector stamps those on arrival, so a delivered heartbeat is just
+//!   its arrival stamp, buffered per home and handed over under one lock
+//!   at every flush, at the end of every [`HomeSim::run_until`] segment
+//!   and in [`HomeSim::finish`].
 //!
 //! Homes are mutually independent, so the study runs them on parallel
 //! threads; determinism is preserved because each home derives its own
@@ -31,8 +35,7 @@ use firmware::gateway::Gateway;
 use firmware::heartbeat::Heartbeat;
 use firmware::natprobe::{self, NatType, STUN_SERVERS};
 use firmware::records::{
-    AssociationRecord, CapacityRecord, HeartbeatRecord, Medium, NatProbeRecord, PunchTrialRecord,
-    Record, RouterId,
+    AssociationRecord, CapacityRecord, Medium, NatProbeRecord, PunchTrialRecord, Record, RouterId,
 };
 use firmware::shaperprobe;
 use firmware::traffic::TrafficMonitor;
@@ -51,7 +54,8 @@ use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
 use simnet::wifi::Band;
 
-/// Flush the record buffer to the collector at this size.
+/// Flush the record buffer to the collector at this size. On the direct
+/// path buffered heartbeat stamps count toward it too.
 const FLUSH_THRESHOLD: usize = 50_000;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,6 +202,15 @@ pub struct HomeSim<'a> {
     rng_probe: DetRng,
     rng_upload: DetRng,
     out: Vec<Record>,
+    /// Arrival stamps of delivered heartbeats not yet handed to the
+    /// collector. Heartbeats are datagrams the collector admits or drops
+    /// by their stamp alone (announced downtime, outages), so a later
+    /// hand-over admits each exactly as on arrival. They are never
+    /// spooled or retried, which is what makes collector downtime show
+    /// as correlated heartbeat silence while batch data survives, and
+    /// neither a flash wipe nor a power cut touches this buffer: those
+    /// datagrams had already arrived.
+    heartbeat_stamps: Vec<SimTime>,
     /// Scratch buffer for DNS wire images, reused across lookups.
     dns_wire_buf: Vec<u8>,
     metrics: HomeMetrics,
@@ -300,8 +313,8 @@ impl<'a> HomeSim<'a> {
         // Store-and-forward uploads: accumulate small batches and flush on
         // a 6-hour cadence (staggered per home) instead of waiting for the
         // big direct-flush threshold.
-        let upload_queue =
-            params.reliable_upload.then(|| Uploader::new(UploaderConfig::default()));
+        let upload_config = UploaderConfig::default();
+        let upload_queue = params.reliable_upload.then(|| Uploader::new(upload_config));
         let mut rng_upload = root.derive("upload");
         if params.reliable_upload {
             queue.schedule(
@@ -309,9 +322,6 @@ impl<'a> HomeSim<'a> {
                 Ev::UploadFlush,
             );
         }
-        let out_capacity =
-            upload_queue.as_ref().map_or(FLUSH_THRESHOLD, |u| u.config().batch_records);
-
         let device_state = cfg
             .devices
             .iter()
@@ -358,7 +368,11 @@ impl<'a> HomeSim<'a> {
             rng_session: root.derive("session"),
             rng_probe: probe_rng,
             rng_upload,
-            out: Vec::with_capacity(out_capacity),
+            // Heartbeats, most of all records, never enter `out`, so one
+            // upload batch is the right start in both modes; the rare
+            // home that needs more grows it.
+            out: Vec::with_capacity(upload_config.batch_records),
+            heartbeat_stamps: Vec::new(),
             dns_wire_buf: Vec::with_capacity(128),
             metrics: HomeMetrics {
                 world: simnet::metrics::WorldMetrics::handles(),
@@ -379,6 +393,7 @@ impl<'a> HomeSim<'a> {
     }
 
     fn flush(&mut self, now: SimTime, shard: &collector::ShardHandle<'_>) {
+        shard.ingest_heartbeats(self.gateway.id, &mut self.heartbeat_stamps);
         match self.upload_queue.is_some() {
             // Drain rather than hand off: the buffer keeps its capacity, so
             // the whole run reuses one allocation for record batching.
@@ -488,6 +503,7 @@ impl<'a> HomeSim<'a> {
     /// the collector still announces downtime, its nack says when to retry.
     fn final_drain(&mut self, end: SimTime, shard: &collector::ShardHandle<'_>) {
         let router = self.gateway.id;
+        shard.ingest_heartbeats(router, &mut self.heartbeat_stamps);
         let up = self.upload_queue.as_mut().expect("final_drain runs in fault mode only");
         up.seal(&mut self.out);
         up.seal_gap_carrier();
@@ -525,14 +541,24 @@ impl<'a> HomeSim<'a> {
     /// [`run`]: Self::run
     pub fn run_until(&mut self, until: SimTime, collector: &Collector) {
         let shard = collector.shard_handle(self.gateway.id);
-        let threshold =
-            self.upload_queue.as_ref().map_or(FLUSH_THRESHOLD, |u| u.config().batch_records);
+        // On the direct path a buffered heartbeat stamp counts toward the
+        // threshold as the heartbeat record it replaces did, which keeps
+        // flush and spill-seal points fixed. Uploader batches never carry
+        // heartbeats, so there stamps do not count.
+        let (threshold, stamps_count) = match &self.upload_queue {
+            None => (FLUSH_THRESHOLD, true),
+            Some(up) => (up.config().batch_records, false),
+        };
         while let Some((now, ev)) = self.queue.pop_if_before(until) {
             self.handle(now, ev, &shard);
-            if self.out.len() >= threshold {
+            let stamps = if stamps_count { self.heartbeat_stamps.len() } else { 0 };
+            if self.out.len() + stamps >= threshold {
                 self.flush(now, &shard);
             }
         }
+        // Every heartbeat delivered before the cut reaches the collector
+        // before it is drained at the cut.
+        shard.ingest_heartbeats(self.gateway.id, &mut self.heartbeat_stamps);
     }
 
     /// End-of-study epilogue: tear down live flows so their records are
@@ -593,7 +619,7 @@ impl<'a> HomeSim<'a> {
         match ev {
             Ev::PowerOn => self.on_power_on(now, shard),
             Ev::PowerOff => self.on_power_off(now),
-            Ev::Heartbeat { epoch } => self.on_heartbeat(now, epoch, shard),
+            Ev::Heartbeat { epoch } => self.on_heartbeat(now, epoch),
             Ev::UptimeReport => self.on_uptime(now),
             Ev::CapacityProbe => self.on_capacity_probe(now),
             Ev::Census => self.on_census(now),
@@ -666,7 +692,7 @@ impl<'a> HomeSim<'a> {
         self.uploader_active = false;
     }
 
-    fn on_heartbeat(&mut self, now: SimTime, epoch: u32, shard: &collector::ShardHandle<'_>) {
+    fn on_heartbeat(&mut self, now: SimTime, epoch: u32) {
         if !self.gateway.is_powered() || epoch != self.boot_epoch {
             return; // stale event from a previous boot
         }
@@ -675,10 +701,11 @@ impl<'a> HomeSim<'a> {
         self.metrics.heartbeats_emitted += 1;
         // The packet crosses the uplink (it can be queued behind bulk
         // upload traffic, or dropped if the queue is full), then the WAN
-        // path, where congestion loss applies; it only becomes a record if
-        // the ISP link is up and it survives. The wire image is built and
-        // parsed on a stack buffer only for packets that actually arrive —
-        // emission is pure, so skipping it for lost packets changes nothing.
+        // path, where congestion loss applies; it only arrives if the ISP
+        // link is up and it survives. The wire image is built and parsed
+        // on a stack buffer only for packets that actually arrive —
+        // emission is pure, so skipping it for lost packets changes
+        // nothing. An arrival is buffered as its collector-side stamp.
         if self.is_isp_up(now) {
             if let TxOutcome::Delivered { at } =
                 self.up_link.transmit(now, Heartbeat::wire_len())
@@ -688,21 +715,8 @@ impl<'a> HomeSim<'a> {
                     hb.emit_into(self.cfg.wan_addr, &mut wire);
                     // Collector-side parse: only validated packets count.
                     if let Ok((parsed, _)) = Heartbeat::parse(&wire) {
-                        let rec = HeartbeatRecord {
-                            router: parsed.router,
-                            at: at + self.wan.transit_delay,
-                        };
-                        if self.upload_queue.is_some() {
-                            // Fault mode: heartbeats are datagrams, handed
-                            // to the collector on arrival (and dropped by
-                            // it during announced downtime) rather than
-                            // spooled — that asymmetry is what makes
-                            // collector outages visible as correlated
-                            // heartbeat silence while batch data survives.
-                            shard.ingest_heartbeat(rec);
-                        } else {
-                            self.out.push(Record::Heartbeat(rec));
-                        }
+                        debug_assert_eq!(parsed.router, self.gateway.id);
+                        self.heartbeat_stamps.push(at + self.wan.transit_delay);
                     }
                 }
             }

@@ -28,8 +28,16 @@
 //! deterministic regardless of heap internals. Nothing is ever cancelled
 //! and nothing is scheduled before the clock, so keys never fall below
 //! the last pop: the queue is a monotone `(time, sequence)` queue.
+//!
+//! In front of the heap sits a one-entry slot holding an entry whose key
+//! is below every other pending key. `schedule` fills it when the new key
+//! is the smallest pending one, moving any displaced occupant into the
+//! heap, and every read looks at the slot first. Pop order is therefore
+//! key order by construction, and a handler that reschedules itself
+//! ahead of everything else pending (a once-a-minute heartbeat, a
+//! one-second traffic tick) never touches the heap.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -66,6 +74,9 @@ impl<E> Ord for Entry<E> {
 /// condition.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// When occupied, the entry with the smallest pending key: its key is
+    /// below every key in `heap`.
+    front: Option<Entry<E>>,
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
     now: SimTime,
@@ -80,7 +91,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue positioned at the study epoch.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::EPOCH }
+        EventQueue { front: None, heap: BinaryHeap::new(), next_seq: 0, now: SimTime::EPOCH }
     }
 
     /// Current virtual time: the timestamp of the most recently popped
@@ -91,12 +102,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        usize::from(self.front.is_some()) + self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.front.is_none() && self.heap.is_empty()
     }
 
     /// Schedule `event` at the absolute instant `at`.
@@ -105,13 +116,21 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is before the current virtual time.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "scheduling into the past: {} < {}", at, self.now);
-        self.heap.push(Reverse(Entry { key: (at, self.next_seq), event }));
+        let entry = Entry { key: (at, self.next_seq), event };
         self.next_seq += 1;
-    }
-
-    /// Schedule `event` at `now + delay`.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule(self.now + delay, event)
+        // The new sequence number exceeds every pending one, so the new
+        // key is the smallest exactly when its time is strictly earliest.
+        let smallest = match &self.front {
+            Some(front) => entry.key < front.key,
+            None => self.heap.peek().is_none_or(|Reverse(head)| entry.key < head.key),
+        };
+        if smallest {
+            if let Some(displaced) = self.front.replace(entry) {
+                self.heap.push(Reverse(displaced));
+            }
+        } else {
+            self.heap.push(Reverse(entry));
+        }
     }
 
     /// Pop the next event if its timestamp is strictly before `end`,
@@ -122,7 +141,10 @@ impl<E> EventQueue<E> {
         if self.peek_time()? >= end {
             return None;
         }
-        let Reverse(entry) = self.heap.pop().expect("peeked entry exists");
+        let entry = match self.front.take() {
+            Some(front) => front,
+            None => self.heap.pop().expect("peeked entry exists").0,
+        };
         let at = entry.key.0;
         debug_assert!(at >= self.now, "event queue time went backwards");
         self.now = at;
@@ -136,26 +158,17 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(entry)| entry.key.0)
-    }
-
-    /// Advance the clock to `to` without delivering anything.
-    ///
-    /// # Panics
-    /// Panics if `to` is in the past or if an event is pending before
-    /// `to` (skipping scheduled work is a simulation bug).
-    pub fn fast_forward(&mut self, to: SimTime) {
-        assert!(to >= self.now, "fast_forward into the past");
-        if let Some(at) = self.peek_time() {
-            assert!(at >= to, "fast_forward would skip a pending event at {}", at);
+        match &self.front {
+            Some(front) => Some(front.key.0),
+            None => self.heap.peek().map(|Reverse(entry)| entry.key.0),
         }
-        self.now = to;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Ev {
@@ -223,36 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(t(100), Ev::A);
-        q.pop().unwrap();
-        q.schedule_after(SimDuration::from_micros(5), Ev::B);
-        assert_eq!(q.pop(), Some((t(105), Ev::B)));
-    }
-
-    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_in_past_panics() {
         let mut q = EventQueue::new();
         q.schedule(t(100), Ev::A);
         q.pop().unwrap();
         q.schedule(t(50), Ev::B);
-    }
-
-    #[test]
-    fn fast_forward_moves_clock() {
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        q.fast_forward(t(500));
-        assert_eq!(q.now(), t(500));
-    }
-
-    #[test]
-    #[should_panic(expected = "would skip a pending event")]
-    fn fast_forward_cannot_skip_events() {
-        let mut q = EventQueue::new();
-        q.schedule(t(10), Ev::A);
-        q.fast_forward(t(20));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 //! spill vs unbounded, stream vs batch), so a change that moves both
 //! sides passes them all. Each row of `golden.tsv` runs `bismark-study`
 //! in its own process, so the process-wide `obs` registry starts empty,
-//! and compares FNV-1a-64 digests of the run's three outputs with the
-//! committed ones: the rendered report, the JSON public export, and
+//! and compares FNV-1a-64 digests of the run's outputs with the
+//! committed ones: the rendered report, the JSON public export,
 //! `metrics.json` without its `spill_*` keys (`spill_merge_fanin`
-//! depends on how worker threads interleave their seals).
+//! depends on how worker threads interleave their seals), and, for a
+//! streamed row, its per-window manifests `metrics.wNNNN.json` in name
+//! order, cut the same way. A batch row writes no window manifests and
+//! holds `-` in that column. Window manifests pin what each window's
+//! drain read, which the final outputs cannot: a record handed to the
+//! collector one window late still lands in the same final datasets.
 //!
 //! On a mismatch the test prints every row's actual line. When a change
 //! is meant to move the output, paste those lines into `golden.tsv` and
@@ -27,13 +32,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// One committed row: a name, the CLI arguments, and the digests of the
-/// report, the export and the filtered `metrics.json`.
+/// One committed row: a name, the CLI arguments, the digests of the
+/// report, the export and the filtered `metrics.json`, and the digest of
+/// the filtered window manifests (`None` for a batch row).
 struct Row {
     name: &'static str,
     args: &'static str,
-    digests: [u64; 3],
+    digests: Digests,
 }
+
+/// Report, export and metrics digests, then the window-manifest digest.
+type Digests = ([u64; 3], Option<u64>);
 
 fn rows() -> Vec<Row> {
     GOLDEN
@@ -41,9 +50,10 @@ fn rows() -> Vec<Row> {
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
         .map(|l| {
             let f: Vec<&str> = l.split('\t').collect();
-            assert_eq!(f.len(), 5, "golden row needs five tab-separated fields: {l:?}");
+            assert_eq!(f.len(), 6, "golden row needs six tab-separated fields: {l:?}");
             let hex = |s: &str| u64::from_str_radix(s, 16).expect("golden digests are hex");
-            Row { name: f[0], args: f[1], digests: [hex(f[2]), hex(f[3]), hex(f[4])] }
+            let windows = (f[5] != "-").then(|| hex(f[5]));
+            Row { name: f[0], args: f[1], digests: ([hex(f[2]), hex(f[3]), hex(f[4])], windows) }
         })
         .collect()
 }
@@ -86,8 +96,10 @@ fn read(path: &Path) -> Vec<u8> {
 }
 
 /// Run one row's study and digest its outputs.
-fn digests(row: &Row) -> [u64; 3] {
+fn digests(row: &Row) -> Digests {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden").join(row.name);
+    // Start empty, so no window manifest of an earlier run is digested.
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create the row's output dir");
     let (report, export, metrics) =
         (dir.join("report.txt"), dir.join("export.json"), dir.join("metrics.json"));
@@ -107,8 +119,19 @@ fn digests(row: &Row) -> [u64; 3] {
         row.name,
         String::from_utf8_lossy(&out.stderr)
     );
-    let metrics = String::from_utf8(read(&metrics)).expect("metrics.json is UTF-8");
-    [fnv1a(&read(&report)), fnv1a(&read(&export)), fnv1a(without_spill_keys(&metrics).as_bytes())]
+    let filtered = |path: &Path| {
+        without_spill_keys(&String::from_utf8(read(path)).expect("a manifest is UTF-8"))
+    };
+    let mut windows: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("list the row's output dir")
+        .map(|entry| entry.expect("read a dir entry").path())
+        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("metrics.w")))
+        .collect();
+    windows.sort();
+    let window_digest = (!windows.is_empty())
+        .then(|| fnv1a(windows.iter().map(|p| filtered(p)).collect::<String>().as_bytes()));
+    let metrics = filtered(&metrics);
+    ([fnv1a(&read(&report)), fnv1a(&read(&export)), fnv1a(metrics.as_bytes())], window_digest)
 }
 
 /// Run every row whose arguments do (`full`) or do not ask for `--full`
@@ -119,12 +142,14 @@ fn check(full: bool) {
     let mut moved = Vec::new();
     let mut actual = String::new();
     for row in &rows {
-        let [report, export, metrics] = digests(row);
-        if [report, export, metrics] != row.digests {
+        let got = digests(row);
+        if got != row.digests {
             moved.push(row.name);
         }
+        let ([report, export, metrics], windows) = got;
+        let windows = windows.map_or_else(|| "-".to_string(), |w| format!("{w:016x}"));
         actual.push_str(&format!(
-            "{}\t{}\t{report:016x}\t{export:016x}\t{metrics:016x}\n",
+            "{}\t{}\t{report:016x}\t{export:016x}\t{metrics:016x}\t{windows}\n",
             row.name, row.args
         ));
     }
