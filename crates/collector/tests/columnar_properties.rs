@@ -9,13 +9,21 @@
 //! semantics the collector has always had — all chunks' rows, stably
 //! sorted by (router, per-table subkey).
 
-use collector::{DnsTable, FlowTable, PacketStatsTable};
+use collector::{
+    AssociationTable, DnsTable, FlowTable, LatencyTable, MacTable, NatProbeTable,
+    PacketStatsTable, PunchTrialTable, WifiTable,
+};
 use firmware::anonymize::{AnonMac, ReportedDomain};
-use firmware::records::{DnsSampleRecord, FlowRecord, PacketStatsRecord, RouterId};
+use firmware::records::{
+    ApSighting, AssociationRecord, DnsSampleRecord, FlowRecord, LatencyRecord, MacSightingRecord,
+    Medium, NatProbeRecord, NatType, PacketStatsRecord, PunchTrialRecord, RouterId,
+    WifiScanRecord,
+};
 use proptest::prelude::*;
 use simnet::dns::DomainName;
 use simnet::packet::IpProtocol;
-use simnet::time::SimTime;
+use simnet::time::{SimDuration, SimTime};
+use simnet::wifi::Band;
 
 /// Compact generated form of one flow: (router, start µs, duration µs,
 /// device seed, domain selector, bytes). Expanded by [`flow_from`].
@@ -94,6 +102,136 @@ fn specs() -> impl Strategy<Value = Vec<FlowSpec>> {
         (0u32..6, 0u64..20_000_000_000, 0u64..8_000_000_000, 0u8..20, 0u8..16, 0u64..1 << 40),
         0..200,
     )
+}
+
+/// Compact generated form of one record of the other six tables:
+/// (router, time µs, a full-range `u64`, a selector, a flag, AP
+/// sightings). The selector picks devices, media and NAT types; the wide
+/// value crosses every narrow lane's escape threshold.
+type RecordSpec = (u32, u64, u64, u8, bool, Vec<(u64, u8, i8)>);
+
+/// Times mix exact ties (so merges must be stable) with spread-out,
+/// out-of-order and far-apart arrivals.
+fn record_specs() -> impl Strategy<Value = Vec<RecordSpec>> {
+    proptest::collection::vec(
+        (
+            0u32..6,
+            prop_oneof![0u64..4, 0u64..20_000_000_000],
+            any::<u64>(),
+            any::<u8>(),
+            any::<bool>(),
+            proptest::collection::vec((any::<u64>(), any::<u8>(), any::<i8>()), 0..4),
+        ),
+        0..120,
+    )
+}
+
+fn nat_type(selector: u8) -> NatType {
+    NatType::ALL[usize::from(selector) % NatType::ALL.len()]
+}
+
+fn mac_from(spec: &RecordSpec) -> MacSightingRecord {
+    let (router, at_us, wide, sel, _, _) = *spec;
+    MacSightingRecord {
+        router: RouterId(router),
+        first_seen: SimTime::from_micros(at_us),
+        device: device_from(sel),
+        bytes_total: wide,
+    }
+}
+
+fn wifi_from(spec: &RecordSpec) -> WifiScanRecord {
+    let (router, at_us, _, sel, flag, ref aps) = *spec;
+    WifiScanRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        band: if flag { Band::Ghz5 } else { Band::Ghz24 },
+        aps: aps
+            .iter()
+            .map(|&(bssid_hash, channel_number, signal_dbm)| ApSighting {
+                bssid_hash,
+                channel_number,
+                signal_dbm,
+            })
+            .collect(),
+        associated_stations: sel,
+    }
+}
+
+fn association_from(spec: &RecordSpec) -> AssociationRecord {
+    let (router, at_us, _, sel, _, _) = *spec;
+    AssociationRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        device: device_from(sel / 3),
+        medium: [Medium::Wired, Medium::Wireless24, Medium::Wireless5][usize::from(sel % 3)],
+    }
+}
+
+fn latency_from(spec: &RecordSpec) -> LatencyRecord {
+    let (router, at_us, wide, sel, _, _) = *spec;
+    LatencyRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        rtt_min: SimDuration::from_micros(wide % 8_000_000_000),
+        rtt_median: SimDuration::from_micros(wide / 2),
+        rtt_max: SimDuration::from_micros(wide),
+        lost: sel,
+    }
+}
+
+fn nat_probe_from(spec: &RecordSpec) -> NatProbeRecord {
+    let (router, at_us, wide, sel, flag, _) = *spec;
+    NatProbeRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        nat_type: nat_type(sel),
+        mapped_ip_hash: wide,
+        mapped_port: (wide >> 48) as u16,
+        cgn_detected: flag,
+    }
+}
+
+fn punch_trial_from(spec: &RecordSpec) -> PunchTrialRecord {
+    let (router, at_us, wide, sel, flag, _) = *spec;
+    PunchTrialRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        peer: RouterId(wide as u32),
+        local_type: nat_type(sel),
+        peer_type: nat_type(sel / 5),
+        success: flag,
+    }
+}
+
+fn expand<T>(specs: &[RecordSpec], record: fn(&RecordSpec) -> T) -> Vec<T> {
+    specs.iter().map(record).collect()
+}
+
+/// Push `rows` into a `$Table` and into two router-parity shards, then
+/// check iteration, per-router access and the shard merge against the
+/// row model; the merge's row-table twin is a stable sort by
+/// (router, `$key`).
+macro_rules! prop_assert_matches_rows {
+    ($Table:ty, $rows:expr, |$r:ident| $key:expr) => {{
+        let rows = $rows;
+        let mut table = <$Table>::default();
+        let mut shards = [<$Table>::default(), <$Table>::default()];
+        for r in &rows {
+            table.push(r.clone());
+            shards[(r.router.0 % 2) as usize].push(r.clone());
+        }
+        prop_assert_eq!(table.len(), rows.len());
+        prop_assert_eq!(table.iter().collect::<Vec<_>>(), row_model(&rows, |r| r.router));
+        for router in (0..6).map(RouterId) {
+            let expect: Vec<_> = rows.iter().filter(|r| r.router == router).cloned().collect();
+            prop_assert_eq!(table.router(router).collect::<Vec<_>>(), expect);
+        }
+        let merged = <$Table>::merge(Vec::from(shards));
+        let mut legacy = rows.clone();
+        legacy.sort_by_key(|$r| ($r.router, $key));
+        prop_assert_eq!(merged.iter().collect::<Vec<_>>(), legacy);
+    }};
 }
 
 proptest! {
@@ -179,5 +317,20 @@ proptest! {
         let merged = FlowTable::merge(vec![shard_a, shard_b]);
         let back: Vec<FlowRecord> = merged.iter().collect();
         prop_assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn other_six_tables_round_trip_and_merge_like_their_rows(specs in record_specs()) {
+        let s = &specs;
+        prop_assert_matches_rows!(MacTable, expand(s, mac_from), |r| (r.first_seen, r.device));
+        prop_assert_matches_rows!(WifiTable, expand(s, wifi_from), |r| (r.at, r.band));
+        prop_assert_matches_rows!(
+            AssociationTable,
+            expand(s, association_from),
+            |r| (r.at, r.device, r.medium)
+        );
+        prop_assert_matches_rows!(LatencyTable, expand(s, latency_from), |r| r.at);
+        prop_assert_matches_rows!(NatProbeTable, expand(s, nat_probe_from), |r| r.at);
+        prop_assert_matches_rows!(PunchTrialTable, expand(s, punch_trial_from), |r| (r.at, r.peer));
     }
 }

@@ -445,12 +445,26 @@ pub fn reset() {
     });
 }
 
+/// FNV-1a, 64-bit: a digest that stays stable across Rust releases,
+/// unlike std's hasher, for pinning output bytes in committed tests.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Tests share the process-global registry; each uses unique metric
     // names so parallel execution cannot interfere.
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn counter_accumulates_and_survives_in_snapshot() {

@@ -19,18 +19,12 @@
 //! is meant to move the output, paste those lines into `golden.tsv` and
 //! name the cause in the commit message.
 
+use obs::fnv1a64;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_bismark-study");
 const GOLDEN: &str = include_str!("golden.tsv");
-
-/// FNV-1a, 64-bit: stable across Rust releases, unlike std's hasher.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// One committed row: a name, the CLI arguments, the digests of the
 /// report, the export and the filtered `metrics.json`, and the digest of
@@ -129,9 +123,9 @@ fn digests(row: &Row) -> Digests {
         .collect();
     windows.sort();
     let window_digest = (!windows.is_empty())
-        .then(|| fnv1a(windows.iter().map(|p| filtered(p)).collect::<String>().as_bytes()));
+        .then(|| fnv1a64(windows.iter().map(|p| filtered(p)).collect::<String>().as_bytes()));
     let metrics = filtered(&metrics);
-    ([fnv1a(&read(&report)), fnv1a(&read(&export)), fnv1a(metrics.as_bytes())], window_digest)
+    ([fnv1a64(&read(&report)), fnv1a64(&read(&export)), fnv1a64(metrics.as_bytes())], window_digest)
 }
 
 /// Run every row whose arguments do (`full`) or do not ask for `--full`
