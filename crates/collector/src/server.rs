@@ -3,9 +3,12 @@
 //! collected for analysis. The paper's six data sets are stored as 14
 //! tables ([`Datasets`]): registration, heartbeat run logs, four row
 //! tables (uptime, capacity, device censuses, the upload-gap ledger), the
-//! announced downtime, and nine columnar tables ([`crate::columns`]). The
-//! nine columnar tables are listed once, in `columnar_tables!`; sealing,
-//! merging, sizing and absorbing them is generated from that list.
+//! announced downtime, and nine columnar tables ([`crate::columns`], each
+//! declared once there). The nine columnar tables are listed once here,
+//! in `columnar_tables!`; sealing, merging, sizing and absorbing them is
+//! generated from that list. A shard's spill estimate grows by what each
+//! table reports for the record it routes (`resident_bytes`), so the
+//! estimate follows the column declarations.
 //!
 //! The server shards its mutable state by router: each [`RouterId`] maps to
 //! one of [`NUM_SHARDS`] independently locked shards, so home simulations
@@ -45,22 +48,6 @@ pub const NUM_SHARDS: usize = 128;
 fn shard_index(router: RouterId) -> usize {
     router.0 as usize % NUM_SHARDS
 }
-
-/// Per-record growth estimates (bytes) for the nine columnar tables,
-/// accumulated on the ingest path to decide when a shard crosses its spill
-/// budget. These match the steady-state per-record costs documented in
-/// [`crate::columns`], keeping the running estimate within a few percent of
-/// `heap_bytes()` without walking the tables per record.
-const EST_PACKET_STATS: usize = 28;
-const EST_FLOW: usize = 40;
-const EST_DNS: usize = 18;
-const EST_MAC: usize = 16;
-const EST_WIFI_BASE: usize = 10;
-const EST_WIFI_AP: usize = 10;
-const EST_ASSOCIATION: usize = 14;
-const EST_LATENCY: usize = 19;
-const EST_NAT_PROBE: usize = 16;
-const EST_PUNCH_TRIAL: usize = 12;
 
 /// The nine columnar tables of [`Datasets`], listed once, in the order a
 /// seal encodes them into a segment. `columnar_tables!(m)` expands to
@@ -434,8 +421,9 @@ struct Shard {
     seq: BTreeMap<RouterId, SeqState>,
     /// Delivery accounting for the batch upload path.
     counters: UploadCounters,
-    /// Estimated resident heap bytes of the nine columnar tables, grown by
-    /// per-record constants on the ingest path and reset at each seal.
+    /// Estimated resident heap bytes of the nine columnar tables, grown on
+    /// the ingest path by each table's `resident_bytes` (its columns'
+    /// steady-state bytes per value) and reset at each seal.
     columnar_est: usize,
     /// Out-of-core state; `None` (the default) runs fully in memory.
     spill: Option<ShardSpill>,
@@ -477,39 +465,39 @@ impl Shard {
             Record::Capacity(r) => t.capacity.push(r),
             Record::DeviceCensus(r) => t.devices.push(r),
             Record::WifiScan(r) => {
-                self.columnar_est += EST_WIFI_BASE + EST_WIFI_AP * r.aps.len();
+                self.columnar_est += WifiTable::resident_bytes(&r);
                 t.wifi.push(r);
             }
             Record::PacketStats(r) => {
-                self.columnar_est += EST_PACKET_STATS;
+                self.columnar_est += PacketStatsTable::resident_bytes(&r);
                 t.packet_stats.push(r);
             }
             Record::Flow(r) => {
-                self.columnar_est += EST_FLOW;
+                self.columnar_est += FlowTable::resident_bytes(&r);
                 t.flows.push(r);
             }
             Record::DnsSample(r) => {
-                self.columnar_est += EST_DNS;
+                self.columnar_est += DnsTable::resident_bytes(&r);
                 t.dns.push(r);
             }
             Record::MacSighting(r) => {
-                self.columnar_est += EST_MAC;
+                self.columnar_est += MacTable::resident_bytes(&r);
                 t.macs.push(r);
             }
             Record::Association(r) => {
-                self.columnar_est += EST_ASSOCIATION;
+                self.columnar_est += AssociationTable::resident_bytes(&r);
                 t.associations.push(r);
             }
             Record::Latency(r) => {
-                self.columnar_est += EST_LATENCY;
+                self.columnar_est += LatencyTable::resident_bytes(&r);
                 t.latency.push(r);
             }
             Record::NatProbe(r) => {
-                self.columnar_est += EST_NAT_PROBE;
+                self.columnar_est += NatProbeTable::resident_bytes(&r);
                 t.nat_probes.push(r);
             }
             Record::PunchTrial(r) => {
-                self.columnar_est += EST_PUNCH_TRIAL;
+                self.columnar_est += PunchTrialTable::resident_bytes(&r);
                 t.punch_trials.push(r);
             }
         }
