@@ -527,7 +527,7 @@ mod tests {
         for router in 0..3u32 {
             batch.ingest_batch(records(router, 0, TOTAL_MINS));
         }
-        let data = batch.into_datasets();
+        let data = batch.drain_delta();
         let expected = StudyReport::compute(&data, windows);
 
         // Four windows: the same records split at three uneven
@@ -540,7 +540,7 @@ mod tests {
             for router in 0..3u32 {
                 delta.ingest_batch(records(router, pair[0], pair[1]));
             }
-            inc.update(&delta.into_datasets());
+            inc.update(&delta.drain_delta());
         }
         let streamed = inc.finalize(&data);
 

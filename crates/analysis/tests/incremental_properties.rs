@@ -220,7 +220,7 @@ proptest! {
         let batch = Collector::new();
         register(&batch);
         batch.ingest_batch(records.clone());
-        let data = batch.into_datasets();
+        let data = batch.drain_delta();
         let expected = StudyReport::compute(&data, windows);
 
         // N windows: the same arrival sequence partitioned at arbitrary cut
@@ -246,7 +246,7 @@ proptest! {
                     .cloned()
                     .collect(),
             );
-            let delta = delta.into_datasets();
+            let delta = delta.drain_delta();
             inc.update(&delta);
             acc.absorb(delta, &mut absorber);
         }

@@ -118,13 +118,13 @@ fn bench_contended_ingest(c: &mut Criterion) {
                     });
                 }
             });
-            black_box(collector.into_datasets().record_count())
+            black_box(collector.drain_delta().record_count())
         })
     });
     group.finish();
 }
 
-/// Snapshot (clone + merge) vs consuming merge over a full-deployment-sized
+/// Snapshot (clone + merge) vs draining merge over a full-deployment-sized
 /// collector: 126 homes, 5k records each, spread over all shards.
 fn bench_snapshot_merge(c: &mut Criterion) {
     const ROUTERS: u32 = 126;
@@ -145,10 +145,10 @@ fn bench_snapshot_merge(c: &mut Criterion) {
     group.bench_function("snapshot", |b| {
         b.iter(|| black_box(live.snapshot().record_count()))
     });
-    group.bench_function("into_datasets", |b| {
+    group.bench_function("drain_delta", |b| {
         b.iter_batched(
             filled,
-            |collector| black_box(collector.into_datasets().record_count()),
+            |collector| black_box(collector.drain_delta().record_count()),
             BatchSize::LargeInput,
         )
     });
@@ -226,7 +226,7 @@ fn bench_index_from_columns(c: &mut Criterion) {
             collector.ingest(Record::Flow(flow_record(router, m)));
         }
     }
-    let datasets = collector.into_datasets();
+    let datasets = collector.drain_delta();
     let mut group = c.benchmark_group("columnar_index_126x4k");
     group.sample_size(20);
     group.bench_function("data_index_new", |b| {

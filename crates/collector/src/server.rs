@@ -1029,7 +1029,7 @@ impl Collector {
     /// ingestion. Records are cloned out of each shard and merged sorted by
     /// (router, time), so snapshots are deterministic regardless of the
     /// upload interleaving across home threads. Finished callers should
-    /// prefer [`Collector::into_datasets`], which skips the clone.
+    /// prefer [`Collector::drain_delta`], which skips the clone.
     ///
     /// Panics if a spilled run's segment merge hits an I/O error; use
     /// [`Collector::try_snapshot`] to handle that case. In-memory runs
@@ -1042,27 +1042,6 @@ impl Collector {
     /// instead of panicking. Always `Ok` when spilling is disabled.
     pub fn try_snapshot(&self) -> Result<Datasets, SpillError> {
         self.try_extract(Extract::Clone)
-    }
-
-    /// Consume the collector and merge every shard into one sorted
-    /// [`Datasets`] without cloning a single record: the same take path
-    /// as [`Collector::drain_delta`], on a collector nobody ingests into
-    /// again. The per-table merges run on scoped threads, and shards that
-    /// are already internally ordered with disjoint router ranges (the
-    /// steady-state shape, since every router maps to one shard and emits
-    /// chronologically) concatenate in O(n) instead of re-sorting.
-    ///
-    /// Panics if a spilled run's segment merge hits an I/O error; use
-    /// [`Collector::try_into_datasets`] to handle that case. In-memory
-    /// runs (the default) cannot fail.
-    pub fn into_datasets(self) -> Datasets {
-        merged_or_panic(self.try_into_datasets(), "while finalizing datasets")
-    }
-
-    /// Fallible [`Collector::into_datasets`]: surfaces spill-merge I/O
-    /// errors instead of panicking. Always `Ok` when spilling is disabled.
-    pub fn try_into_datasets(self) -> Result<Datasets, SpillError> {
-        self.try_extract(Extract::Take)
     }
 
     /// Drain everything applied behind the per-router watermarks since
@@ -1083,7 +1062,7 @@ impl Collector {
     /// Panics if a spilled delta's segment merge hits an I/O error; use
     /// [`Collector::try_drain_delta`] to handle that case.
     pub fn drain_delta(&self) -> Datasets {
-        merged_or_panic(self.try_drain_delta(), "during stream drain")
+        merged_or_panic(self.try_drain_delta(), "during drain")
     }
 
     /// Fallible [`Collector::drain_delta`]: surfaces spill-merge I/O
@@ -1312,7 +1291,7 @@ mod tests {
     }
 
     #[test]
-    fn into_datasets_matches_snapshot() {
+    fn drain_delta_matches_snapshot() {
         let collector = Collector::new();
         collector.register(RouterMeta {
             router: RouterId(4),
@@ -1338,7 +1317,7 @@ mod tests {
             collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(router), at: m(at) });
         }
         let snap = collector.snapshot();
-        let owned = collector.into_datasets();
+        let owned = collector.drain_delta();
         assert_eq!(snap.routers, owned.routers);
         assert_eq!(snap.uptime, owned.uptime);
         assert_eq!(
@@ -1349,6 +1328,7 @@ mod tests {
         for (router, log) in &snap.heartbeats {
             assert_eq!(log.runs(), owned.heartbeats[router].runs());
         }
+        assert_eq!(collector.drain_delta().record_count(), 0, "the drain took every record");
     }
 
     #[test]
@@ -1564,7 +1544,7 @@ mod tests {
         assert_eq!(unbounded.spill_stats(), None, "unarmed collector reports no stats");
 
         let snap = spilled.snapshot();
-        let from_memory = unbounded.into_datasets();
+        let from_memory = unbounded.drain_delta();
         assert_eq!(snap.packet_stats, from_memory.packet_stats);
         assert!(snap.spilled_bytes() > 0);
         assert_eq!(from_memory.spilled_bytes(), 0);
@@ -1573,9 +1553,9 @@ mod tests {
             from_memory.packet_stats.iter().collect::<Vec<_>>()
         );
 
-        // A second merge from the same collector (snapshot then consume)
+        // A second merge from the same collector (snapshot then drain)
         // must agree with the first — unique merged-file generations.
-        let owned = spilled.into_datasets();
+        let owned = spilled.drain_delta();
         assert_eq!(owned.packet_stats, from_memory.packet_stats);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1611,7 +1591,7 @@ mod tests {
         assert_eq!(snap.spilled_bytes(), 0, "the shards stayed resident");
         assert!(snap.columnar_heap_bytes() > 0);
         assert_eq!(snap, unbounded.snapshot());
-        assert_eq!(spilled.into_datasets(), unbounded.into_datasets());
+        assert_eq!(spilled.drain_delta(), unbounded.drain_delta());
         std::fs::remove_file(&store_dir).ok();
         std::fs::remove_dir_all(&base).ok();
     }
@@ -1628,8 +1608,8 @@ mod tests {
         }
         let stats = spilled.spill_stats().expect("spilling armed");
         assert_eq!(stats.segments, 0, "under budget: nothing seals");
-        let a = spilled.into_datasets();
-        let b = unbounded.into_datasets();
+        let a = spilled.drain_delta();
+        let b = unbounded.drain_delta();
         assert_eq!(a.packet_stats, b.packet_stats);
         assert_eq!(a.spilled_bytes(), 0, "under-budget run is purely in-memory");
     }
@@ -1732,7 +1712,7 @@ mod tests {
             assert_eq!(stats.error, None);
         }
         assert_eq!(acc.spilled_bytes(), 0, "the accumulator stays resident");
-        let expect = batch.into_datasets();
+        let expect = batch.drain_delta();
         assert_eq!(acc, expect);
     }
 

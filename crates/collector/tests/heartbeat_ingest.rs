@@ -84,7 +84,7 @@ proptest! {
 
         prop_assert_eq!(batched.dropped_in_downtime(), reference.dropped_in_downtime());
         prop_assert_eq!(batched.dropped_in_outage(), reference.dropped_in_outage());
-        let (want, got) = (reference.into_datasets(), batched.into_datasets());
+        let (want, got) = (reference.drain_delta(), batched.drain_delta());
         prop_assert!(
             got.heartbeats.values().all(|log| log.total_heartbeats() > 0),
             "a router whose stamps were all dropped must get no log"

@@ -1,15 +1,15 @@
-//! Property-based tests for the out-of-core spill path and the three ways
+//! Property-based tests for the out-of-core spill path and the two ways
 //! of taking data out of a collector: a collector that seals columnar
 //! segments to disk whenever its memory estimate crosses an arbitrary
 //! budget must produce data sets *identical* to the unbounded in-memory
 //! collector, for arbitrary record mixes over all 13 record kinds, batch
 //! arrival orders, and shard collision patterns.
 //!
-//! The unbounded collector's `into_datasets()` is the specification:
-//! spilling is purely a storage decision, and clone (`snapshot`), move
-//! (`into_datasets`) and take (`drain_delta`, folded with
-//! `Datasets::absorb`) are three routes to the same merge. Each must equal
-//! the model as a whole `Datasets` — including at the degenerate budget of
+//! The unbounded collector's single `drain_delta()` is the specification:
+//! spilling is purely a storage decision, and clone (`snapshot`) and take
+//! (`drain_delta`, once or at cut points with each delta folded by
+//! `Datasets::absorb`) are routes to the same merge. Each must equal the
+//! model as a whole `Datasets` — including at the degenerate budget of
 //! zero bytes, where every batch seals its own segment, and for drains at
 //! arbitrary cut points.
 
@@ -218,14 +218,14 @@ fn assert_spill_matches_memory(specs: Vec<RecordSpec>, batch: usize, budget: u64
         assert!(stats.segments > 0, "budget 0 must seal every non-empty batch");
     }
 
-    // snapshot() merges while the collector stays live; into_datasets()
+    // snapshot() merges while the collector stays live; drain_delta()
     // merges again as a fresh generation. Both must equal the in-memory
     // model, table for table.
     let snap = spilled.snapshot();
-    let owned = spilled.into_datasets();
-    let model = unbounded.into_datasets();
+    let drained = spilled.drain_delta();
+    let model = unbounded.drain_delta();
     assert_eq!(snap, model, "clone path");
-    assert_eq!(owned, model, "move path");
+    assert_eq!(drained, model, "take path, one drain");
     assert_eq!(
         snap.flows.iter().collect::<Vec<_>>(),
         model.flows.iter().collect::<Vec<_>>(),
@@ -258,7 +258,7 @@ fn assert_spill_matches_memory(specs: Vec<RecordSpec>, batch: usize, budget: u64
 /// The take path: one live, spill-armed collector drained with
 /// `drain_delta` after every batch whose `cuts` entry is set (and once at
 /// the end), each delta folded into an accumulator with
-/// `Datasets::absorb`, must equal the unbounded model's `into_datasets()`.
+/// `Datasets::absorb`, must equal the unbounded model's single drain.
 fn assert_drained_stream_matches_memory(
     specs: Vec<RecordSpec>,
     batch: usize,
@@ -287,7 +287,7 @@ fn assert_drained_stream_matches_memory(
     assert_eq!(stats.error, None, "segment I/O must not fail");
     assert_eq!(stats.segments, 0, "every sealed segment moved into a delta");
     assert_eq!(acc.spilled_bytes(), 0, "the accumulator stays resident");
-    assert_eq!(acc, unbounded.into_datasets(), "take path");
+    assert_eq!(acc, unbounded.drain_delta(), "take path");
 }
 
 proptest! {

@@ -110,8 +110,8 @@ fn parallel_shard_ingest_matches_serial() {
 
     assert_eq!(parallel.dropped_in_outage(), expected_dropped);
 
-    let a = reference.into_datasets();
-    let b = parallel.into_datasets();
+    let a = reference.drain_delta();
+    let b = parallel.drain_delta();
 
     // Per-router heartbeat run logs are identical...
     assert_eq!(a.heartbeats.len(), b.heartbeats.len());

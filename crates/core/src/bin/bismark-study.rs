@@ -42,7 +42,7 @@
 
 use bismark::study::{run_study, run_study_stream, StudyConfig};
 use bismark::validation;
-use simnet::time::SimDuration;
+use simnet::time::{SimDuration, MICROS_PER_DAY, MICROS_PER_HOUR, MICROS_PER_MIN};
 
 fn usage() -> ! {
     eprintln!(
@@ -133,16 +133,20 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
         let n: u64 = digits
             .parse()
             .map_err(|_| format!("flag {flag} expects a duration, got {raw:?}"))?;
-        let dur = match unit {
-            "m" => SimDuration::from_mins(n),
-            "h" => SimDuration::from_hours(n),
-            "d" => SimDuration::from_days(n),
+        let unit_micros = match unit {
+            "m" => MICROS_PER_MIN,
+            "h" => MICROS_PER_HOUR,
+            "d" => MICROS_PER_DAY,
             other => {
                 return Err(format!(
                     "flag {flag} has unknown unit {other:?} in {raw:?} (use m, h, or d)"
                 ))
             }
         };
+        let dur = SimDuration::from_micros(
+            n.checked_mul(unit_micros)
+                .ok_or_else(|| format!("flag {flag} overflows u64 microseconds: {raw:?}"))?,
+        );
         if dur.as_micros() == 0 {
             return Err(format!("flag {flag} expects a positive duration, got {raw:?}"));
         }
@@ -154,7 +158,12 @@ fn parse_run(args: &[String]) -> Result<RunOpts, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seed" => opts.seed = parse_num(arg, value(arg, &mut it)?)?,
-            "--days" => opts.days = parse_num(arg, value(arg, &mut it)?)?,
+            "--days" => {
+                opts.days = parse_num(arg, value(arg, &mut it)?)?;
+                if opts.days.checked_mul(MICROS_PER_DAY).is_none() {
+                    return Err(format!("flag {arg} overflows u64 microseconds: {}", opts.days));
+                }
+            }
             "--full" => opts.full = true,
             "--homes" => opts.homes = Some(parse_num(arg, value(arg, &mut it)?)?),
             "--threads" => opts.threads = Some(parse_num(arg, value(arg, &mut it)?)?),
@@ -670,6 +679,21 @@ mod tests {
             let opts = parse_run(&strs(&["--stream", "--window", raw])).unwrap();
             assert!(opts.stream);
             assert_eq!(opts.window, Some(expected), "parsing {raw}");
+        }
+    }
+
+    #[test]
+    fn days_and_window_past_the_virtual_clock_are_rejected_by_name() {
+        // 213,503,982 days is the last whole day below u64::MAX µs; one
+        // more used to wrap to a ~16-hour study in a release build.
+        assert_eq!(parse_run(&strs(&["--days", "213503982"])).unwrap().days, 213_503_982);
+        let err = parse_run(&strs(&["--days", "213503983"])).unwrap_err();
+        assert!(err.contains("--days") && err.contains("overflows"), "{err}");
+        let opts = parse_run(&strs(&["--stream", "--window", "213503982d"])).unwrap();
+        assert_eq!(opts.window, Some(SimDuration::from_days(213_503_982)));
+        for raw in ["213503983d", "5124095577h", "307445734562m"] {
+            let err = parse_run(&strs(&["--stream", "--window", raw])).unwrap_err();
+            assert!(err.contains("--window") && err.contains("overflows"), "{raw}: {err}");
         }
     }
 

@@ -1,5 +1,13 @@
 //! Study orchestration: instantiate the deployment, run every home
 //! (in parallel), and collect the six data sets.
+//!
+//! One private driver runs every study as a stream of windows cut from
+//! the span. In each window, worker threads claim homes in index order
+//! from one claim cursor and advance them to the window's end; then the
+//! window's records are drained from the collector as one delta. A batch
+//! study ([`run_study`]) is the one-window case and keeps its delta as
+//! the data sets. A stream ([`run_study_stream`]) folds every delta into
+//! an incremental report.
 
 use crate::homesim::{HomeSim, SimParams};
 use cgn::{CgnPlan, CgnScenario};
@@ -48,11 +56,12 @@ impl StudyWindows {
     /// the span, Uptime/Devices late, Capacity and Traffic in the final
     /// stretch, preserving every window's relative coverage.
     pub fn scaled(span: Window) -> StudyWindows {
-        let total = span.duration();
-        let frac = |num: u64, den: u64| -> SimDuration {
-            SimDuration::from_micros(total.as_micros() * num / den)
+        // In u128, so a span ending near u64::MAX µs cannot overflow; a
+        // fraction of at most one fits back in u64.
+        let total = u128::from(span.duration().as_micros());
+        let at = |num: u128, den: u128| -> SimTime {
+            span.start + SimDuration::from_micros((total * num / den) as u64)
         };
-        let at = |num: u64, den: u64| -> SimTime { span.start + frac(num, den) };
         StudyWindows {
             span,
             // WiFi: ~weeks 5–7 of 28 in the original → the second eighth.
@@ -206,7 +215,7 @@ fn publish_study_metrics(homes: &[HomeConfig], datasets: &Datasets) {
     }
 }
 
-/// Everything both drivers build before the first event runs: the
+/// Everything the driver builds before the first event runs: the
 /// deployment (sampled on the study's `threads` workers against one shared
 /// domain universe), its compiled fault and CGN plans, and the DNS zone.
 struct Deployment {
@@ -286,22 +295,16 @@ impl Deployment {
         })
     }
 
-    /// Publish the end-of-study metrics and assemble the output.
-    /// `delivery` is the collector's accounting, read before `datasets`
-    /// were taken out of it.
-    fn finish(
-        self,
-        config: &StudyConfig,
-        delivery: Delivery,
-        datasets: Datasets,
-        timings: PhaseTimings,
-    ) -> StudyOutput {
+    /// Publish the end-of-study metrics and assemble the output from
+    /// what the driver delivered and the data sets its caller folded.
+    fn finish(self, config: &StudyConfig, delivery: Delivery, datasets: Datasets) -> StudyOutput {
         publish_study_metrics(&self.homes, &datasets);
         if !self.cgn_plan.is_empty() {
             self.cgn_plan.publish_metrics();
         }
         // Wall-clock phase spans are host profiling: they reach the
         // manifest's text summary only, never metrics.json.
+        let timings = delivery.timings;
         obs::wall_span("study_simulate").record_micros(timings.simulate.as_micros() as u64);
         obs::wall_span("study_snapshot").record_micros(timings.snapshot.as_micros() as u64);
         StudyOutput {
@@ -318,63 +321,110 @@ impl Deployment {
     }
 }
 
-/// The collector's end-of-run accounting.
+/// What the driver leaves once its last window is drained: the
+/// collector's end-of-run accounting and the run's phase timings.
 struct Delivery {
     upload_counters: UploadCounters,
     dropped_in_downtime: u64,
+    /// The run's spill total, summed over every window's drain.
     spill: Option<SpillStats>,
+    timings: PhaseTimings,
 }
 
-impl Delivery {
-    /// Publish the collector's counters and the run's spill totals, and
-    /// keep them for the output. `spill` is the run's total, which only
-    /// the driver knows once a stream has drained segments away.
-    fn publish(collector: &Collector, spill: Option<SpillStats>) -> Delivery {
-        collector.publish_metrics();
-        if let Some(stats) = &spill {
-            stats.publish_metrics();
+/// The one study driver: set the study up, run it window by window to the
+/// span's end, and hand each window's drained delta to `on_window`. A
+/// window ends `cadence` after the previous one or at the span's end,
+/// whichever comes first, and at least one window runs, so an empty span
+/// runs one empty window. A batch run passes the span as the cadence and
+/// runs exactly one.
+///
+/// Per window, at most one worker per home claims homes in index order
+/// from one claim cursor. A home is built on its first claim, advanced to
+/// the window's end, and in the last window finished and dropped, so a
+/// one-window run holds no more homes than it has workers. Homes are
+/// mutually independent and the collector's merge is order-insensitive,
+/// so which worker runs which home never shows in the output.
+/// `force_uploader` arms the store-and-forward uploader on every home;
+/// otherwise only fault and CGN runs use it.
+fn drive(
+    config: &StudyConfig,
+    cadence: SimDuration,
+    force_uploader: bool,
+    mut on_window: impl FnMut(Window, Datasets),
+) -> (Deployment, Delivery) {
+    let (deployment, collector) = Deployment::set_up(config);
+    let reliable_upload =
+        force_uploader || !deployment.fault_plan.is_empty() || !deployment.cgn_plan.is_empty();
+    // Boxed, so a home not yet built or already dropped costs one pointer.
+    let mut slots: Vec<Option<Box<HomeSim<'_>>>> = deployment.homes.iter().map(|_| None).collect();
+    let workers = config.threads.max(1).min(slots.len());
+    let span = config.windows.span;
+    let mut timings = PhaseTimings::default();
+    // A drain moves the sealed segments out with its delta and resets the
+    // collector's live spill stats, so the run's total accumulates here.
+    let mut spill: Option<SpillStats> = None;
+    let mut cursor = span.start;
+    loop {
+        let until = cursor + cadence.min(span.end.since(cursor));
+        let last = until == span.end;
+        // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
+        let sim_start = std::time::Instant::now();
+        let claims = std::sync::Mutex::new(slots.iter_mut().enumerate());
+        crossbeam::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|_| loop {
+                    // The guard drops with this statement, before the home runs.
+                    let claim = claims.lock().expect("claiming a slot cannot panic").next();
+                    let Some((idx, slot)) = claim else { break };
+                    let mut sim = slot
+                        .take()
+                        .unwrap_or_else(|| Box::new(deployment.sim(idx, config, reliable_upload)));
+                    sim.run_until(until, &collector);
+                    // Span end: the epilogue tears down flows and drains the
+                    // monitor and spool, so the last delta carries everything.
+                    if last {
+                        sim.finish(&collector);
+                    } else {
+                        *slot = Some(sim);
+                    }
+                });
+            }
+        })
+        .expect("home simulation threads must not panic");
+        timings.simulate += sim_start.elapsed();
+        if let Some(stats) = collector.spill_stats() {
+            spill.get_or_insert_with(SpillStats::default).absorb(stats);
         }
-        Delivery {
-            upload_counters: collector.upload_counters(),
-            dropped_in_downtime: collector.dropped_in_downtime(),
-            spill,
+        // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
+        let drain_start = std::time::Instant::now();
+        let delta = collector.drain_delta();
+        timings.snapshot += drain_start.elapsed();
+        on_window(Window { start: cursor, end: until }, delta);
+        if last {
+            break;
         }
+        cursor = until;
     }
+    drop(slots);
+    collector.publish_metrics();
+    if let Some(stats) = &spill {
+        stats.publish_metrics();
+    }
+    let upload_counters = collector.upload_counters();
+    let dropped_in_downtime = collector.dropped_in_downtime();
+    (deployment, Delivery { upload_counters, dropped_in_downtime, spill, timings })
 }
 
 /// Run the full study: build the deployment from `seed` (Table 1 at the
 /// default 126 homes, mix-preserving generative scaling otherwise),
 /// simulate every home over the configured span on `threads` workers, and
-/// snapshot the collected data sets.
+/// take the collected data sets. This is the driver's one-window case:
+/// its only delta is the whole run.
 pub fn run_study(config: &StudyConfig) -> StudyOutput {
-    let (deployment, collector) = Deployment::set_up(config);
-    let reliable_upload = !deployment.fault_plan.is_empty() || !deployment.cgn_plan.is_empty();
-    let homes = deployment.homes.len();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = config.threads.max(1);
-    // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
-    let sim_start = std::time::Instant::now();
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= homes {
-                    break;
-                }
-                deployment.sim(idx, config, reliable_upload).run(&collector);
-            });
-        }
-    })
-    .expect("home simulation threads must not panic");
-    let simulate = sim_start.elapsed();
-    // Every home is done uploading: consume the collector instead of
-    // cloning 33M records out of it.
-    // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
-    let snap_start = std::time::Instant::now();
-    let delivery = Delivery::publish(&collector, collector.spill_stats());
-    let datasets = collector.into_datasets();
-    let snapshot = snap_start.elapsed();
-    deployment.finish(config, delivery, datasets, PhaseTimings { simulate, snapshot })
+    let mut datasets = Datasets::default();
+    let (deployment, delivery) =
+        drive(config, config.windows.span.duration(), false, |_, delta| datasets = delta);
+    deployment.finish(config, delivery, datasets)
 }
 
 /// One emitted stream window, handed to the [`run_study_stream`] sink
@@ -430,81 +480,17 @@ pub fn run_study_stream(
     mut on_window: impl FnMut(&StreamWindow<'_>),
 ) -> StreamOutput {
     assert!(cadence.as_micros() > 0, "stream cadence must be positive");
-    let (deployment, collector) = Deployment::set_up(config);
-    // A continuously-consumed stream always runs the reliable upload path;
-    // with no faults armed the queue is invisible and the delivered
-    // records are identical to direct flush.
-    let mut sims: Vec<HomeSim<'_>> =
-        (0..deployment.homes.len()).map(|idx| deployment.sim(idx, config, true)).collect();
-
-    let span = config.windows.span;
-    let workers = config.threads.max(1);
     let mut inc = analysis::IncrementalReport::new(config.windows.report_windows());
     let mut acc = Datasets::default();
     let mut absorber = collector::DatasetsAbsorber::default();
     let mut report: Option<analysis::StudyReport> = None;
-    let mut spill_total: Option<SpillStats> = None;
-    let mut simulate = std::time::Duration::ZERO;
-    let mut snapshot = std::time::Duration::ZERO;
+    let mut absorbing = std::time::Duration::ZERO;
     let mut index: u32 = 0;
-    let mut cursor = span.start;
-    while cursor < span.end {
-        let until = (cursor + cadence).min(span.end);
-        let last = until >= span.end;
-        // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
-        let sim_start = std::time::Instant::now();
-        // One barrier per window: advance every home to the boundary on
-        // `workers` threads. Homes are mutually independent and the
-        // collector is order-insensitive, so the chunking is free to be
-        // static.
-        let chunk = sims.len().div_ceil(workers).max(1);
-        crossbeam::scope(|scope| {
-            for part in sims.chunks_mut(chunk) {
-                let collector = &collector;
-                scope.spawn(move |_| {
-                    for sim in part {
-                        sim.run_until(until, collector);
-                    }
-                });
-            }
-        })
-        .expect("home simulation threads must not panic");
-        if last {
-            // Span end: run the epilogues (flow teardown, monitor and
-            // spool drains) so the final delta carries everything.
-            let mut parts: Vec<Vec<HomeSim<'_>>> = Vec::new();
-            while !sims.is_empty() {
-                let at = sims.len().saturating_sub(chunk);
-                parts.push(sims.split_off(at));
-            }
-            crossbeam::scope(|scope| {
-                for part in parts {
-                    let collector = &collector;
-                    scope.spawn(move |_| {
-                        for sim in part {
-                            sim.finish(collector);
-                        }
-                    });
-                }
-            })
-            .expect("home finish threads must not panic");
-        }
-        simulate += sim_start.elapsed();
-
-        // Seal and fold the window: drain the applied-behind-watermark
-        // prefix, update the incremental state from the delta alone, then
-        // absorb the delta into the accumulated snapshot.
-        //
-        // Spill accounting first: draining moves sealed segments out with
-        // the delta (the collector's live stats reset every window), so
-        // the study-level totals must accumulate across drains.
-        if let Some(stats) = collector.spill_stats() {
-            spill_total.get_or_insert_with(SpillStats::default).absorb(stats);
-        }
-        // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
-        let drain_start = std::time::Instant::now();
-        let delta = collector.drain_delta();
-        snapshot += drain_start.elapsed();
+    // With no faults armed the forced uploader is invisible: it delivers
+    // the records direct flush would.
+    let (deployment, mut delivery) = drive(config, cadence, true, |window, delta| {
+        // Fold the window: update the incremental state from the delta
+        // alone, then absorb the delta into the accumulated snapshot.
         // simlint: allow(wall-clock) — per-window incremental-cost profiling for the bench harness; never feeds figures
         let update_start = std::time::Instant::now();
         inc.update(&delta);
@@ -512,33 +498,27 @@ pub fn run_study_stream(
         // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
         let absorb_start = std::time::Instant::now();
         acc.absorb(delta, &mut absorber);
-        snapshot += absorb_start.elapsed();
+        absorbing += absorb_start.elapsed();
         // simlint: allow(wall-clock) — per-window incremental-cost profiling for the bench harness; never feeds figures
         let finalize_start = std::time::Instant::now();
         let rolled = inc.finalize(&acc);
         let finalize_cost = finalize_start.elapsed();
-        let emitted = StreamWindow {
+        on_window(&StreamWindow {
             index,
-            window: Window { start: cursor, end: until },
+            window,
             report: &rolled,
             datasets: &acc,
             update_cost,
             finalize_cost,
-        };
-        on_window(&emitted);
+        });
         report = Some(rolled);
         obs::counter("stream_windows_total").add(1);
         index += 1;
-        cursor = until;
-    }
-    let report = report.expect("span is non-empty, so at least one window ran");
-    // The spill totals accumulated across the per-window drains above;
-    // the final drain left the collector itself with no live segments.
-    let delivery = Delivery::publish(&collector, spill_total);
-    drop(collector);
+    });
+    delivery.timings.snapshot += absorbing;
     StreamOutput {
-        study: deployment.finish(config, delivery, acc, PhaseTimings { simulate, snapshot }),
-        report,
+        study: deployment.finish(config, delivery, acc),
+        report: report.expect("the driver runs at least one window"),
         windows_run: index,
     }
 }
@@ -549,17 +529,21 @@ mod tests {
 
     #[test]
     fn scaled_windows_nest_inside_span() {
-        let span = Window {
-            start: SimTime::EPOCH,
-            end: SimTime::EPOCH + SimDuration::from_days(10),
-        };
-        let w = StudyWindows::scaled(span);
-        for sub in [&w.wifi, &w.uptime, &w.devices, &w.capacity, &w.traffic] {
-            assert!(sub.start >= span.start && sub.end <= span.end);
-            assert!(sub.end > sub.start, "window must be non-empty");
+        let ten_days = SimTime::EPOCH + SimDuration::from_days(10);
+        // The second span ends at the last representable instant, where
+        // `total × 9` overflows u64.
+        for span in [
+            Window { start: SimTime::EPOCH, end: ten_days },
+            Window { start: ten_days, end: SimTime::from_micros(u64::MAX) },
+        ] {
+            let w = StudyWindows::scaled(span);
+            for sub in [&w.wifi, &w.uptime, &w.devices, &w.capacity, &w.traffic] {
+                assert!(sub.start >= span.start && sub.end <= span.end);
+                assert!(sub.end > sub.start, "window must be non-empty");
+            }
+            assert!(w.wifi.end <= w.uptime.start, "wifi precedes uptime as in Table 2");
+            assert!(w.capacity.start >= w.devices.start);
         }
-        assert!(w.wifi.end <= w.uptime.start, "wifi precedes uptime as in Table 2");
-        assert!(w.capacity.start >= w.devices.start);
     }
 
     #[test]
@@ -623,26 +607,42 @@ mod tests {
 
     #[test]
     fn streamed_study_matches_batch() {
-        let cfg = StudyConfig::quick(7, 6);
-        let batch = run_study(&cfg);
-        let mut windows_seen = 0;
-        let mut rolling_homes = 0;
-        let streamed = run_study_stream(&cfg, SimDuration::from_hours(36), |w| {
-            windows_seen = w.index + 1;
-            rolling_homes = w.report.routers.len();
-            assert_eq!(w.datasets.routers.len(), 126);
-        });
-        assert_eq!(streamed.windows_run, 4, "6 days at a 36 h cadence is 4 windows");
-        assert_eq!(streamed.windows_run, windows_seen);
-        assert_eq!(rolling_homes, streamed.report.routers.len());
-        // The accumulated snapshot and the rolling report must be
-        // byte-identical to the batch run's.
-        assert_eq!(batch.datasets, streamed.study.datasets);
-        assert_eq!(
-            batch.report().render(&batch.datasets),
-            streamed.report.render(&streamed.study.datasets),
-            "final rolling report must equal the batch report"
-        );
+        // An empty span still runs one (empty) window, and a cadence past
+        // the span's end cuts one window that covers all of it: the shape
+        // of every batch run.
+        for (days, cadence, windows) in [
+            (6, SimDuration::from_hours(36), 4),
+            (0, SimDuration::from_hours(1), 1),
+            (2, SimDuration::from_days(30), 1),
+        ] {
+            let cfg = StudyConfig::quick(7, days);
+            let batch = run_study(&cfg);
+            let mut seen = Vec::new();
+            let mut rolling_homes = 0;
+            let streamed = run_study_stream(&cfg, cadence, |w| {
+                seen.push((w.index, w.window));
+                rolling_homes = w.report.routers.len();
+                assert_eq!(w.datasets.routers.len(), 126);
+            });
+            assert_eq!(streamed.windows_run, windows, "{days} days at {cadence:?}");
+            assert_eq!(seen.len(), windows as usize);
+            // The windows are numbered in order and tile the span.
+            let mut at = cfg.windows.span.start;
+            for (i, &(index, window)) in seen.iter().enumerate() {
+                assert_eq!((index as usize, window.start), (i, at));
+                at = window.end;
+            }
+            assert_eq!(at, cfg.windows.span.end);
+            assert_eq!(rolling_homes, streamed.report.routers.len());
+            // The accumulated snapshot and the rolling report must be
+            // byte-identical to the batch run's.
+            assert_eq!(batch.datasets, streamed.study.datasets);
+            assert_eq!(
+                batch.report().render(&batch.datasets),
+                streamed.report.render(&streamed.study.datasets),
+                "final rolling report must equal the batch report"
+            );
+        }
     }
 
     #[test]
