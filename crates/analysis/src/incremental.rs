@@ -12,17 +12,27 @@
 //!
 //! # Why any split of the stream finalizes to the same bytes
 //!
-//! Every partial state kept here is a set or an integer sum, and both are
-//! fold-order independent. `finalize` then reads the rest from the
-//! accumulated snapshot:
+//! Every partial state kept here is a set, an integer sum or a sorted
+//! sample run, and all three are fold-order independent:
+//! * Fig 13 keeps integer station sums and distinct-instant counts per
+//!   (weekday or weekend, local hour) bucket. Integer sums below 2^53
+//!   convert to the same `f64` an in-order float sum reaches.
+//! * The latency summary keeps each router's RTT medians and maxima as
+//!   two ascending runs (16 B per latency record, outside the spill
+//!   budget). A sorted run holds the same values in the same order
+//!   whatever order they arrived in, and `finalize` reads each router's
+//!   medians from it in router order.
+//!
+//! `finalize` reads neither the WiFi nor the latency rows. It reads the
+//! rest from the accumulated snapshot:
 //! * availability, Figs 8/9, Tables 1/3 and the row halves of Table 2
 //!   refold the run-length-encoded heartbeat logs and the small row
 //!   tables. Refolding sidesteps the one order-sensitive aggregate in the
 //!   report: the population standard deviation of Figs 8/9, whose
 //!   squared-residual sum is a float fold in table order.
-//! * Fig 15's peak samples and the latency samples are read per router
-//!   from the index, so no partial state grows with every record. Each
-//!   feeds only medians and quantiles, which sort their inputs.
+//! * Fig 15's peak samples are read per router from the index, so no
+//!   partial state grows with every packet-stat record. They feed only
+//!   medians and quantiles, which sort their inputs.
 //!
 //! The fixed-cut unit test below, the property tests in
 //! `tests/incremental_properties.rs` and the stream differential harness
@@ -33,10 +43,10 @@ use crate::availability;
 use crate::highlights;
 use crate::index::DataIndex;
 use crate::infrastructure;
-use crate::latency;
+use crate::latency::{self, RttSamples};
 use crate::natchar;
 use crate::report::{ReportWindows, StudyReport};
-use crate::usage::{self, DomainTally};
+use crate::usage::{self, DomainTally, Fig13Buckets};
 use collector::Datasets;
 use firmware::anonymize::AnonMac;
 use firmware::records::{Medium, RouterId};
@@ -90,7 +100,7 @@ struct Folded {
     presence: HashMap<DeviceKey, (usize, (SimTime, Medium))>,
 
     // §6 usage (wifi scans / flows).
-    per_scan: BTreeMap<(RouterId, SimTime), u32>,
+    fig13: Fig13Buckets,
     device_bytes: HashMap<(RouterId, AnonMac), u64>,
     domain_bytes: BTreeMap<RouterId, DomainTally>,
     device_domains: HashMap<(RouterId, AnonMac), HashMap<String, u64>>,
@@ -98,6 +108,9 @@ struct Folded {
     // Table 2's columnar data sets.
     wifi_routers: HashSet<RouterId>,
     traffic_routers: HashSet<RouterId>,
+
+    // Companion latency data set (latency probes in the heartbeat window).
+    rtts: HashMap<RouterId, RttSamples>,
 
     // NAT characterization (nat probes / punch trials; unwindowed).
     nat_tally: BTreeMap<RouterId, ([usize; 5], usize, usize)>,
@@ -125,8 +138,8 @@ impl IncrementalReport {
 
     /// Materialize the full report from the partial state plus the
     /// accumulated snapshot: registration metadata, heartbeat logs, the
-    /// small row tables, and per-router slices of the packet-stats and
-    /// latency tables.
+    /// small row tables, and per-router slices of the packet-stats
+    /// table.
     pub fn finalize(&self, acc: &Datasets) -> StudyReport {
         let w = self.windows;
         let s = &self.folded;
@@ -169,7 +182,7 @@ impl IncrementalReport {
 
         // §6 usage. Figs 14-16 read each router's packet-stats and
         // capacity slices; the rest finish the folded maps.
-        let fig13 = timed("analysis_fig13", || usage::fig13_from_scans(idx, &s.per_scan));
+        let fig13 = timed("analysis_fig13", || s.fig13.finish());
         let fig15 = timed("analysis_fig15", || usage::fig15_with(idx, w.traffic));
         // Fig 14 exemplar: an ordinary busy home — meaningful utilization
         // with clear headroom, as in the paper's example (its Fig 14 home
@@ -231,7 +244,7 @@ impl IncrementalReport {
                 highlights::table2_row(acc, "Traffic", w.traffic, &s.traffic_routers),
             ]
         });
-        let latency = timed("analysis_latency", || latency::by_region_with(idx, w.heartbeats));
+        let latency = timed("analysis_latency", || latency::by_region(idx.routers(), &s.rtts));
         let natchar = timed("analysis_natchar", || {
             (s.nat_probes_total > 0).then(|| {
                 natchar::characterize_from_parts(
@@ -309,8 +322,10 @@ impl Folded {
                 continue;
             }
             self.wifi_routers.insert(scan.router);
-            *self.per_scan.entry((scan.router, scan.at)).or_default() +=
-                u32::from(scan.associated_stations);
+            // Every drain carries the full registration, so the delta
+            // knows every scanning router's offset.
+            let offset = delta.meta(scan.router).map_or(0, |m| m.country.utc_offset_hours());
+            self.fig13.add(scan.router, scan.at, offset, scan.associated_stations);
             if scan.band == Band::Ghz24 {
                 self.fig11_scanned.insert(scan.router);
                 for ap in &scan.aps {
@@ -337,6 +352,23 @@ impl Folded {
                 .or_default()
                 .entry(domain)
                 .or_default() += bytes;
+        }
+
+        // Append each router's in-window samples, then restore the order
+        // of every router touched. The table yields routers in order, so
+        // `touched` lists each once.
+        let mut touched = Vec::new();
+        for probe in &delta.latency {
+            if !w.heartbeats.contains(probe.at) {
+                continue;
+            }
+            if touched.last() != Some(&probe.router) {
+                touched.push(probe.router);
+            }
+            self.rtts.entry(probe.router).or_default().push(&probe);
+        }
+        for router in touched {
+            self.rtts.get_mut(&router).expect("touched above").restore_order();
         }
 
         for sighting in &delta.macs {
@@ -549,5 +581,12 @@ mod tests {
         assert_eq!(expected.table2[5].routers, streamed.table2[5].routers);
         assert_eq!(expected.natchar, streamed.natchar);
         assert_eq!(expected.render(&data), streamed.render(&data));
+
+        // The latency summary and Fig 13 come from the folded state
+        // alone: finalize never reads the latency or WiFi rows.
+        let mut stripped = data.clone();
+        stripped.latency = Default::default();
+        stripped.wifi = Default::default();
+        assert_eq!(expected.render(&data), inc.finalize(&stripped).render(&stripped));
     }
 }

@@ -17,7 +17,7 @@
 //! columnar rows in RAM at once.
 
 use collector::columns::{
-    RouterAssociations, RouterDns, RouterFlows, RouterLatency, RouterPacketStats, RouterWifi,
+    RouterAssociations, RouterDns, RouterFlows, RouterPacketStats, RouterWifi,
 };
 use collector::{Datasets, RouterMeta};
 use firmware::records::{CapacityRecord, DeviceCensusRecord, RouterId, UptimeRecord};
@@ -90,11 +90,6 @@ impl<'a> DataIndex<'a> {
         self.meta(router).map(|m| m.country.region())
     }
 
-    /// The router's UTC offset in hours (0 if unregistered).
-    pub fn utc_offset(&self, router: RouterId) -> i32 {
-        self.meta(router).map_or(0, |m| m.country.utc_offset_hours())
-    }
-
     /// One router's uptime reports (empty if none).
     pub fn uptime(&self, router: RouterId) -> &'a [UptimeRecord] {
         self.uptime.get(&router).copied().unwrap_or(&[])
@@ -148,12 +143,6 @@ impl<'a> DataIndex<'a> {
     pub fn associations(&self, router: RouterId) -> RouterAssociations<'a> {
         self.data.associations.router(router)
     }
-
-    /// One router's latency probes, decoded from columns (streaming
-    /// spilled blocks lazily; see [`DataIndex::packet_stats`]).
-    pub fn latency(&self, router: RouterId) -> RouterLatency<'a> {
-        self.data.latency.router(router)
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +183,6 @@ mod tests {
         assert_eq!(idx.uptime(RouterId(1))[0].at, t(3));
         assert!(idx.uptime(RouterId(3)).is_empty());
         assert_eq!(idx.region(RouterId(2)), Some(Region::Developing));
-        assert_eq!(idx.utc_offset(RouterId(1)), Country::UnitedStates.utc_offset_hours());
         assert_eq!(idx.meta(RouterId(9)), None);
     }
 }

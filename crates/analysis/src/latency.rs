@@ -4,12 +4,13 @@
 //! to the platform's companion performance study — but it closes the loop
 //! on the §6.2 bufferbloat discussion with direct evidence.
 
-use crate::index::DataIndex;
-use crate::stats::{median, Cdf};
+use crate::stats::{median, sorted_quantile, Cdf};
 use collector::windows::Window;
-use collector::Datasets;
+use collector::{Datasets, RouterMeta};
+use firmware::latency::LatencyRecord;
 use firmware::records::RouterId;
 use household::Region;
+use std::collections::HashMap;
 
 /// Per-region latency summary.
 #[derive(Debug, Clone, Copy)]
@@ -25,33 +26,50 @@ pub struct RegionLatency {
     pub homes: usize,
 }
 
-/// Summarize latency per region over `window`: one pass over each
-/// registered router's latency slice, holding one router's samples at a
-/// time. Every aggregate is a median, which sorts its inputs, so the
-/// result depends only on the per-home sample multisets.
-pub(crate) fn by_region_with(idx: &DataIndex, window: Window) -> Vec<RegionLatency> {
+/// One home's latency samples, in milliseconds: its probes' RTT medians
+/// and RTT maxima, each kept as one ascending run so a median is a read,
+/// not a sort. 16 bytes per probe.
+#[derive(Debug, Default)]
+pub(crate) struct RttSamples {
+    median_ms: Vec<f64>,
+    max_ms: Vec<f64>,
+}
+
+impl RttSamples {
+    /// Append one probe's samples. Call [`RttSamples::restore_order`]
+    /// once a delta's probes are all in.
+    pub(crate) fn push(&mut self, probe: &LatencyRecord) {
+        self.median_ms.push(probe.rtt_median.as_secs_f64() * 1e3);
+        self.max_ms.push(probe.rtt_max.as_secs_f64() * 1e3);
+    }
+
+    /// Re-sort both runs after a batch of pushes. The stable sort finds
+    /// the sorted prefix as one run, so `k` new samples behind `n` sorted
+    /// ones cost about `n + k log k`.
+    pub(crate) fn restore_order(&mut self) {
+        self.median_ms.sort_by(f64::total_cmp);
+        self.max_ms.sort_by(f64::total_cmp);
+    }
+}
+
+/// Summarize latency per region from each registered home's samples, in
+/// registration (router) order. Every aggregate is a median of sorted
+/// inputs, so the result depends only on the per-home sample multisets.
+pub(crate) fn by_region(
+    routers: &[RouterMeta],
+    samples: &HashMap<RouterId, RttSamples>,
+) -> Vec<RegionLatency> {
     // Per region: each home's median RTT and median peak RTT.
     let mut homes: [(Vec<f64>, Vec<f64>); 2] = Default::default();
-    let mut med = Vec::new();
-    let mut max = Vec::new();
-    for meta in idx.routers() {
-        med.clear();
-        max.clear();
-        for rec in idx.latency(meta.router) {
-            if window.contains(rec.at) {
-                med.push(rec.rtt_median.as_secs_f64() * 1e3);
-                max.push(rec.rtt_max.as_secs_f64() * 1e3);
-            }
-        }
-        if med.is_empty() {
-            continue;
-        }
+    for meta in routers {
+        // A home has an entry only once a probe was pushed.
+        let Some(home) = samples.get(&meta.router) else { continue };
         let bucket = match meta.country.region() {
             Region::Developed => &mut homes[0],
             Region::Developing => &mut homes[1],
         };
-        bucket.0.push(median(&med));
-        bucket.1.push(median(&max));
+        bucket.0.push(sorted_quantile(&home.median_ms, 0.5));
+        bucket.1.push(sorted_quantile(&home.max_ms, 0.5));
     }
     [Region::Developed, Region::Developing]
         .into_iter()

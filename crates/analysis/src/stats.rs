@@ -35,16 +35,7 @@ impl Cdf {
     /// The `q`-quantile for `q` in `[0, 1]`, by linear interpolation.
     /// Panics on an empty CDF.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!(!self.sorted.is_empty(), "quantile of empty CDF");
-        let q = q.clamp(0.0, 1.0);
-        if self.sorted.len() == 1 {
-            return self.sorted[0];
-        }
-        let pos = q * (self.sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
+        sorted_quantile(&self.sorted, q)
     }
 
     /// The median.
@@ -79,6 +70,21 @@ impl Cdf {
             })
             .collect()
     }
+}
+
+/// The `q`-quantile of ascending samples for `q` in `[0, 1]`, by linear
+/// interpolation between the two nearest ranks. Panics when empty.
+pub(crate) fn sorted_quantile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of empty CDF");
+    let q = q.clamp(0.0, 1.0);
+    if sorted.len() == 1 {
+        return sorted[0];
+    }
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let frac = pos - lo as f64;
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// Arithmetic mean; zero for an empty slice.

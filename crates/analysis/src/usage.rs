@@ -8,7 +8,7 @@ use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::records::RouterId;
 use household::VendorClass;
 use simnet::time::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Figure 13: mean wireless stations per local hour of day, weekday vs
 /// weekend, from the WiFi scans.
@@ -29,40 +29,41 @@ impl Fig13 {
     }
 }
 
-/// Compute Figure 13 from the station counts of the 2.4 GHz and 5 GHz
-/// scans in the WiFi window, summed per (router, scan instant), bucketed
-/// by local hour. The map is a BTreeMap so the float accumulation below
-/// runs in key order — the sums are exact (small integers) but ordered
-/// iteration keeps the float-accum-order invariant by construction.
-pub(crate) fn fig13_from_scans(
-    idx: &DataIndex,
-    per_scan: &BTreeMap<(RouterId, SimTime), u32>,
-) -> Fig13 {
-    let mut weekday_sum = [0.0f64; 24];
-    let mut weekday_n = [0u32; 24];
-    let mut weekend_sum = [0.0f64; 24];
-    let mut weekend_n = [0u32; 24];
-    for (&(router, at), &stations) in per_scan {
-        let local = at.to_local(idx.utc_offset(router));
-        let h = local.hour_of_day() as usize;
-        if local.weekday().is_weekend() {
-            weekend_sum[h] += f64::from(stations);
-            weekend_n[h] += 1;
-        } else {
-            weekday_sum[h] += f64::from(stations);
-            weekday_n[h] += 1;
-        }
+/// Figure 13's partial state, folded scan by scan: per (weekday or
+/// weekend, local hour) bucket, the integer station sum and the number of
+/// distinct scan instants. An instant's 2.4 GHz and 5 GHz scans add to
+/// one bucket, and it counts once, the first time its `(router, at)` key
+/// is seen, whichever window that is.
+#[derive(Debug, Default)]
+pub(crate) struct Fig13Buckets {
+    /// `[weekend][local hour]`: (station sum, scan instants).
+    buckets: [[(u64, u64); 24]; 2],
+    instants: HashSet<(RouterId, SimTime)>,
+}
+
+impl Fig13Buckets {
+    /// Add one in-window scan of `router`, whose UTC offset is
+    /// `utc_offset` hours.
+    pub(crate) fn add(&mut self, router: RouterId, at: SimTime, utc_offset: i32, stations: u8) {
+        let local = at.to_local(utc_offset);
+        let bucket = &mut self.buckets[usize::from(local.weekday().is_weekend())]
+            [local.hour_of_day() as usize];
+        bucket.0 += u64::from(stations);
+        bucket.1 += u64::from(self.instants.insert((router, at)));
     }
-    let finish = |sum: [f64; 24], n: [u32; 24]| {
-        let mut out = [0.0f64; 24];
-        for h in 0..24 {
-            if n[h] > 0 {
-                out[h] = sum[h] / f64::from(n[h]);
-            }
-        }
-        out
-    };
-    Fig13 { weekday: finish(weekday_sum, weekday_n), weekend: finish(weekend_sum, weekend_n) }
+
+    /// The mean stations per scan instant in each bucket. Integer sums
+    /// below 2^53 convert to the same `f64` an in-order float sum of the
+    /// per-instant counts reaches.
+    pub(crate) fn finish(&self) -> Fig13 {
+        let curve = |day: &[(u64, u64); 24]| {
+            day.map(|(stations, instants)| match instants {
+                0 => 0.0,
+                n => stations as f64 / n as f64,
+            })
+        };
+        Fig13 { weekday: curve(&self.buckets[0]), weekend: curve(&self.buckets[1]) }
+    }
 }
 
 /// Figure 14: one home's utilization/capacity timeseries over the Traffic

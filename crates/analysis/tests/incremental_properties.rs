@@ -8,7 +8,10 @@
 //! This is the generalization of the fixed-cut unit test in
 //! `analysis::incremental`: proptest explores the partition space (empty
 //! windows, one-record windows, windows straddling every sub-window
-//! boundary) that hand-picked cuts cannot.
+//! boundary) that hand-picked cuts cannot. Records arrive up to
+//! [`MAX_LAG_MINS`] after their timestamp, so a window can hold records
+//! older than its predecessor's, and the two band scans of one instant
+//! can land in different windows.
 
 use analysis::{IncrementalReport, ReportWindows, StudyReport};
 use collector::windows::Window;
@@ -32,6 +35,9 @@ use simnet::wifi::Band;
 /// cases stay cheap.
 const TOTAL_MINS: u64 = 2 * 24 * 60;
 const ROUTERS: u32 = 3;
+/// The longest a record waits between its timestamp and its arrival at
+/// the collector: 15 hours.
+const MAX_LAG_MINS: u64 = 900;
 
 fn t(mins: u64) -> SimTime {
     SimTime::EPOCH + SimDuration::from_mins(mins)
@@ -69,17 +75,10 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
             wireless_24: b % 4,
             wireless_5: a % 2,
         }),
-        4 => Record::WifiScan(WifiScanRecord {
-            router: r,
-            at,
-            band: if a.is_multiple_of(2) { Band::Ghz24 } else { Band::Ghz5 },
-            aps: vec![ApSighting {
-                bssid_hash: 100 + u64::from(b),
-                channel_number: 1 + a % 11,
-                signal_dbm: -40 - (b % 50) as i8,
-            }],
-            associated_stations: a % 4,
-        }),
+        4 => {
+            let band = if a.is_multiple_of(2) { Band::Ghz24 } else { Band::Ghz5 };
+            wifi_scan(router, minute, band, a, b)
+        }
         5 => Record::Association(AssociationRecord {
             router: r,
             at,
@@ -161,6 +160,22 @@ fn materialize(router: u32, minute: u64, kind: u8, a: u8, b: u8) -> Record {
     }
 }
 
+/// One WiFi scan on `band`; `a` and `b` pick its stations and its one
+/// neighbouring AP.
+fn wifi_scan(router: u32, minute: u64, band: Band, a: u8, b: u8) -> Record {
+    Record::WifiScan(WifiScanRecord {
+        router: RouterId(router),
+        at: t(minute),
+        band,
+        aps: vec![ApSighting {
+            bssid_hash: 100 + u64::from(b),
+            channel_number: 1 + a % 11,
+            signal_dbm: -40 - (b % 50) as i8,
+        }],
+        associated_stations: a % 4,
+    })
+}
+
 fn register(c: &Collector) {
     for (router, country) in
         [(0u32, Country::UnitedStates), (1, Country::UnitedStates), (2, Country::India)]
@@ -169,57 +184,71 @@ fn register(c: &Collector) {
     }
 }
 
-/// The record's stream-arrival minute: the instant the firmware emits it,
-/// which is what assigns it to a window. Flows arrive when they *end*.
-fn arrival_minute(record: &Record) -> u64 {
-    record.at().since(SimTime::EPOCH).as_mins()
+/// The record's stream-arrival minute, which assigns it to a window: the
+/// instant the firmware emits it (flows end then), plus `lag`. Heartbeats
+/// feed an RLE run log and must arrive in time order per router, so they
+/// never lag.
+fn arrival(record: Record, lag: u64) -> (u64, Record) {
+    let lag = if matches!(record, Record::Heartbeat(_)) { 0 } else { lag };
+    (record.at().since(SimTime::EPOCH).as_mins() + lag, record)
 }
 
 proptest! {
     #[test]
     fn incremental_equals_batch_for_arbitrary_windows_orderings_and_dups(
         events in proptest::collection::vec(
-            (0u32..ROUTERS, 0u64..TOTAL_MINS, 0u8..26, 0u8..=255, 0u8..=255),
+            (0u32..ROUTERS, 0u64..TOTAL_MINS, 0u8..26, 0u8..=255, 0u8..=255, 0u64..=MAX_LAG_MINS),
             1..160,
         ),
+        scan_pairs in proptest::collection::vec(
+            (
+                0u32..ROUTERS,
+                0u64..TOTAL_MINS,
+                0u8..=255,
+                0u8..=255,
+                0u64..=MAX_LAG_MINS,
+                0u64..=MAX_LAG_MINS,
+            ),
+            0..4,
+        ),
         dups in proptest::collection::vec(0usize..1_000, 0..12),
-        cut_mins in proptest::collection::vec(1u64..TOTAL_MINS, 0..6),
+        cut_mins in proptest::collection::vec(1u64..TOTAL_MINS + MAX_LAG_MINS, 0..6),
         order_seed in any::<u64>(),
     ) {
-        // Materialize, duplicate a few events verbatim, then shuffle: the
-        // arrival order the collector sees is arbitrary.
-        let mut records: Vec<Record> = events
+        // Materialize each event with its own arrival lag, plus same-instant
+        // 2.4 + 5 GHz scan pairs whose scans lag independently (and report
+        // different station counts). Duplicate a few records verbatim,
+        // arrival included, then shuffle.
+        let mut records: Vec<(u64, Record)> = events
             .iter()
-            .map(|&(router, minute, kind, a, b)| materialize(router, minute, kind, a, b))
+            .map(|&(router, minute, kind, a, b, lag)| {
+                arrival(materialize(router, minute, kind, a, b), lag)
+            })
             .collect();
+        for &(router, minute, a, b, lag24, lag5) in &scan_pairs {
+            records.push(arrival(wifi_scan(router, minute, Band::Ghz24, a, b), lag24));
+            records.push(arrival(wifi_scan(router, minute, Band::Ghz5, b, a), lag5));
+        }
+        let originals = records.len();
         for d in &dups {
-            let copy = records[d % events.len()].clone();
+            let copy = records[d % originals].clone();
             records.push(copy);
         }
         let mut order: Vec<usize> = (0..records.len()).collect();
         let mut rng = simnet::rng::DetRng::new(order_seed);
         rng.shuffle(&mut order);
-        let mut records: Vec<Record> = order.into_iter().map(|i| records[i].clone()).collect();
-        // One firmware constraint survives the shuffle: heartbeats feed an
-        // RLE run log and must arrive non-decreasing per router. Re-sort
-        // the heartbeat records among themselves (stable, so equal stamps
-        // keep their shuffled order) while every other record stays where
-        // the shuffle put it.
-        let slots: Vec<usize> = (0..records.len())
-            .filter(|&i| matches!(records[i], Record::Heartbeat(_)))
-            .collect();
-        let mut beats: Vec<Record> = slots.iter().map(|&i| records[i].clone()).collect();
-        beats.sort_by_key(|rec| rec.at());
-        for (&slot, beat) in slots.iter().zip(beats) {
-            records[slot] = beat;
-        }
+        let mut records: Vec<(u64, Record)> =
+            order.into_iter().map(|i| records[i].clone()).collect();
+        // The collector sees records in arrival order; within one arrival
+        // minute the shuffle's order stands.
+        records.sort_by_key(|&(arrival, _)| arrival);
 
         let windows = ReportWindows::spanning(Window { start: t(0), end: t(TOTAL_MINS) });
 
         // One window: every record through one collector, one fold.
         let batch = Collector::new();
         register(&batch);
-        batch.ingest_batch(records.clone());
+        batch.ingest_batch(records.iter().map(|(_, rec)| rec.clone()).collect());
         let data = batch.drain_delta();
         let expected = StudyReport::compute(&data, windows);
 
@@ -229,7 +258,7 @@ proptest! {
         // into the accumulated snapshot exactly as `run_study_stream` does.
         let mut cuts = vec![0u64];
         cuts.extend(cut_mins.iter().copied());
-        cuts.push(TOTAL_MINS);
+        cuts.push(TOTAL_MINS + MAX_LAG_MINS);
         cuts.sort_unstable();
         cuts.dedup();
 
@@ -242,8 +271,8 @@ proptest! {
             delta.ingest_batch(
                 records
                     .iter()
-                    .filter(|rec| (pair[0]..pair[1]).contains(&arrival_minute(rec)))
-                    .cloned()
+                    .filter(|(arrival, _)| (pair[0]..pair[1]).contains(arrival))
+                    .map(|(_, rec)| rec.clone())
                     .collect(),
             );
             let delta = delta.drain_delta();

@@ -1182,7 +1182,9 @@ fn merge_chunks(
     let mut upload_gaps = Vec::with_capacity(chunks.len());
     for chunk in &mut chunks {
         // Routers are partitioned across shards, so no key collides.
-        data.heartbeats.append(&mut chunk.heartbeats);
+        // Insert, so each chunk costs only its own entries: `append`
+        // would rebuild the whole merged tree once per shard.
+        data.heartbeats.extend(std::mem::take(&mut chunk.heartbeats));
         uptime.push(std::mem::take(&mut chunk.uptime));
         capacity.push(std::mem::take(&mut chunk.capacity));
         devices.push(std::mem::take(&mut chunk.devices));

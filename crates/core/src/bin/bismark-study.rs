@@ -275,9 +275,10 @@ fn run(args: &[String]) {
                     .expect("write window metrics file");
             }
             eprintln!(
-                "window {:>4} sealed at day {:>6.2}: fold {:.3}s, report {:.3}s",
+                "window {:>4} sealed at day {:>6.2}: snapshot {:.3}s, fold {:.3}s, report {:.3}s",
                 w.index + 1,
                 w.window.end.since(config.windows.span.start).as_days_f64(),
+                w.snapshot_cost.as_secs_f64(),
                 w.update_cost.as_secs_f64(),
                 w.finalize_cost.as_secs_f64()
             );

@@ -332,11 +332,11 @@ struct Delivery {
 }
 
 /// The one study driver: set the study up, run it window by window to the
-/// span's end, and hand each window's drained delta to `on_window`. A
-/// window ends `cadence` after the previous one or at the span's end,
-/// whichever comes first, and at least one window runs, so an empty span
-/// runs one empty window. A batch run passes the span as the cadence and
-/// runs exactly one.
+/// span's end, and hand each window's drained delta to `on_window`, with
+/// the wall-clock the drain took. A window ends `cadence` after the
+/// previous one or at the span's end, whichever comes first, and at least
+/// one window runs, so an empty span runs one empty window. A batch run
+/// passes the span as the cadence and runs exactly one.
 ///
 /// Per window, at most one worker per home claims homes in index order
 /// from one claim cursor. A home is built on its first claim, advanced to
@@ -350,7 +350,7 @@ fn drive(
     config: &StudyConfig,
     cadence: SimDuration,
     force_uploader: bool,
-    mut on_window: impl FnMut(Window, Datasets),
+    mut on_window: impl FnMut(Window, Datasets, std::time::Duration),
 ) -> (Deployment, Delivery) {
     let (deployment, collector) = Deployment::set_up(config);
     let reliable_upload =
@@ -398,8 +398,9 @@ fn drive(
         // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
         let drain_start = std::time::Instant::now();
         let delta = collector.drain_delta();
-        timings.snapshot += drain_start.elapsed();
-        on_window(Window { start: cursor, end: until }, delta);
+        let drain_cost = drain_start.elapsed();
+        timings.snapshot += drain_cost;
+        on_window(Window { start: cursor, end: until }, delta, drain_cost);
         if last {
             break;
         }
@@ -423,7 +424,7 @@ fn drive(
 pub fn run_study(config: &StudyConfig) -> StudyOutput {
     let mut datasets = Datasets::default();
     let (deployment, delivery) =
-        drive(config, config.windows.span.duration(), false, |_, delta| datasets = delta);
+        drive(config, config.windows.span.duration(), false, |_, delta, _| datasets = delta);
     deployment.finish(config, delivery, datasets)
 }
 
@@ -440,6 +441,9 @@ pub struct StreamWindow<'a> {
     pub report: &'a analysis::StudyReport,
     /// The accumulated data sets after this window.
     pub datasets: &'a Datasets,
+    /// Wall-clock spent taking this window's delta: the collector drain
+    /// plus absorbing the delta into the accumulated data sets.
+    pub snapshot_cost: std::time::Duration,
     /// Wall-clock spent folding this window's delta into the incremental
     /// state (the part whose cost scales with the delta, not the history).
     pub update_cost: std::time::Duration,
@@ -488,7 +492,7 @@ pub fn run_study_stream(
     let mut index: u32 = 0;
     // With no faults armed the forced uploader is invisible: it delivers
     // the records direct flush would.
-    let (deployment, mut delivery) = drive(config, cadence, true, |window, delta| {
+    let (deployment, mut delivery) = drive(config, cadence, true, |window, delta, drain_cost| {
         // Fold the window: update the incremental state from the delta
         // alone, then absorb the delta into the accumulated snapshot.
         // simlint: allow(wall-clock) — per-window incremental-cost profiling for the bench harness; never feeds figures
@@ -498,7 +502,8 @@ pub fn run_study_stream(
         // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
         let absorb_start = std::time::Instant::now();
         acc.absorb(delta, &mut absorber);
-        absorbing += absorb_start.elapsed();
+        let absorb_cost = absorb_start.elapsed();
+        absorbing += absorb_cost;
         // simlint: allow(wall-clock) — per-window incremental-cost profiling for the bench harness; never feeds figures
         let finalize_start = std::time::Instant::now();
         let rolled = inc.finalize(&acc);
@@ -508,6 +513,7 @@ pub fn run_study_stream(
             window,
             report: &rolled,
             datasets: &acc,
+            snapshot_cost: drain_cost + absorb_cost,
             update_cost,
             finalize_cost,
         });

@@ -120,7 +120,10 @@ if peak is None:
     print("bounded-memory smoke OK (RSS check skipped: no VmHWM on this host)")
 else:
     budget = 4 * 2**20
-    slack = 896 * 2**20  # deployment + runlogs + row tables + merge buffers
+    # Deployment + runlogs + row tables + merge buffers, plus the
+    # report's folded latency samples (16 B per latency record, 12.8 MiB
+    # here), which the budget does not govern either.
+    slack = 896 * 2**20
     assert peak < budget + slack, \
         f"peak RSS {peak} exceeds budget {budget} + slack {slack}"
     print("bounded-memory smoke OK: %d segments, %.0f MiB spilled, peak RSS %.0f MiB"
