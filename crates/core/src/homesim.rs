@@ -1145,7 +1145,7 @@ impl<'a> HomeSim<'a> {
         let device: &Device = &self.cfg.devices[device_idx];
         // Resolve the destination through the gateway's resolver; the
         // monitor observes the response when it goes upstream.
-        let domain_idx = self.cfg.taste.pick_domain(kind, &mut self.rng_session);
+        let domain_idx = self.cfg.taste(self.universe).pick_domain(kind, &mut self.rng_session);
         let info = self.universe.get(domain_idx);
         self.dns_id = self.dns_id.wrapping_add(1);
         let (response, upstream) =

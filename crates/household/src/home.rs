@@ -18,6 +18,7 @@ use simnet::rng::DetRng;
 use simnet::time::SimDuration;
 use simnet::wifi::NeighborAp;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// Identifier of a home within the deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
@@ -51,8 +52,12 @@ pub struct HomeConfig {
     pub devices: Vec<Device>,
     /// Daily activity rhythm.
     pub diurnal: DiurnalModel,
-    /// Domain preferences.
-    pub taste: HomeTaste,
+    /// Domain preferences, read through [`HomeConfig::taste`]. Filled at
+    /// sampling for a consenting home and on first read for any other.
+    taste: OnceLock<HomeTaste>,
+    /// Seed of the home's `taste` stream: `DetRng::new(taste_seed)` is
+    /// the sampling stream's `derive("taste")`.
+    taste_seed: u64,
     /// Neighboring access points.
     pub neighborhood: Vec<NeighborAp>,
     /// Downstream access-link model.
@@ -79,8 +84,9 @@ impl HomeConfig {
     /// Sample a home for `country`. The `rng` must be the home's private
     /// stream; all internal processes derive their own substreams from it.
     /// `universe` is the deployment's shared domain universe (see
-    /// [`DomainUniverse::standard`]); building it once per deployment
-    /// rather than once per home is what keeps large deployments cheap.
+    /// [`DomainUniverse::standard`]). Only a home that consents to
+    /// traffic capture picks domains, so only its taste is sampled here;
+    /// any other home samples it from the same stream on first read.
     pub fn sample(
         id: HomeId,
         country: Country,
@@ -125,8 +131,8 @@ impl HomeConfig {
         let availability = AvailabilityModel::sample(country, &mut avail_rng);
         let mut diurnal_rng = rng.derive("diurnal");
         let diurnal = DiurnalModel::sample(&mut diurnal_rng);
-        let mut taste_rng = rng.derive("taste");
-        let taste = HomeTaste::sample(universe, &mut taste_rng);
+        // Deriving a stream draws nothing, so the seed costs no RNG value.
+        let taste_seed = rng.derive("taste").seed();
 
         let mut misc_rng = rng.derive("misc");
         // Traffic consent exists only in the US for the studied window.
@@ -141,13 +147,14 @@ impl HomeConfig {
         // Household appetite: most homes are light users (§6.2).
         let session_rate_per_hour = misc_rng.log_normal(1.25, 0.55).clamp(0.8, 18.0);
 
-        HomeConfig {
+        let home = HomeConfig {
             id,
             country,
             availability,
             devices,
             diurnal,
-            taste,
+            taste: OnceLock::new(),
+            taste_seed,
             neighborhood,
             down_link,
             up_link,
@@ -159,7 +166,17 @@ impl HomeConfig {
                 misc_rng.uniform_range(env.wan_transit_ms.0, env.wan_transit_ms.1) / 1e3,
             ),
             quirk: None,
+        };
+        if home.traffic_consent {
+            home.taste(universe);
         }
+        home
+    }
+
+    /// The home's domain preferences, sampled on first read. `universe`
+    /// must be the one the deployment was sampled against.
+    pub fn taste(&self, universe: &DomainUniverse) -> &HomeTaste {
+        self.taste.get_or_init(|| HomeTaste::sample(universe, &mut DetRng::new(self.taste_seed)))
     }
 
     /// Total number of devices.
@@ -230,9 +247,11 @@ pub fn build_deployment_scaled(seed: u64, homes: u32) -> Vec<HomeConfig> {
 /// [`build_deployment_scaled`] against a caller-built `universe`, sampling
 /// the homes on `threads` workers. Every home draws only from its own
 /// `derive_indexed("home", id)` stream, so the result is identical at any
-/// thread count: workers sample contiguous id ranges, the ranges are
-/// concatenated in id order, and the quirk pass runs afterwards on the
-/// whole deployment.
+/// thread count: home `i` goes to worker `i % threads`, the homes are
+/// reassembled in id order, and the quirk pass runs afterwards on the
+/// whole deployment. Table 1 order keeps the US homes, the only ones
+/// that consent to traffic capture and so sample a taste, in one block
+/// of ids; interleaving gives every worker an equal share of that block.
 pub fn build_deployment_with(
     seed: u64,
     homes: u32,
@@ -249,20 +268,24 @@ pub fn build_deployment_with(
     let sample = |&(id, country): &(HomeId, Country)| {
         HomeConfig::sample(id, country, &root.derive_indexed("home", u64::from(id.0)), universe)
     };
-    let chunk = plan.len().div_ceil(threads.max(1)).max(1);
-    let mut out: Vec<HomeConfig> = if plan.len() <= chunk {
+    let threads = threads.clamp(1, plan.len().max(1));
+    let mut out: Vec<HomeConfig> = if threads == 1 {
         plan.iter().map(sample).collect()
     } else {
+        let plan = &plan;
         std::thread::scope(|scope| {
-            let workers: Vec<_> = plan
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || part.iter().map(sample).collect::<Vec<_>>()))
+            let workers: Vec<_> = (0..threads)
+                .map(|w| {
+                    scope.spawn(move || {
+                        plan.iter().skip(w).step_by(threads).map(sample).collect::<Vec<_>>()
+                    })
+                })
                 .collect();
-            let mut out = Vec::with_capacity(plan.len());
-            for worker in workers {
-                out.extend(worker.join().expect("home sampling threads must not panic"));
-            }
-            out
+            let mut parts: Vec<_> = workers
+                .into_iter()
+                .map(|w| w.join().expect("home sampling threads must not panic").into_iter())
+                .collect();
+            (0..plan.len()).filter_map(|i| parts[i % threads].next()).collect()
         })
     };
     // Assign the uploader quirk to the first consenting homes with a
@@ -452,6 +475,34 @@ mod tests {
         let table1 = build_deployment(11);
         let scaled = build_deployment_scaled(11, 126);
         assert_eq!(format!("{table1:?}"), format!("{scaled:?}"));
+    }
+
+    #[test]
+    fn only_consenting_homes_sample_a_taste_up_front() {
+        let universe = DomainUniverse::standard();
+        let root = DetRng::new(7);
+        let homes = build_deployment_scaled(7, 2000);
+        for h in &homes {
+            assert_eq!(h.taste.get().is_some(), h.traffic_consent, "{}", h.id);
+        }
+        // A taste read later comes from the same stream the home's
+        // sampling derives, so a consent override gets the taste it
+        // would have had if sampled up front.
+        let mut late =
+            homes.iter().find(|h| !h.traffic_consent).expect("a non-consenting home").clone();
+        late.traffic_consent = true;
+        let up_front = HomeTaste::sample(
+            &universe,
+            &mut root.derive_indexed("home", u64::from(late.id.0)).derive("taste"),
+        );
+        assert_eq!(format!("{:?}", late.taste(&universe)), format!("{up_front:?}"));
+        let consenting = homes.iter().find(|h| h.traffic_consent).expect("a consenting home");
+        let mut fresh = consenting.clone();
+        fresh.taste = OnceLock::new();
+        assert_eq!(
+            format!("{:?}", fresh.taste(&universe)),
+            format!("{:?}", consenting.taste(&universe))
+        );
     }
 
     #[test]
