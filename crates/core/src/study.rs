@@ -2,12 +2,13 @@
 //! (in parallel), and collect the six data sets.
 //!
 //! One private driver runs every study as a stream of windows cut from
-//! the span. In each window, worker threads claim homes in index order
-//! from one claim cursor and advance them to the window's end; then the
-//! window's records are drained from the collector as one delta. A batch
-//! study ([`run_study`]) is the one-window case and keeps its delta as
-//! the data sets. A stream ([`run_study_stream`]) folds every delta into
-//! an incremental report.
+//! the span. In each window, threads claim homes in index order from one
+//! claim cursor and advance them to the window's end; then the window's
+//! records are drained from the collector as one delta. A batch study
+//! ([`run_study`]) is the one-window case and keeps its delta as the data
+//! sets. A stream ([`run_study_stream`]) folds every delta into an
+//! incremental report; the driver thread folds each window while the
+//! next one simulates.
 
 use crate::homesim::{HomeSim, SimParams};
 use cgn::{CgnPlan, CgnScenario};
@@ -87,7 +88,9 @@ pub struct StudyConfig {
     pub homes: u32,
     /// Collection windows (defaults to Table 2's).
     pub windows: StudyWindows,
-    /// Worker threads for the home simulations.
+    /// Threads that simulate homes, the driver thread among them: it
+    /// claims homes beside `threads − 1` workers, after folding the
+    /// previous stream window.
     pub threads: usize,
     /// Collection-infrastructure outage windows (§3.3 failure injection):
     /// records arriving during one are lost at the server.
@@ -150,7 +153,11 @@ fn default_threads() -> usize {
 /// Wall-clock spent in each phase of [`run_study`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
-    /// Simulating every home and ingesting its uploads.
+    /// Simulating every home and ingesting its uploads: each window's
+    /// wall-clock from spawning its workers to joining them, minus the
+    /// driver thread's fold of the previous window, so no span counts
+    /// twice (a stream times that fold's update, absorb and finalize on
+    /// their own).
     pub simulate: std::time::Duration,
     /// Merging the collector shards into the sorted data sets.
     pub snapshot: std::time::Duration,
@@ -338,12 +345,24 @@ struct Delivery {
 /// one window runs, so an empty span runs one empty window. A batch run
 /// passes the span as the cadence and runs exactly one.
 ///
-/// Per window, at most one worker per home claims homes in index order
-/// from one claim cursor. A home is built on its first claim, advanced to
-/// the window's end, and in the last window finished and dropped, so a
-/// one-window run holds no more homes than it has workers. Homes are
-/// mutually independent and the collector's merge is order-insensitive,
-/// so which worker runs which home never shows in the output.
+/// Per window, the driver thread and `threads − 1` scoped workers (never
+/// more threads than homes) claim homes in index order from one claim
+/// cursor. A home is built on its first claim, advanced to the window's
+/// end, and in the last window finished and dropped, so a one-window run
+/// holds no more homes than it has threads. Homes are mutually
+/// independent and the collector's merge is order-insensitive, so which
+/// thread runs which home never shows in the output.
+///
+/// Before it claims, the driver thread hands the previous window's delta
+/// to `on_window`, so the callback runs while the workers simulate, and
+/// at most `threads` threads are busy at once. Each callback returns
+/// before the next one starts. The last window's delta has nothing left
+/// to overlap and is handed over after its own barrier, so a one-window
+/// run folds as it would serially. The drain stays at the barrier: it
+/// must see every home at the window's end, and it resets the shards'
+/// segment counters, so the next window's seals reuse the segment names
+/// a deferred merge would still read. A panic on any thread, the
+/// callback's included, surfaces with its own payload.
 /// `force_uploader` arms the store-and-forward uploader on every home;
 /// otherwise only fault and CGN runs use it.
 fn drive(
@@ -363,6 +382,8 @@ fn drive(
     // A drain moves the sealed segments out with its delta and resets the
     // collector's live spill stats, so the run's total accumulates here.
     let mut spill: Option<SpillStats> = None;
+    // The previous window's drained delta, folded while this one simulates.
+    let mut pending: Option<(Window, Datasets, std::time::Duration)> = None;
     let mut cursor = span.start;
     loop {
         let until = cursor + cadence.min(span.end.since(cursor));
@@ -370,28 +391,40 @@ fn drive(
         // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
         let sim_start = std::time::Instant::now();
         let claims = std::sync::Mutex::new(slots.iter_mut().enumerate());
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    // The guard drops with this statement, before the home runs.
-                    let claim = claims.lock().expect("claiming a slot cannot panic").next();
-                    let Some((idx, slot)) = claim else { break };
-                    let mut sim = slot
-                        .take()
-                        .unwrap_or_else(|| Box::new(deployment.sim(idx, config, reliable_upload)));
-                    sim.run_until(until, &collector);
-                    // Span end: the epilogue tears down flows and drains the
-                    // monitor and spool, so the last delta carries everything.
-                    if last {
-                        sim.finish(&collector);
-                    } else {
-                        *slot = Some(sim);
-                    }
-                });
+        let claim_homes = || loop {
+            // The guard drops with this statement, before the home runs.
+            let claim = claims.lock().expect("claiming a slot cannot panic").next();
+            let Some((idx, slot)) = claim else { break };
+            let mut sim = slot
+                .take()
+                .unwrap_or_else(|| Box::new(deployment.sim(idx, config, reliable_upload)));
+            sim.run_until(until, &collector);
+            // Span end: the epilogue tears down flows and drains the
+            // monitor and spool, so the last delta carries everything.
+            if last {
+                sim.finish(&collector);
+            } else {
+                *slot = Some(sim);
             }
+        };
+        let fold_cost = crossbeam::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(|_| claim_homes())).collect();
+            // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
+            let fold_start = std::time::Instant::now();
+            if let Some((window, delta, drain_cost)) = pending.take() {
+                on_window(window, delta, drain_cost);
+            }
+            let fold_cost = fold_start.elapsed();
+            claim_homes();
+            // Joined here, so a home's panic re-raises its own payload
+            // rather than the scope's stand-in.
+            for helper in helpers {
+                helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            }
+            fold_cost
         })
-        .expect("home simulation threads must not panic");
-        timings.simulate += sim_start.elapsed();
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        timings.simulate += sim_start.elapsed() - fold_cost;
         if let Some(stats) = collector.spill_stats() {
             spill.get_or_insert_with(SpillStats::default).absorb(stats);
         }
@@ -400,10 +433,12 @@ fn drive(
         let delta = collector.drain_delta();
         let drain_cost = drain_start.elapsed();
         timings.snapshot += drain_cost;
-        on_window(Window { start: cursor, end: until }, delta, drain_cost);
+        let window = Window { start: cursor, end: until };
         if last {
+            on_window(window, delta, drain_cost);
             break;
         }
+        pending = Some((window, delta, drain_cost));
         cursor = until;
     }
     drop(slots);
@@ -430,7 +465,8 @@ pub fn run_study(config: &StudyConfig) -> StudyOutput {
 
 /// One emitted stream window, handed to the [`run_study_stream`] sink
 /// right after the window's delta was folded in and the rolling report
-/// refreshed.
+/// refreshed. Every window but the last is folded, and its sink called,
+/// on the driver thread while the next window simulates.
 pub struct StreamWindow<'a> {
     /// Zero-based window index.
     pub index: u32,
@@ -469,7 +505,10 @@ pub struct StreamOutput {
 /// but pause every `cadence` of virtual time to drain the records sealed
 /// behind the per-router watermark, fold them into the incremental
 /// analysis state, and refresh the rolling report — calling `on_window`
-/// with each window's results as it closes.
+/// with each window's results once they are folded. The fold and the
+/// callback of every window but the last run on the calling thread while
+/// the next window simulates on `threads − 1` workers; callbacks run in
+/// window order, one at a time.
 ///
 /// The stream always routes records through the store-and-forward upload
 /// queue (a long-running collector never gets direct memory handoffs), so
@@ -649,6 +688,21 @@ mod tests {
                 "final rolling report must equal the batch report"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sink failed at window 1")]
+    fn a_window_sink_panic_surfaces_as_itself() {
+        // Window 1 is not the last, so its callback runs while window 2
+        // simulates on the other thread.
+        let mut cfg = StudyConfig::quick(7, 2);
+        cfg.homes = 4;
+        cfg.threads = 2;
+        run_study_stream(&cfg, SimDuration::from_hours(12), |w| {
+            if w.index == 1 {
+                panic!("sink failed at window {}", w.index);
+            }
+        });
     }
 
     #[test]
