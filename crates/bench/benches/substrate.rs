@@ -44,21 +44,38 @@ fn bench_packets(c: &mut Criterion) {
     group.bench_function("ipv4_parse_1400B", |b| {
         b.iter(|| black_box(Ipv4Packet::parse(&wire).expect("valid")))
     });
+    let wan = Ipv4Addr::new(100, 64, 0, 7);
     let hb = firmware::Heartbeat { router: firmware::RouterId(7), seq: 42 };
-    let hb_wire = hb.emit(Ipv4Addr::new(100, 64, 0, 7));
-    group.bench_function("heartbeat_emit", |b| {
-        b.iter(|| black_box(hb.emit(Ipv4Addr::new(100, 64, 0, 7))))
-    });
+    let hb_wire = hb.emit(wan);
+    group.bench_function("heartbeat_emit", |b| b.iter(|| black_box(hb.emit(wan))));
+    // The zero-allocation path the simulation hot loop uses. With the wire
+    // helpers inlined, constant inputs would let the whole emit hoist out
+    // of the loop: router, address and a seq that changes every iteration
+    // go through `black_box`.
+    let next = |seq: &mut u64| {
+        *seq += 1;
+        firmware::Heartbeat { router: black_box(firmware::RouterId(7)), seq: black_box(*seq) }
+    };
     group.bench_function("heartbeat_emit_into", |b| {
-        // The zero-allocation path the simulation hot loop uses.
         let mut buf = [0u8; firmware::Heartbeat::WIRE_LEN];
+        let mut seq = 0;
         b.iter(|| {
-            hb.emit_into(Ipv4Addr::new(100, 64, 0, 7), &mut buf);
-            black_box(buf[43])
+            next(&mut seq).emit_into(black_box(wan), &mut buf);
+            black_box(&buf);
         })
     });
     group.bench_function("heartbeat_parse", |b| {
         b.iter(|| black_box(firmware::Heartbeat::parse(&hb_wire).expect("valid")))
+    });
+    group.bench_function("heartbeat_round_trip", |b| {
+        // Shaped like `HomeSim::on_heartbeat`: emit into a stack buffer,
+        // then the collector-side parse.
+        let mut seq = 0;
+        b.iter(|| {
+            let mut wire = [0u8; firmware::Heartbeat::WIRE_LEN];
+            next(&mut seq).emit_into(black_box(wan), &mut wire);
+            black_box(firmware::Heartbeat::parse(&wire).expect("valid"))
+        })
     });
     let q = DnsQuery { id: 9, name: DomainName::new("www.netflix.com").unwrap() };
     let q_wire = q.emit();

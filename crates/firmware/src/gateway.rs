@@ -8,7 +8,7 @@
 
 use crate::anonymize::Anonymizer;
 use crate::records::{ApSighting, DeviceCensusRecord, RouterId, UptimeRecord, WifiScanRecord};
-use simnet::arp::{ArpPacket, NeighborTable};
+use simnet::arp::{ArpPacket, NeighborTable, ARP_LEN};
 use simnet::dhcp::DhcpServer;
 use simnet::dns::CachingResolver;
 use simnet::nat::Nat;
@@ -141,9 +141,10 @@ impl Gateway {
     /// A device joined the LAN and broadcast a gratuitous ARP: parse the
     /// wire image at the gateway and learn the neighbor.
     pub fn observe_gratuitous_arp(&mut self, now: SimTime, mac: MacAddr, addr: std::net::Ipv4Addr) {
-        let announce = ArpPacket::gratuitous(mac, addr);
         // The gateway receives the broadcast as bytes and parses it.
-        if let Ok(parsed) = ArpPacket::parse(&announce.emit()) {
+        let mut wire = [0u8; ARP_LEN];
+        ArpPacket::gratuitous(mac, addr).emit_into(&mut wire);
+        if let Ok(parsed) = ArpPacket::parse(&wire) {
             self.neighbors.observe(now, &parsed);
         }
     }

@@ -6,15 +6,16 @@
 //! whenever a fault plan is active, so its steady state (fill → seal →
 //! attempt → fail → ack) carries the same requirement. So do the
 //! one-second traffic tick (flow scheduler plus traffic monitor), which
-//! runs millions of times in a traffic-capturing study, and the hourly
-//! latency probe. The `obs` metric handles ride these same hot paths, so
+//! runs millions of times in a traffic-capturing study, the hourly
+//! latency probe, and the gateway's parse of the gratuitous ARP a device
+//! broadcasts on every attach. The `obs` metric handles ride these same hot paths, so
 //! their increments are held to the same bar. A counting global allocator
 //! makes all of this hard tests rather than code-review promises.
 
 use firmware::latency::{probe_latency, PING_TRAIN};
 use firmware::records::{Record, RouterId, UptimeRecord};
 use firmware::uploader::{Uploader, UploaderConfig};
-use firmware::{Anonymizer, Heartbeat, TrafficMonitor};
+use firmware::{Anonymizer, Gateway, Heartbeat, TrafficMonitor};
 use netstack::{AppKind, Flow, FlowId, FlowScheduler};
 use simnet::dns::DomainName;
 use simnet::link::{Link, LinkConfig, WanPath};
@@ -103,6 +104,28 @@ fn heartbeat_emit_and_parse_allocate_nothing() {
         "heartbeat emit+parse allocated {} times over 10k packets",
         after - before
     );
+}
+
+#[test]
+fn gratuitous_arp_reobservation_allocates_nothing() {
+    let mut gw = Gateway::new(RouterId(5), Ipv4Addr::new(100, 64, 0, 5));
+    let mac = MacAddr::from_oui_nic(0x00_17_F2, 1);
+    let lan = Ipv4Addr::new(192, 168, 1, 10);
+    // Warm-up: the first sighting inserts the neighbor-table entry.
+    gw.observe_gratuitous_arp(SimTime::EPOCH, mac, lan);
+
+    let before = ALLOCATIONS.with(Cell::get);
+    for s in 1..=10_000 {
+        gw.observe_gratuitous_arp(SimTime::EPOCH + SimDuration::from_secs(s), mac, lan);
+    }
+    let after = ALLOCATIONS.with(Cell::get);
+    assert!(
+        after == before,
+        "gratuitous ARP re-observation allocated {} times over 10k announcements",
+        after - before
+    );
+    let last = SimTime::EPOCH + SimDuration::from_secs(10_000);
+    assert_eq!(gw.neighbors.lookup(last, lan), Some(mac));
 }
 
 #[test]

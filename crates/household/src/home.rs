@@ -283,7 +283,9 @@ pub fn build_deployment_with(
                 .collect();
             let mut parts: Vec<_> = workers
                 .into_iter()
-                .map(|w| w.join().expect("home sampling threads must not panic").into_iter())
+                .map(|w| {
+                    w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)).into_iter()
+                })
                 .collect();
             (0..plan.len()).filter_map(|i| parts[i % threads].next()).collect()
         })

@@ -20,11 +20,12 @@
 //!
 //! The tool is deliberately dependency-free (the build container has no
 //! crates.io access): lexing is hand-rolled in [`lexer`], JSON output is
-//! emitted by hand, and configuration is four flat files at the
+//! emitted by hand, and configuration is five flat files at the
 //! workspace root — `simlint-hotpaths.txt` (hot-path manifest),
-//! `simlint-layers.txt` (layering manifest), `simlint-shared-state.txt`
-//! (shared-state whitelist), and `simlint.baseline` (grandfathered
-//! findings, normally empty).
+//! `simlint-inline.txt` (its `#[inline]` sibling), `simlint-layers.txt`
+//! (layering manifest), `simlint-shared-state.txt` (shared-state
+//! whitelist), and `simlint.baseline` (grandfathered findings, normally
+//! empty).
 
 pub mod graph;
 pub mod lexer;
@@ -39,6 +40,8 @@ use std::path::{Path, PathBuf};
 
 /// Name of the hot-path manifest at the workspace root.
 pub const HOTPATHS_FILE: &str = "simlint-hotpaths.txt";
+/// Name of the inline manifest at the workspace root.
+pub const INLINE_FILE: &str = "simlint-inline.txt";
 /// Name of the layering manifest at the workspace root.
 pub const LAYERS_FILE: &str = rules::layering::LAYERS_FILE;
 /// Name of the shared-state whitelist at the workspace root.
@@ -199,6 +202,8 @@ fn parse_baseline(text: &str) -> Vec<(String, String)> {
 pub struct WorkspaceContext {
     /// Hot-path manifest entries.
     pub hotpaths: Vec<HotPathFn>,
+    /// Inline manifest entries (same `path::function` format).
+    pub inline: Vec<HotPathFn>,
     /// Layering manifest entries.
     pub layers: Vec<LayerEdge>,
     /// Shared-state whitelist entries.
@@ -222,6 +227,7 @@ pub fn load_context(root: &Path) -> io::Result<WorkspaceContext> {
         Err(e) => Err(e),
     };
     let hotpaths = rules::parse_hotpaths(&read_optional(HOTPATHS_FILE)?);
+    let inline = rules::parse_hotpaths(&read_optional(INLINE_FILE)?);
     let layers = rules::parse_layers(&read_optional(LAYERS_FILE)?);
     let whitelist = rules::parse_shared_whitelist(&read_optional(SHARED_STATE_FILE)?);
     let baseline = parse_baseline(&read_optional(BASELINE_FILE)?);
@@ -235,7 +241,16 @@ pub fn load_context(root: &Path) -> io::Result<WorkspaceContext> {
         sources.iter().map(|(p, s)| (p.clone(), s.clone())).collect();
     let graph = SymbolGraph::build(root, &flat)?;
     let transitive = graph.transitive_hot(&hotpaths);
-    Ok(WorkspaceContext { hotpaths, layers, whitelist, baseline, graph, transitive, sources })
+    Ok(WorkspaceContext {
+        hotpaths,
+        inline,
+        layers,
+        whitelist,
+        baseline,
+        graph,
+        transitive,
+        sources,
+    })
 }
 
 /// Scan an explicit set of files (paths may be absolute or root-relative).
@@ -329,12 +344,15 @@ fn scan_files(
         };
         let file_hotpaths: Vec<HotPathFn> =
             ctx.hotpaths.iter().filter(|h| h.path == rel).cloned().collect();
+        let file_inline: Vec<HotPathFn> =
+            ctx.inline.iter().filter(|h| h.path == rel).cloned().collect();
         let file_transitive: Vec<TransitiveHot> =
             ctx.transitive.iter().filter(|t| t.file == rel).cloned().collect();
         let scan = rules::scan_file(&rules::FileInput {
             path: &rel,
             source: &source,
             hotpaths: &file_hotpaths,
+            inline: &file_inline,
             transitive: &file_transitive,
             shared_whitelist: &ctx.whitelist,
         });

@@ -17,10 +17,11 @@ fn usage() -> ExitCode {
         "usage:\n  simlint --workspace [--json]\n  simlint PATH... [--json]\n  simlint --audit\n\n\
          Scans for violations of the project invariants (rules: {}).\n\
          Suppress with `// simlint: allow(<rule>) — <justification>`.\n\
-         Config at the workspace root: {} (hot-path manifest), {} (layering manifest),\n\
-         {} (shared-state whitelist), {} (baseline).",
+         Config at the workspace root: {} (hot-path manifest), {} (inline manifest),\n\
+         {} (layering manifest), {} (shared-state whitelist), {} (baseline).",
         simlint::rules::RULES.join(", "),
         simlint::HOTPATHS_FILE,
+        simlint::INLINE_FILE,
         simlint::LAYERS_FILE,
         simlint::SHARED_STATE_FILE,
         simlint::BASELINE_FILE,

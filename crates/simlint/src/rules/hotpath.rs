@@ -4,19 +4,23 @@
 //! static complement of the counting-allocator tests in
 //! `crates/firmware/tests/alloc.rs`. The transitive rule closes the
 //! helper-extraction loophole: moving an allocation out of a manifest
-//! function into a private callee no longer launders it.
+//! function into a private callee no longer launders it. Functions in
+//! `simlint-inline.txt` carry `#[inline]` (`hot-path-inline`): without
+//! it, a small helper called from another crate can stay out of line
+//! under thin LTO, and no test sees the lost speed.
 
 use super::{in_spans, push, FileInput, Finding};
 use crate::lexer::Token;
 
-/// Find every non-test body of `fn <func>` in the file and hand its
-/// token range to `visit`. Returns false when no such fn exists (a
-/// bodyless trait method does not count — there is nothing to scan).
+/// Find every non-test body of `fn <func>` in the file and hand the
+/// index of its `fn` token and its body's token range to `visit`.
+/// Returns false when no such fn exists (a bodyless trait method does
+/// not count — there is nothing to scan).
 pub(crate) fn for_each_fn_body(
     tokens: &[Token],
     test_spans: &[(u32, u32)],
     func: &str,
-    mut visit: impl FnMut(usize, usize),
+    mut visit: impl FnMut(usize, usize, usize),
 ) -> bool {
     let mut found = false;
     let mut i = 0usize;
@@ -62,7 +66,7 @@ pub(crate) fn for_each_fn_body(
             }
             k += 1;
         }
-        visit(j, k.min(tokens.len()));
+        visit(i, j, k.min(tokens.len()));
         i = k.max(i + 1);
     }
     found
@@ -81,7 +85,7 @@ pub(crate) fn rule_hot_path_alloc(
              crates/firmware/tests/alloc.rs and simlint-hotpaths.txt)",
             hp.func
         );
-        let found = for_each_fn_body(tokens, test_spans, &hp.func, |start, end| {
+        let found = for_each_fn_body(tokens, test_spans, &hp.func, |_, start, end| {
             scan_alloc_sites(input, tokens, start, end, "hot-path-alloc", &context, out);
         });
         if !found {
@@ -115,10 +119,64 @@ pub(crate) fn rule_hot_path_transitive(
              (`{}`); callees of hot functions inherit the no-alloc rule",
             th.func, th.via
         );
-        for_each_fn_body(tokens, test_spans, &th.func, |start, end| {
+        for_each_fn_body(tokens, test_spans, &th.func, |_, start, end| {
             scan_alloc_sites(input, tokens, start, end, "hot-path-transitive", &context, out);
         });
     }
+}
+
+/// `hot-path-inline`: every non-test fn named in the inline manifest
+/// carries `#[inline]`. All fns of a listed name in the file are
+/// checked, like `hot-path-alloc`, and a stale entry is a finding.
+pub(crate) fn rule_hot_path_inline(
+    input: &FileInput<'_>,
+    tokens: &[Token],
+    test_spans: &[(u32, u32)],
+    out: &mut Vec<Finding>,
+) {
+    for entry in input.inline {
+        let found = for_each_fn_body(tokens, test_spans, &entry.func, |fn_at, _, _| {
+            if !has_inline_attr(tokens, fn_at) {
+                push(
+                    out,
+                    "hot-path-inline",
+                    input.path,
+                    tokens[fn_at].line,
+                    format!(
+                        "`{}` lacks `#[inline]`; simlint-inline.txt lists it because its \
+                         callers in other crates must inline it",
+                        entry.func
+                    ),
+                );
+            }
+        });
+        if !found {
+            push(
+                out,
+                "hot-path-inline",
+                input.path,
+                1,
+                format!(
+                    "inline manifest names `{}::{}` but no such fn exists; update \
+                     simlint-inline.txt",
+                    entry.path, entry.func
+                ),
+            );
+        }
+    }
+}
+
+/// Does the fn whose `fn` keyword is `tokens[fn_at]` carry a plain
+/// `#[inline]`? Its attributes and qualifiers are the tokens between the
+/// end of the previous item (`;`, `{` or `}`) and `fn`.
+fn has_inline_attr(tokens: &[Token], fn_at: usize) -> bool {
+    let start = tokens[..fn_at]
+        .iter()
+        .rposition(|t| t.is_punct(';') || t.is_punct('{') || t.is_punct('}'))
+        .map_or(0, |end| end + 1);
+    tokens[start..fn_at].windows(4).any(|w| {
+        w[0].is_punct('#') && w[1].is_punct('[') && w[2].is_ident("inline") && w[3].is_punct(']')
+    })
 }
 
 fn scan_alloc_sites(
@@ -222,6 +280,57 @@ mod tests {
         let f = scan_hot("crates/firmware/src/heartbeat.rs", "fn other() {}", "emit_into");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "hot-path-alloc");
+        assert!(f[0].message.contains("no such fn"));
+    }
+
+    fn scan_inline(path: &str, source: &str, func: &str) -> Vec<Finding> {
+        let entry = vec![HotPathFn { path: path.to_string(), func: func.to_string() }];
+        scan_file(&FileInput { path, source, inline: &entry, ..FileInput::default() }).findings
+    }
+
+    #[test]
+    fn hot_path_inline_fires_without_the_attribute_and_not_with_it() {
+        // The hint on the item before does not count for `parse`.
+        let bare = "
+            impl<'a> UdpView<'a> {
+                #[inline]
+                fn len(&self) -> usize { 8 }
+                /// Parse and verify, borrowing the payload.
+                pub fn parse(data: &'a [u8]) -> Result<UdpView<'a>, ParseError> { view(data) }
+            }";
+        let f = scan_inline("crates/simnet/src/packet/udp.rs", bare, "parse");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule.as_str(), f[0].line), ("hot-path-inline", 6));
+        let marked = bare.replace("pub fn parse", "#[inline]\n                pub fn parse");
+        assert!(scan_inline("crates/simnet/src/packet/udp.rs", &marked, "parse").is_empty());
+    }
+
+    #[test]
+    fn hot_path_inline_checks_every_fn_of_the_name() {
+        // Qualifiers and other attributes may sit between `#[inline]` and
+        // `fn`; only the plain hint counts, and test code is skipped.
+        let src = "
+            impl Owned {
+                #[inline]
+                #[must_use]
+                pub(crate) const fn parse(d: &[u8]) -> Owned { Owned }
+            }
+            impl View {
+                #[inline(never)]
+                pub fn parse(d: &[u8]) -> View { View }
+            }
+            #[cfg(test)]
+            mod tests { fn parse() {} }";
+        let f = scan_inline("crates/simnet/src/packet/ipv4.rs", src, "parse");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 9);
+    }
+
+    #[test]
+    fn hot_path_inline_stale_manifest_entry_is_a_finding() {
+        let f = scan_inline("crates/firmware/src/heartbeat.rs", "#[inline] fn other() {}", "parse");
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "hot-path-inline");
         assert!(f[0].message.contains("no such fn"));
     }
 

@@ -12,7 +12,9 @@
 //!   declarations — it may neither crash nor silently drop a `Result`.
 //! * [`hotpath`] — `hot-path-alloc`, `hot-path-transitive`: functions in
 //!   `simlint-hotpaths.txt` are allocation-free, and so is everything
-//!   they reach through the call graph (pass 1, [`crate::graph`]).
+//!   they reach through the call graph (pass 1, [`crate::graph`]);
+//!   `hot-path-inline`: functions in `simlint-inline.txt` carry
+//!   `#[inline]`, so callers in other crates can inline them.
 //! * [`threading`] — `shared-state`: `static mut`, `spawn`, and
 //!   `Ordering::Relaxed` in dataset crates are confined to the files
 //!   whitelisted in `simlint-shared-state.txt`.
@@ -48,6 +50,7 @@ pub const RULES: &[&str] = &[
     "error-swallow",
     "hot-path-alloc",
     "hot-path-transitive",
+    "hot-path-inline",
     "shared-state",
     "layering",
 ];
@@ -127,7 +130,7 @@ pub struct Suppression {
     pub justification: String,
 }
 
-/// An entry of the hot-path manifest: `path::function`.
+/// An entry of the hot-path or inline manifest: `path::function`.
 #[derive(Debug, Clone)]
 pub struct HotPathFn {
     /// Workspace-relative file path.
@@ -262,6 +265,8 @@ pub struct FileInput<'a> {
     pub source: &'a str,
     /// Hot-path manifest entries for this file.
     pub hotpaths: &'a [HotPathFn],
+    /// Inline manifest entries for this file.
+    pub inline: &'a [HotPathFn],
     /// Functions in this file the call graph reaches from the manifest.
     pub transitive: &'a [TransitiveHot],
     /// The full shared-state whitelist (entries are path-scoped).
@@ -305,6 +310,7 @@ pub fn scan_file(input: &FileInput<'_>) -> FileScan {
     panics::rule_error_swallow(input, &lexed.tokens, &spans, &mut raw);
     hotpath::rule_hot_path_alloc(input, &lexed.tokens, &spans, &mut raw);
     hotpath::rule_hot_path_transitive(input, &lexed.tokens, &spans, &mut raw);
+    hotpath::rule_hot_path_inline(input, &lexed.tokens, &spans, &mut raw);
     let (whitelisted, whitelist_used) =
         threading::rule_shared_state(input, &lexed.tokens, &spans, &mut raw);
 

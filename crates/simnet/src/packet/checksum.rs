@@ -5,6 +5,7 @@ use std::net::Ipv4Addr;
 
 /// One's-complement sum of a byte slice, folding carries, without the final
 /// complement. Odd trailing bytes are padded with zero per RFC 1071.
+#[inline]
 pub fn ones_complement_sum(data: &[u8]) -> u32 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
@@ -18,6 +19,7 @@ pub fn ones_complement_sum(data: &[u8]) -> u32 {
 }
 
 /// Fold a 32-bit running sum to 16 bits and complement it.
+#[inline]
 pub fn finish(mut sum: u32) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
@@ -27,12 +29,14 @@ pub fn finish(mut sum: u32) -> u16 {
 
 /// RFC 1071 checksum of a standalone buffer (e.g. an IPv4 header with its
 /// checksum field zeroed).
+#[inline]
 pub fn checksum(data: &[u8]) -> u16 {
     finish(ones_complement_sum(data))
 }
 
 /// Checksum over the IPv4 pseudo-header plus a transport segment, as UDP
 /// and TCP require.
+#[inline]
 pub fn pseudo_header_checksum(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -49,6 +53,7 @@ pub fn pseudo_header_checksum(
 
 /// Verify a buffer whose checksum field is still in place: the folded sum of
 /// the whole buffer must be zero.
+#[inline]
 pub fn verify(data: &[u8]) -> bool {
     finish(ones_complement_sum(data)) == 0
 }

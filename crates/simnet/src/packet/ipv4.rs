@@ -102,6 +102,7 @@ impl Ipv4Packet {
     }
 
     /// Parse and verify a wire image.
+    #[inline]
     pub fn parse(data: &[u8]) -> Result<Ipv4Packet, ParseError> {
         Ipv4View::parse(data).map(|v| v.to_owned())
     }
@@ -158,6 +159,7 @@ impl<'a> Ipv4View<'a> {
     /// `out[..IPV4_HEADER_LEN]`, for callers that have already placed the
     /// payload after the header in the same buffer. The header's total
     /// length field still covers `self.payload.len()` payload bytes.
+    #[inline]
     pub fn emit_header_into(&self, out: &mut [u8]) -> usize {
         let total_len = self.wire_len();
         assert!(total_len <= u16::MAX as usize, "IPv4 packet too large");
@@ -177,6 +179,7 @@ impl<'a> Ipv4View<'a> {
     }
 
     /// Parse and verify a wire image, borrowing the payload.
+    #[inline]
     pub fn parse(data: &'a [u8]) -> Result<Ipv4View<'a>, ParseError> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(ParseError::Truncated);

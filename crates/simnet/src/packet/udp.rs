@@ -43,6 +43,7 @@ impl UdpDatagram {
     }
 
     /// Append the wire image to `out`, reusing its capacity.
+    #[inline]
     pub fn emit_into(&self, src: Ipv4Addr, dst: Ipv4Addr, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + self.wire_len(), 0);
@@ -50,6 +51,7 @@ impl UdpDatagram {
     }
 
     /// Parse and verify against the pseudo-header for the given IP pair.
+    #[inline]
     pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, ParseError> {
         UdpView::parse(data, src, dst).map(|v| v.to_owned())
     }
@@ -76,6 +78,7 @@ impl<'a> UdpView<'a> {
     /// Write the wire image into `out[..self.wire_len()]`, computing the
     /// pseudo-header checksum for the given IP pair. Returns the number of
     /// bytes written.
+    #[inline]
     pub fn emit_into(&self, src: Ipv4Addr, dst: Ipv4Addr, out: &mut [u8]) -> usize {
         let len = self.wire_len();
         assert!(len <= u16::MAX as usize, "UDP datagram too large");
@@ -94,6 +97,7 @@ impl<'a> UdpView<'a> {
     }
 
     /// Parse and verify against the pseudo-header, borrowing the payload.
+    #[inline]
     pub fn parse(data: &'a [u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpView<'a>, ParseError> {
         if data.len() < UDP_HEADER_LEN {
             return Err(ParseError::Truncated);
