@@ -49,17 +49,29 @@ pub struct Table2Row {
     pub window: Window,
 }
 
-/// One Table 2 row from the set of routers contributing to the data set
-/// within its window.
+/// One Table 2 row from the routers contributing to the data set within
+/// its window, ascending and each named once: one walk beside the
+/// registration list, which is sorted the same way, finds their
+/// countries.
 pub(crate) fn table2_row(
     data: &Datasets,
     dataset: &'static str,
     window: Window,
-    routers: &std::collections::HashSet<RouterId>,
+    routers: impl IntoIterator<Item = RouterId>,
 ) -> Table2Row {
-    let countries: std::collections::HashSet<_> =
-        routers.iter().filter_map(|r| data.meta(*r).map(|m| m.country)).collect();
-    Table2Row { dataset, routers: routers.len(), countries: countries.len(), window }
+    let mut registered = data.routers.iter().peekable();
+    let mut count = 0;
+    let mut countries = Vec::new();
+    for router in routers {
+        count += 1;
+        while registered.next_if(|meta| meta.router < router).is_some() {}
+        if let Some(meta) = registered.peek().filter(|meta| meta.router == router) {
+            countries.push(meta.country);
+        }
+    }
+    countries.sort_unstable();
+    countries.dedup();
+    Table2Row { dataset, routers: count, countries: countries.len(), window }
 }
 
 /// Table 3: §4's highlight numbers.

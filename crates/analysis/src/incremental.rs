@@ -12,16 +12,38 @@
 //!
 //! # Why any split of the stream finalizes to the same bytes
 //!
-//! Every partial state kept here is a set, an integer sum or a sorted
-//! sample run, and all three are fold-order independent:
-//! * Fig 13 keeps integer station sums and distinct-instant counts per
-//!   (weekday or weekend, local hour) bucket. Integer sums below 2^53
-//!   convert to the same `f64` an in-order float sum reaches.
-//! * The latency summary keeps each router's RTT medians and maxima as
-//!   two ascending runs (16 B per latency record, outside the spill
-//!   budget). A sorted run holds the same values in the same order
-//!   whatever order they arrived in, and `finalize` reads each router's
-//!   medians from it in router order.
+//! Every partial state kept here is a per-router sorted run, a flag or an
+//! integer sum, and all three are fold-order independent. `update` walks
+//! each table's own routers, sorts and deduplicates what the delta brings
+//! for one router, and merges that into the router's held run: a sorted
+//! run holds the same items in the same order whatever order they arrived
+//! in, and the merge appends when every new item lands past the held end.
+//! Nothing a scan, a neighbour sighting or an association report brings
+//! is hashed. Per router, one record (160 B, plus its 4 B id) holds:
+//! * its devices in association reports (24 B per device), each with its
+//!   report count, its last `(at, medium)` stamp and the bands it was seen
+//!   on: Fig 7 reads the run's length, Fig 10 its bands and Table 5 its
+//!   counts and last media;
+//! * its distinct 2.4 GHz neighbour BSSIDs (8 B each), for Fig 11;
+//! * its distinct scan instants (8 B each). Fig 13 keeps integer station
+//!   sums and instant counts per (weekday or weekend, local hour) bucket,
+//!   and an instant counts once, when it first enters its router's run.
+//!   Integer sums below 2^53 convert to the same `f64` an in-order float
+//!   sum reaches;
+//! * its RTT medians and maxima as two ascending runs of integer
+//!   microseconds (16 B per latency record, outside the spill budget),
+//!   from which `finalize` reads each router's medians in router order;
+//! * its distinct devices sighted moving at least 100 KiB (8 B each),
+//!   each bumping Fig 12's vendor count once;
+//! * flags for Table 2's WiFi row and Fig 11's homes, and the flow
+//!   tallies of Figs 17–20, held only once the router carried traffic.
+//!
+//! A router missing from a table holds an empty run there and adds
+//! nothing to the figures that table feeds. The finishers read the
+//! records in router order, and each figure built from them sorts its
+//! samples, or its rows by a full key. At seed 2013 the runs hold 2.8 MB
+//! for `paper-49d`'s 126 homes, and 3.9 MB beside 1.5 MB of records for
+//! the 9,070 homes of `homes-10k` with records in these tables.
 //!
 //! `finalize` reads neither the WiFi nor the latency rows. It reads the
 //! rest from the accumulated snapshot:
@@ -42,21 +64,19 @@
 use crate::availability;
 use crate::highlights;
 use crate::index::DataIndex;
-use crate::infrastructure;
+use crate::infrastructure::{self, DeviceRun};
 use crate::latency::{self, RttSamples};
 use crate::natchar;
 use crate::report::{ReportWindows, StudyReport};
-use crate::usage::{self, DomainTally, Fig13Buckets};
+use crate::runs::merge_run;
+use crate::usage::{self, DomainTally, Fig13Buckets, TrafficTally};
 use collector::Datasets;
 use firmware::anonymize::AnonMac;
-use firmware::records::{Medium, RouterId};
+use firmware::records::RouterId;
 use household::VendorClass;
 use simnet::time::SimTime;
 use simnet::wifi::Band;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-
-/// One device within one home: router, OUI and anonymized NIC suffix.
-type DeviceKey = (RouterId, u32, u32);
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Compute one artifact while measuring its wall-clock cost into the named
 /// `obs` wall span. The artifact is a pure function of its inputs and the
@@ -83,34 +103,15 @@ pub struct IncrementalReport {
     folded: Folded,
 }
 
-/// The state `update` folds: one field group per table it scans.
+/// The state `update` folds: one record per router, beside the
+/// study-wide Fig 12/13 counts and the NAT/punch tallies.
 #[derive(Debug, Default)]
 struct Folded {
-    // §5 infrastructure (associations / wifi scans / mac sightings).
-    fig7_devices: HashMap<RouterId, HashSet<AnonMac>>,
-    fig10_homes: HashSet<RouterId>,
-    fig10_band_devices: HashMap<(RouterId, Band), HashSet<AnonMac>>,
-    fig11_scanned: HashSet<RouterId>,
-    fig11_neighbors: HashMap<RouterId, HashSet<u64>>,
-    fig12_seen: HashSet<DeviceKey>,
+    homes: Homes,
+    // Study-wide counts: Fig 12's distinct devices per vendor and Fig
+    // 13's buckets, each bumped as an item first enters its router's run.
     fig12_counts: HashMap<VendorClass, usize>,
-    /// Presence count per (home, device), plus the maximal `(at, medium)`
-    /// stamp seen: the device's last medium in association-table order,
-    /// because the table is sorted by that very key.
-    presence: HashMap<DeviceKey, (usize, (SimTime, Medium))>,
-
-    // §6 usage (wifi scans / flows).
     fig13: Fig13Buckets,
-    device_bytes: HashMap<(RouterId, AnonMac), u64>,
-    domain_bytes: BTreeMap<RouterId, DomainTally>,
-    device_domains: HashMap<(RouterId, AnonMac), HashMap<String, u64>>,
-
-    // Table 2's columnar data sets.
-    wifi_routers: HashSet<RouterId>,
-    traffic_routers: HashSet<RouterId>,
-
-    // Companion latency data set (latency probes in the heartbeat window).
-    rtts: HashMap<RouterId, RttSamples>,
 
     // NAT characterization (nat probes / punch trials; unwindowed).
     nat_tally: BTreeMap<RouterId, ([usize; 5], usize, usize)>,
@@ -118,6 +119,93 @@ struct Folded {
     punch_cells: BTreeMap<(u8, u8), (usize, usize)>,
     nat_probes_total: usize,
     punch_trials_total: usize,
+}
+
+/// One router's folded state: sorted runs, flags and tallies. Each run
+/// holds what the router's records brought within their data set's
+/// window, once per item, ascending.
+#[derive(Debug, Default)]
+struct Home {
+    /// Devices in association reports (Figs 7 and 10, Table 5).
+    devices: Vec<DeviceRun>,
+    /// Neighbor BSSIDs in 2.4 GHz scans (Fig 11).
+    bssids: Vec<u64>,
+    /// Scan instants (Fig 13's instant counts).
+    instants: Vec<SimTime>,
+    /// Latency probe samples, heartbeat window (the latency summary).
+    rtts: RttSamples,
+    /// Devices sighted moving at least 100 KiB, any time (Fig 12).
+    macs: Vec<AnonMac>,
+    /// It scanned, on any band (Table 2's WiFi row).
+    scanned: bool,
+    /// It scanned on 2.4 GHz (Fig 11's homes).
+    scanned_24: bool,
+    /// Flow tallies, held only once the router carried traffic (Table
+    /// 2's Traffic row, Figs 17–20).
+    traffic: Option<Box<TrafficTally>>,
+}
+
+/// The per-router records in router order: two parallel vectors, so a
+/// lookup is a binary search over the ids alone.
+#[derive(Debug, Default)]
+struct Homes {
+    routers: Vec<RouterId>,
+    records: Vec<Home>,
+}
+
+impl Homes {
+    /// Give every router of `routers` a record, if it has none yet.
+    fn admit(&mut self, routers: &BTreeSet<RouterId>) {
+        let held = &self.routers;
+        let absent = routers.iter().filter(|r| held.binary_search(r).is_err()).count();
+        if absent == 0 {
+            return;
+        }
+        let mut ids = Vec::with_capacity(held.len() + absent);
+        let mut records = Vec::with_capacity(held.len() + absent);
+        let mut old = std::mem::take(&mut self.routers)
+            .into_iter()
+            .zip(std::mem::take(&mut self.records))
+            .peekable();
+        for &router in routers {
+            while let Some((id, home)) = old.next_if(|(id, _)| *id <= router) {
+                ids.push(id);
+                records.push(home);
+            }
+            if ids.last() != Some(&router) {
+                ids.push(router);
+                records.push(Home::default());
+            }
+        }
+        for (id, home) in old {
+            ids.push(id);
+            records.push(home);
+        }
+        self.routers = ids;
+        self.records = records;
+    }
+
+    /// The record of an admitted router.
+    fn get_mut(&mut self, router: RouterId) -> &mut Home {
+        let at = self.routers.binary_search(&router).expect("router admitted");
+        &mut self.records[at]
+    }
+
+    /// The record of `router`, if any table of any delta named it.
+    fn get(&self, router: RouterId) -> Option<&Home> {
+        self.routers.binary_search(&router).ok().map(|at| &self.records[at])
+    }
+
+    /// Every record, in router order.
+    fn iter(&self) -> impl Iterator<Item = (RouterId, &Home)> {
+        self.routers.iter().copied().zip(&self.records)
+    }
+
+    /// The homes that carried traffic, with their tallies, in router
+    /// order.
+    fn traffic(&self) -> impl Iterator<Item = (RouterId, &TrafficTally)> {
+        self.iter().filter_map(|(router, home)| Some((router, home.traffic.as_deref()?)))
+    }
 }
 
 impl IncrementalReport {
@@ -157,26 +245,24 @@ impl IncrementalReport {
         let coverage =
             timed("analysis_coverage", || availability::median_coverage_by_country(&routers));
 
-        // §5 infrastructure from the folded sets; Figs 8/9 and Table 5's
-        // census counts refold the small census row table.
-        let fig7 = timed("analysis_fig7", || infrastructure::fig7_from_sets(&s.fig7_devices));
+        // §5 infrastructure from the per-router runs; Figs 8/9 and Table
+        // 5's census counts refold the small census row table.
+        let homes = &s.homes;
+        let device_runs = || homes.records.iter().map(|home| home.devices.as_slice());
+        let fig7 = timed("analysis_fig7", || infrastructure::fig7_from_runs(device_runs()));
         let fig8 = timed("analysis_fig8", || infrastructure::fig8_with(idx, w.devices));
         let fig9 = timed("analysis_fig9", || infrastructure::fig9(acc, w.devices));
-        let fig10 = timed("analysis_fig10", || {
-            infrastructure::fig10_from_sets(&s.fig10_homes, &s.fig10_band_devices)
-        });
+        let fig10 = timed("analysis_fig10", || infrastructure::fig10_from_runs(device_runs()));
         let fig11 = timed("analysis_fig11", || {
-            infrastructure::fig11_from_sets(idx, &s.fig11_scanned, &s.fig11_neighbors)
+            let scanned_24 = homes.iter().filter(|(_, home)| home.scanned_24);
+            let neighbors = scanned_24.map(|(router, home)| (router, home.bssids.len()));
+            infrastructure::fig11_from_counts(idx, neighbors)
         });
         let fig12 = timed("analysis_fig12", || infrastructure::fig12_from_counts(&s.fig12_counts));
         let table5 = timed("analysis_table5", || {
-            let census_count = infrastructure::census_counts(acc, w.devices);
-            let presence: HashMap<DeviceKey, (usize, Medium)> = s
-                .presence
-                .iter()
-                .map(|(&key, &(count, (_, medium)))| (key, (count, medium)))
-                .collect();
-            infrastructure::table5_from_parts(idx, w.devices, &census_count, &presence)
+            infrastructure::table5_from_runs(idx, w.devices, |router| {
+                homes.get(router).map_or(&[], |home| home.devices.as_slice())
+            })
         });
         let table4 = timed("analysis_table4", || highlights::table4_from(&table5, &fig10, &fig11));
 
@@ -200,18 +286,20 @@ impl IncrementalReport {
                 .and_then(|p| usage::fig14_with(idx, w.traffic, p.router))
         });
         let fig16 = timed("analysis_fig16", || usage::fig16_from(idx, w.traffic, &fig15));
-        let fig17 =
-            timed("analysis_fig17", || usage::fig17_from_device_bytes(&s.device_bytes));
-        // Per-home domain tallies in router order, so the figures derived
-        // from them accumulate deterministically.
+        let fig17 = timed("analysis_fig17", || usage::fig17_from_tallies(homes.traffic()));
+        // Registered homes' domain tallies in router order, so the
+        // figures derived from them accumulate deterministically.
         let tallies: Vec<&DomainTally> = timed("analysis_domain_tallies", || {
-            idx.routers().iter().filter_map(|meta| s.domain_bytes.get(&meta.router)).collect()
+            homes
+                .traffic()
+                .filter(|(router, _)| idx.meta(*router).is_some())
+                .map(|(_, tally)| &tally.domains)
+                .collect()
         });
         let fig18 = timed("analysis_fig18", || usage::fig18_from(&tallies));
         let fig19 = timed("analysis_fig19", || usage::fig19_from(&tallies, 15));
-        let fig20 = timed("analysis_fig20", || {
-            usage::fig20_from_device_domains(&s.device_domains, 100 * 1024)
-        });
+        let fig20 =
+            timed("analysis_fig20", || usage::fig20_from_tallies(homes.traffic(), 100 * 1024));
         let table6 =
             timed("analysis_table6", || highlights::table6_from(&fig13, &fig15, &fig17, &fig19));
 
@@ -219,7 +307,7 @@ impl IncrementalReport {
         // accumulator, columnar sets from the partial state.
         let table1 = timed("analysis_table1", || highlights::table1(acc));
         let table2 = timed("analysis_table2", || {
-            let heartbeat_routers: HashSet<RouterId> = acc
+            let heartbeat_routers = acc
                 .heartbeats
                 .iter()
                 .filter(|(_, log)| {
@@ -227,24 +315,28 @@ impl IncrementalReport {
                         w.heartbeats.contains(first) || first < w.heartbeats.end
                     })
                 })
-                .map(|(r, _)| *r)
-                .collect();
-            let capacity_routers: HashSet<RouterId> =
-                acc.capacity.iter().filter(|r| w.capacity.contains(r.at)).map(|r| r.router).collect();
-            let uptime_routers: HashSet<RouterId> =
-                acc.uptime.iter().filter(|r| w.uptime.contains(r.at)).map(|r| r.router).collect();
-            let devices_routers: HashSet<RouterId> =
-                acc.devices.iter().filter(|r| w.devices.contains(r.at)).map(|r| r.router).collect();
+                .map(|(r, _)| *r);
+            let capacity_routers = distinct(
+                acc.capacity.iter().filter(|r| w.capacity.contains(r.at)).map(|r| r.router),
+            );
+            let uptime_routers =
+                distinct(acc.uptime.iter().filter(|r| w.uptime.contains(r.at)).map(|r| r.router));
+            let devices_routers =
+                distinct(acc.devices.iter().filter(|r| w.devices.contains(r.at)).map(|r| r.router));
+            let wifi_routers = homes.iter().filter(|(_, home)| home.scanned).map(|(r, _)| r);
+            let traffic_routers = homes.traffic().map(|(r, _)| r);
             vec![
-                highlights::table2_row(acc, "Heartbeats", w.heartbeats, &heartbeat_routers),
-                highlights::table2_row(acc, "Capacity", w.capacity, &capacity_routers),
-                highlights::table2_row(acc, "Uptime", w.uptime, &uptime_routers),
-                highlights::table2_row(acc, "Devices", w.devices, &devices_routers),
-                highlights::table2_row(acc, "WiFi", w.wifi, &s.wifi_routers),
-                highlights::table2_row(acc, "Traffic", w.traffic, &s.traffic_routers),
+                highlights::table2_row(acc, "Heartbeats", w.heartbeats, heartbeat_routers),
+                highlights::table2_row(acc, "Capacity", w.capacity, capacity_routers),
+                highlights::table2_row(acc, "Uptime", w.uptime, uptime_routers),
+                highlights::table2_row(acc, "Devices", w.devices, devices_routers),
+                highlights::table2_row(acc, "WiFi", w.wifi, wifi_routers),
+                highlights::table2_row(acc, "Traffic", w.traffic, traffic_routers),
             ]
         });
-        let latency = timed("analysis_latency", || latency::by_region(idx.routers(), &s.rtts));
+        let latency = timed("analysis_latency", || {
+            latency::by_region(idx.routers(), |router| homes.get(router).map(|home| &home.rtts))
+        });
         let natchar = timed("analysis_natchar", || {
             (s.nat_probes_total > 0).then(|| {
                 natchar::characterize_from_parts(
@@ -292,96 +384,133 @@ impl IncrementalReport {
     }
 }
 
+/// The distinct routers of `routers`, ascending.
+fn distinct(routers: impl Iterator<Item = RouterId>) -> Vec<RouterId> {
+    let mut out: Vec<RouterId> = routers.collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 impl Folded {
+    /// Walk each table's own routers: sort and dedup what the delta
+    /// brings for one router, then merge it into that router's runs.
     fn fold(&mut self, delta: &Datasets, w: ReportWindows) {
-        for assoc in &delta.associations {
-            if !w.devices.contains(assoc.at) {
-                continue;
-            }
-            self.fig7_devices.entry(assoc.router).or_default().insert(assoc.device);
-            self.fig10_homes.insert(assoc.router);
-            if let Some(band) = assoc.medium.band() {
-                self.fig10_band_devices
-                    .entry((assoc.router, band))
-                    .or_default()
-                    .insert(assoc.device);
-            }
-            let stamp = (assoc.at, assoc.medium);
-            let entry = self
-                .presence
-                .entry((assoc.router, assoc.device.oui, assoc.device.suffix_hash))
-                .or_insert((0, stamp));
-            entry.0 += 1;
-            if stamp >= entry.1 {
-                entry.1 = stamp;
-            }
+        let Folded { homes, fig12_counts, fig13, .. } = self;
+
+        let routers = delta.associations.routers();
+        homes.admit(&routers);
+        let mut devices = Vec::new();
+        for &router in &routers {
+            devices.clear();
+            devices.extend(
+                delta
+                    .associations
+                    .router(router)
+                    .filter(|assoc| w.devices.contains(assoc.at))
+                    .map(|assoc| DeviceRun::of(&assoc)),
+            );
+            devices.sort_unstable_by_key(|d: &DeviceRun| d.device);
+            devices.dedup_by(|next, kept| {
+                let twin = next.device == kept.device;
+                if twin {
+                    kept.absorb(next);
+                }
+                twin
+            });
+            let home = homes.get_mut(router);
+            merge_run(&mut home.devices, &devices, |d| d.device, DeviceRun::absorb, |_| {});
         }
 
-        for scan in &delta.wifi {
-            if !w.wifi.contains(scan.at) {
-                continue;
-            }
-            self.wifi_routers.insert(scan.router);
+        let routers = delta.wifi.routers();
+        homes.admit(&routers);
+        let (mut instants, mut bssids) = (Vec::new(), Vec::new());
+        for &router in &routers {
             // Every drain carries the full registration, so the delta
             // knows every scanning router's offset.
-            let offset = delta.meta(scan.router).map_or(0, |m| m.country.utc_offset_hours());
-            self.fig13.add(scan.router, scan.at, offset, scan.associated_stations);
-            if scan.band == Band::Ghz24 {
-                self.fig11_scanned.insert(scan.router);
-                for ap in &scan.aps {
-                    self.fig11_neighbors.entry(scan.router).or_default().insert(ap.bssid_hash);
+            let offset = delta.meta(router).map_or(0, |m| m.country.utc_offset_hours());
+            let home = homes.get_mut(router);
+            instants.clear();
+            bssids.clear();
+            for scan in delta.wifi.router(router) {
+                if !w.wifi.contains(scan.at) {
+                    continue;
+                }
+                home.scanned = true;
+                fig13.add_stations(scan.at, offset, scan.associated_stations);
+                instants.push(scan.at);
+                if scan.band == Band::Ghz24 {
+                    home.scanned_24 = true;
+                    for ap in &scan.aps {
+                        if let Err(at) = bssids.binary_search(&ap.bssid_hash) {
+                            bssids.insert(at, ap.bssid_hash);
+                        }
+                    }
+                }
+            }
+            instants.sort_unstable();
+            instants.dedup();
+            merge_run(
+                &mut home.instants,
+                &instants,
+                |&at| at,
+                |_, _| {},
+                |&at| fig13.add_instant(at, offset),
+            );
+            merge_run(&mut home.bssids, &bssids, |&bssid| bssid, |_, _| {}, |_| {});
+        }
+
+        let routers = delta.flows.routers();
+        homes.admit(&routers);
+        for &router in &routers {
+            let home = homes.get_mut(router);
+            for flow in delta.flows.router(router) {
+                if w.traffic.contains(flow.ended) {
+                    home.traffic.get_or_insert_default().add(&flow);
                 }
             }
         }
 
-        for flow in &delta.flows {
-            if !w.traffic.contains(flow.ended) {
-                continue;
+        let routers = delta.latency.routers();
+        homes.admit(&routers);
+        let (mut medians, mut maxima) = (Vec::new(), Vec::new());
+        for &router in &routers {
+            medians.clear();
+            maxima.clear();
+            for probe in delta.latency.router(router) {
+                if w.heartbeats.contains(probe.at) {
+                    medians.push(probe.rtt_median.as_micros());
+                    maxima.push(probe.rtt_max.as_micros());
+                }
             }
-            self.traffic_routers.insert(flow.router);
-            let bytes = flow.total_bytes();
-            *self.device_bytes.entry((flow.router, flow.device)).or_default() += bytes;
-            let domain = usage::domain_key(&flow.domain);
-            let tally = self.domain_bytes.entry(flow.router).or_default();
-            let entry = tally.entry(domain.clone()).or_default();
-            entry.0 += bytes;
-            entry.1 += 1;
-            *self
-                .device_domains
-                .entry((flow.router, flow.device))
-                .or_default()
-                .entry(domain)
-                .or_default() += bytes;
+            homes.get_mut(router).rtts.merge(&mut medians, &mut maxima);
         }
 
-        // Append each router's in-window samples, then restore the order
-        // of every router touched. The table yields routers in order, so
-        // `touched` lists each once.
-        let mut touched = Vec::new();
-        for probe in &delta.latency {
-            if !w.heartbeats.contains(probe.at) {
-                continue;
-            }
-            if touched.last() != Some(&probe.router) {
-                touched.push(probe.router);
-            }
-            self.rtts.entry(probe.router).or_default().push(&probe);
-        }
-        for router in touched {
-            self.rtts.get_mut(&router).expect("touched above").restore_order();
-        }
-
-        for sighting in &delta.macs {
-            if sighting.bytes_total < 100 * 1024 {
-                continue;
-            }
-            let key = (sighting.router, sighting.device.oui, sighting.device.suffix_hash);
-            if !self.fig12_seen.insert(key) {
-                continue;
-            }
-            if let Some(vendor) = VendorClass::from_oui(sighting.device.oui) {
-                *self.fig12_counts.entry(vendor).or_default() += 1;
-            }
+        let routers = delta.macs.routers();
+        homes.admit(&routers);
+        let mut macs = Vec::new();
+        for &router in &routers {
+            macs.clear();
+            macs.extend(
+                delta
+                    .macs
+                    .router(router)
+                    .filter(|sighting| sighting.bytes_total >= 100 * 1024)
+                    .map(|sighting| sighting.device),
+            );
+            macs.sort_unstable();
+            macs.dedup();
+            merge_run(
+                &mut homes.get_mut(router).macs,
+                &macs,
+                |&d| d,
+                |_, _| {},
+                |device| {
+                    if let Some(vendor) = VendorClass::from_oui(device.oui) {
+                        *fig12_counts.entry(vendor).or_default() += 1;
+                    }
+                },
+            );
         }
 
         for probe in &delta.nat_probes {
@@ -414,7 +543,7 @@ mod tests {
     use firmware::latency::LatencyRecord;
     use firmware::records::{
         ApSighting, AssociationRecord, CapacityRecord, DeviceCensusRecord, FlowRecord,
-        HeartbeatRecord, MacSightingRecord, NatProbeRecord, NatType, PacketStatsRecord,
+        HeartbeatRecord, MacSightingRecord, Medium, NatProbeRecord, NatType, PacketStatsRecord,
         PunchTrialRecord, Record, UptimeRecord, WifiScanRecord,
     };
     use household::Country;
@@ -545,6 +674,153 @@ mod tests {
             [(0u32, Country::UnitedStates), (1, Country::UnitedStates), (2, Country::India)]
         {
             c.register(RouterMeta { router: RouterId(router), country, traffic_consent: true });
+        }
+    }
+
+    /// Four registered homes, each missing from some tables, with one
+    /// record of each kind per hour in `[lo, hi)` minutes: home 0 only
+    /// probes latency and carries traffic, home 1 has only wired devices
+    /// (a NAS every hour, a desktop every other hour), home 2 scans only
+    /// on 5 GHz, and home 3's 2.4 GHz scans list no AP. Homes 1 and 2 are
+    /// censused every hour.
+    fn sparse_records(lo: u64, hi: u64) -> Vec<Record> {
+        let mut out = Vec::new();
+        for m in (lo..hi).filter(|m| m % 60 == 0) {
+            let (at, hour) = (t(m), m / 60);
+            out.push(Record::Latency(LatencyRecord {
+                router: RouterId(0),
+                at,
+                rtt_min: SimDuration::from_millis(10),
+                rtt_median: SimDuration::from_millis(30 + hour % 4),
+                rtt_max: SimDuration::from_millis(90),
+                lost: 0,
+            }));
+            out.push(Record::Flow(FlowRecord {
+                router: RouterId(0),
+                started: t(m.saturating_sub(1)),
+                ended: at,
+                device: mac(1),
+                remote_ip_hash: hour,
+                remote_port: 443,
+                proto: IpProtocol::Tcp,
+                domain: ReportedDomain::Clear(DomainName::new("netflix.com").unwrap()),
+                bytes_down: 300_000,
+                bytes_up: 1_000,
+            }));
+            let mut devices = vec![mac(11)];
+            if hour % 2 == 0 {
+                devices.push(mac(12));
+            }
+            for device in devices {
+                out.push(Record::Association(AssociationRecord {
+                    router: RouterId(1),
+                    at,
+                    device,
+                    medium: Medium::Wired,
+                }));
+            }
+            for router in [1, 2] {
+                out.push(Record::DeviceCensus(DeviceCensusRecord {
+                    router: RouterId(router),
+                    at,
+                    wired: 2 - router as u8,
+                    wireless_24: 0,
+                    wireless_5: 0,
+                }));
+            }
+            out.push(Record::WifiScan(WifiScanRecord {
+                router: RouterId(2),
+                at,
+                band: Band::Ghz5,
+                aps: vec![ApSighting {
+                    bssid_hash: 500 + hour % 3,
+                    channel_number: 36,
+                    signal_dbm: -70,
+                }],
+                associated_stations: 1,
+            }));
+            out.push(Record::WifiScan(WifiScanRecord {
+                router: RouterId(3),
+                at,
+                band: Band::Ghz24,
+                aps: Vec::new(),
+                associated_stations: 0,
+            }));
+        }
+        out
+    }
+
+    fn register_sparse(c: &Collector) {
+        for (router, country) in [
+            (0u32, Country::UnitedStates),
+            (1, Country::UnitedStates),
+            (2, Country::India),
+            (3, Country::India),
+        ] {
+            c.register(RouterMeta { router: RouterId(router), country, traffic_consent: true });
+        }
+    }
+
+    #[test]
+    fn held_bytes_match_the_module_docs() {
+        assert_eq!(std::mem::size_of::<Home>(), 160);
+        assert_eq!(std::mem::size_of::<DeviceRun>(), 24);
+    }
+
+    /// Hand-derived: a home missing from a table contributes nothing to
+    /// the figures that table feeds, whether the records come in one
+    /// window or in several.
+    #[test]
+    fn homes_present_in_only_some_tables() {
+        const TOTAL_MINS: u64 = 4 * 24 * 60;
+        let windows = ReportWindows::spanning(Window { start: t(0), end: t(TOTAL_MINS) });
+        let batch = Collector::new();
+        register_sparse(&batch);
+        batch.ingest_batch(sparse_records(0, TOTAL_MINS));
+        let data = batch.drain_delta();
+
+        let mut inc = IncrementalReport::new(windows);
+        for pair in [0, 1_000, 1_440, 3_000, TOTAL_MINS].windows(2) {
+            let delta = Collector::new();
+            register_sparse(&delta);
+            delta.ingest_batch(sparse_records(pair[0], pair[1]));
+            inc.update(&delta.drain_delta());
+        }
+
+        for report in [StudyReport::compute(&data, windows), inc.finalize(&data)] {
+            // Only home 1 reported associations: two wired devices.
+            assert_eq!(report.fig7.samples(), [2.0]);
+            assert_eq!(report.fig10.ghz24.samples(), [0.0]);
+            assert_eq!(report.fig10.ghz5.samples(), [0.0]);
+            // Only home 3 scanned on 2.4 GHz, and saw no AP.
+            assert!(report.fig11.developed.is_empty());
+            assert_eq!(report.fig11.developing.samples(), [0.0]);
+            let row = |name: &str| {
+                let row = report.table2.iter().find(|row| row.dataset == name).unwrap();
+                (row.routers, row.countries)
+            };
+            assert_eq!(row("WiFi"), (2, 1), "homes 2 and 3, both in India");
+            assert_eq!(row("Traffic"), (1, 1), "home 0");
+            // Homes 1 and 2 were censused; home 1's NAS never left.
+            assert_eq!(
+                report.table5,
+                [
+                    infrastructure::Table5Row {
+                        region: household::Region::Developed,
+                        total: 1,
+                        wired: 1,
+                        wireless: 0,
+                    },
+                    infrastructure::Table5Row {
+                        region: household::Region::Developing,
+                        total: 1,
+                        wired: 0,
+                        wireless: 0,
+                    },
+                ]
+            );
+            let homes: Vec<usize> = report.latency.iter().map(|region| region.homes).collect();
+            assert_eq!(homes, [1, 0], "only home 0 probed latency");
         }
     }
 

@@ -6,15 +6,71 @@ use crate::stats::{Cdf, MeanStd};
 use collector::windows::Window;
 use collector::Datasets;
 use firmware::anonymize::AnonMac;
-use firmware::records::{Medium, RouterId};
+use firmware::records::{AssociationRecord, Medium, RouterId};
 use household::{Region, VendorClass};
+use simnet::time::SimTime;
 use simnet::wifi::Band;
 use std::collections::{HashMap, HashSet};
 
-/// Figure 7: CDF of unique devices per home, from each home's set of
-/// devices in the hourly association reports within the Devices window.
-pub(crate) fn fig7_from_sets(per_home: &HashMap<RouterId, HashSet<AnonMac>>) -> Cdf {
-    Cdf::from_samples(per_home.values().map(|set| set.len() as f64))
+/// One device of one home, folded from the home's association reports
+/// within the Devices window. A home's devices form one run, ascending
+/// by device: Fig 7 reads its length, Fig 10 each device's bands and
+/// Table 5 each device's count and last medium. 24 bytes per device.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DeviceRun {
+    /// The device.
+    pub(crate) device: AnonMac,
+    /// Association reports naming the device.
+    count: u32,
+    /// The bands it was seen on: bit 0 for 2.4 GHz, bit 1 for 5 GHz.
+    bands: u8,
+    /// The maximal `(at, medium)` stamp: the device's last medium in
+    /// association-table order, because the table is sorted by that key.
+    last_at: SimTime,
+    last_medium: Medium,
+}
+
+impl DeviceRun {
+    /// The run of one association report.
+    pub(crate) fn of(assoc: &AssociationRecord) -> DeviceRun {
+        DeviceRun {
+            device: assoc.device,
+            count: 1,
+            bands: assoc.medium.band().map_or(0, DeviceRun::band_bit),
+            last_at: assoc.at,
+            last_medium: assoc.medium,
+        }
+    }
+
+    /// The bit of `band` in `bands`.
+    fn band_bit(band: Band) -> u8 {
+        match band {
+            Band::Ghz24 => 1,
+            Band::Ghz5 => 2,
+        }
+    }
+
+    /// Fold another run of the same device into this one.
+    pub(crate) fn absorb(&mut self, other: &DeviceRun) {
+        self.count += other.count;
+        self.bands |= other.bands;
+        if (other.last_at, other.last_medium) >= (self.last_at, self.last_medium) {
+            self.last_at = other.last_at;
+            self.last_medium = other.last_medium;
+        }
+    }
+
+    /// Devices of `run` seen on `band`.
+    fn on_band(run: &[DeviceRun], band: Band) -> usize {
+        run.iter().filter(|d| d.bands & DeviceRun::band_bit(band) != 0).count()
+    }
+}
+
+/// Figure 7: CDF of unique devices per home, from each home's device run.
+/// A home with no association report in the Devices window adds no
+/// sample.
+pub(crate) fn fig7_from_runs<'a>(homes: impl Iterator<Item = &'a [DeviceRun]>) -> Cdf {
+    Cdf::from_samples(homes.filter(|run| !run.is_empty()).map(|run| run.len() as f64))
 }
 
 /// Figure 8: average simultaneously connected devices, wired vs wireless,
@@ -89,18 +145,16 @@ pub struct Fig10 {
     pub ghz5: Cdf,
 }
 
-/// Compute Figure 10 from the homes with association reports in the
-/// Devices window and each home's per-band device sets.
-pub(crate) fn fig10_from_sets(
-    homes: &HashSet<RouterId>,
-    per_home: &HashMap<(RouterId, Band), HashSet<AnonMac>>,
-) -> Fig10 {
-    let collect = |band: Band| {
-        Cdf::from_samples(homes.iter().map(|router| {
-            per_home.get(&(*router, band)).map_or(0.0, |set| set.len() as f64)
-        }))
-    };
-    Fig10 { ghz24: collect(Band::Ghz24), ghz5: collect(Band::Ghz5) }
+/// Compute Figure 10 from each home's device run: the homes with
+/// association reports in the Devices window, each with its devices per
+/// band. A wired-only home adds 0 to both bands.
+pub(crate) fn fig10_from_runs<'a>(homes: impl Iterator<Item = &'a [DeviceRun]>) -> Fig10 {
+    let (mut ghz24, mut ghz5) = (Vec::new(), Vec::new());
+    for run in homes.filter(|run| !run.is_empty()) {
+        ghz24.push(DeviceRun::on_band(run, Band::Ghz24) as f64);
+        ghz5.push(DeviceRun::on_band(run, Band::Ghz5) as f64);
+    }
+    Fig10 { ghz24: Cdf::from_samples(ghz24), ghz5: Cdf::from_samples(ghz5) }
 }
 
 /// Figure 11: CDFs of unique 2.4 GHz neighbor APs per home, by region.
@@ -112,22 +166,22 @@ pub struct Fig11 {
     pub developing: Cdf,
 }
 
-/// Compute Figure 11 from the homes with 2.4 GHz scans in the WiFi window
-/// and each home's set of neighbor BSSIDs.
-pub(crate) fn fig11_from_sets(
+/// Compute Figure 11 from the homes with 2.4 GHz scans in the WiFi
+/// window, each with its number of distinct neighbor BSSIDs. A home whose
+/// 2.4 GHz scans list no AP adds 0.
+pub(crate) fn fig11_from_counts(
     idx: &DataIndex,
-    scanned: &HashSet<RouterId>,
-    per_home: &HashMap<RouterId, HashSet<u64>>,
+    homes: impl Iterator<Item = (RouterId, usize)>,
 ) -> Fig11 {
-    let collect = |region: Region| {
-        Cdf::from_samples(
-            scanned
-                .iter()
-                .filter(|router| idx.region(**router) == Some(region))
-                .map(|router| per_home.get(router).map_or(0.0, |s| s.len() as f64)),
-        )
-    };
-    Fig11 { developed: collect(Region::Developed), developing: collect(Region::Developing) }
+    let (mut developed, mut developing) = (Vec::new(), Vec::new());
+    for (router, neighbors) in homes {
+        match idx.region(router) {
+            Some(Region::Developed) => developed.push(neighbors as f64),
+            Some(Region::Developing) => developing.push(neighbors as f64),
+            None => {}
+        }
+    }
+    Fig11 { developed: Cdf::from_samples(developed), developing: Cdf::from_samples(developing) }
 }
 
 /// Figure 12: the vendor histogram over Traffic-home devices that moved at
@@ -153,66 +207,43 @@ pub struct Table5Row {
     pub wireless: usize,
 }
 
-/// Census count per home within `window` (Table 5's denominator).
-pub(crate) fn census_counts(data: &Datasets, window: Window) -> HashMap<RouterId, usize> {
-    let mut census_count: HashMap<RouterId, usize> = HashMap::new();
-    for census in &data.devices {
-        if window.contains(census.at) {
-            *census_count.entry(census.router).or_default() += 1;
-        }
-    }
-    census_count
-}
-
-/// Compute Table 5 from census counts and per-device presence tallies
-/// (association count and last medium within the window): a device
-/// counts as always-connected when it appears in at least 99% of the
-/// home's censuses within the window (the window approximates the
-/// paper's five weeks) and the home has a meaningful number of censuses.
-pub(crate) fn table5_from_parts(
+/// Compute Table 5 from each registered home's census count within
+/// `window` and its device run (`runs` yields it, empty for a home with
+/// no association report in the window): a device counts as
+/// always-connected when it appears in at least 99% of the home's
+/// censuses within the window (the window approximates the paper's five
+/// weeks) and the home has a meaningful number of censuses.
+pub(crate) fn table5_from_runs<'a>(
     idx: &DataIndex,
     window: Window,
-    census_count: &HashMap<RouterId, usize>,
-    presence: &HashMap<(RouterId, u32, u32), (usize, Medium)>,
+    runs: impl Fn(RouterId) -> &'a [DeviceRun],
 ) -> Vec<Table5Row> {
     // A home must have been censused a reasonable number of times.
-    let min_censuses =
-        (window.duration().as_hours() as usize / 4).max(24);
-    let mut wired_homes: HashSet<RouterId> = HashSet::new();
-    let mut wireless_homes: HashSet<RouterId> = HashSet::new();
-    for ((router, _, _), (count, medium)) in presence {
-        let total = census_count.get(router).copied().unwrap_or(0);
-        if total < min_censuses {
+    let min_censuses = (window.duration().as_hours() as usize / 4).max(24);
+    let mut rows = [Region::Developed, Region::Developing].map(|region| Table5Row {
+        region,
+        total: 0,
+        wired: 0,
+        wireless: 0,
+    });
+    for meta in idx.routers() {
+        let router = meta.router;
+        let censuses = idx.devices(router).iter().filter(|c| window.contains(c.at)).count();
+        if censuses < min_censuses {
             continue;
         }
-        if *count as f64 >= 0.99 * total as f64 {
-            match medium {
-                Medium::Wired => {
-                    wired_homes.insert(*router);
-                }
-                _ => {
-                    wireless_homes.insert(*router);
-                }
-            }
-        }
-    }
-    let mut rows = Vec::new();
-    for region in [Region::Developed, Region::Developing] {
-        let homes: Vec<RouterId> = census_count
-            .iter()
-            .filter(|(router, count)| {
-                **count >= min_censuses && idx.region(**router) == Some(region)
+        let always = |medium_is_wired: bool| {
+            runs(router).iter().any(|d| {
+                d.count as f64 >= 0.99 * censuses as f64
+                    && (d.last_medium == Medium::Wired) == medium_is_wired
             })
-            .map(|(router, _)| *router)
-            .collect();
-        rows.push(Table5Row {
-            region,
-            total: homes.len(),
-            wired: homes.iter().filter(|h| wired_homes.contains(h)).count(),
-            wireless: homes.iter().filter(|h| wireless_homes.contains(h)).count(),
-        });
+        };
+        let row = &mut rows[usize::from(meta.country.region() == Region::Developing)];
+        row.total += 1;
+        row.wired += usize::from(always(true));
+        row.wireless += usize::from(always(false));
     }
-    rows
+    rows.to_vec()
 }
 
 /// §5.2's port-usage aside: the fraction of homes that ever used all four

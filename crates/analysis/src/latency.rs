@@ -4,13 +4,13 @@
 //! to the platform's companion performance study — but it closes the loop
 //! on the §6.2 bufferbloat discussion with direct evidence.
 
-use crate::stats::{median, sorted_quantile, Cdf};
+use crate::runs::merge_samples;
+use crate::stats::{median, quantile_of, Cdf};
 use collector::windows::Window;
 use collector::{Datasets, RouterMeta};
-use firmware::latency::LatencyRecord;
 use firmware::records::RouterId;
 use household::Region;
-use std::collections::HashMap;
+use simnet::time::SimDuration;
 
 /// Per-region latency summary.
 #[derive(Debug, Clone, Copy)]
@@ -26,50 +26,56 @@ pub struct RegionLatency {
     pub homes: usize,
 }
 
-/// One home's latency samples, in milliseconds: its probes' RTT medians
-/// and RTT maxima, each kept as one ascending run so a median is a read,
-/// not a sort. 16 bytes per probe.
+/// One home's latency samples: its probes' RTT medians and RTT maxima
+/// in microseconds, each kept as one ascending run so a median is a read,
+/// not a sort. Integer microseconds sort faster than float milliseconds
+/// and convert to them in the same order, so a run's median is the median
+/// of the home's millisecond samples. 16 bytes per probe.
 #[derive(Debug, Default)]
 pub(crate) struct RttSamples {
-    median_ms: Vec<f64>,
-    max_ms: Vec<f64>,
+    median_us: Vec<u64>,
+    max_us: Vec<u64>,
 }
 
 impl RttSamples {
-    /// Append one probe's samples. Call [`RttSamples::restore_order`]
-    /// once a delta's probes are all in.
-    pub(crate) fn push(&mut self, probe: &LatencyRecord) {
-        self.median_ms.push(probe.rtt_median.as_secs_f64() * 1e3);
-        self.max_ms.push(probe.rtt_max.as_secs_f64() * 1e3);
+    /// Fold one delta's samples of this home in: sort the new medians and
+    /// maxima alone, then merge each into its held run.
+    pub(crate) fn merge(&mut self, medians: &mut [u64], maxima: &mut [u64]) {
+        medians.sort_unstable();
+        maxima.sort_unstable();
+        merge_samples(&mut self.median_us, medians);
+        merge_samples(&mut self.max_us, maxima);
     }
 
-    /// Re-sort both runs after a batch of pushes. The stable sort finds
-    /// the sorted prefix as one run, so `k` new samples behind `n` sorted
-    /// ones cost about `n + k log k`.
-    pub(crate) fn restore_order(&mut self) {
-        self.median_ms.sort_by(f64::total_cmp);
-        self.max_ms.sort_by(f64::total_cmp);
+    /// True until a probe has been folded in.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.median_us.is_empty()
+    }
+
+    /// The median of one run, in milliseconds.
+    fn median_ms(run: &[u64]) -> f64 {
+        quantile_of(run.len(), 0.5, |i| SimDuration::from_micros(run[i]).as_secs_f64() * 1e3)
     }
 }
 
 /// Summarize latency per region from each registered home's samples, in
-/// registration (router) order. Every aggregate is a median of sorted
-/// inputs, so the result depends only on the per-home sample multisets.
-pub(crate) fn by_region(
+/// registration (router) order. `samples` yields a home's samples, if it
+/// has any. Every aggregate is a median of sorted inputs, so the result
+/// depends only on the per-home sample multisets.
+pub(crate) fn by_region<'a>(
     routers: &[RouterMeta],
-    samples: &HashMap<RouterId, RttSamples>,
+    samples: impl Fn(RouterId) -> Option<&'a RttSamples>,
 ) -> Vec<RegionLatency> {
     // Per region: each home's median RTT and median peak RTT.
     let mut homes: [(Vec<f64>, Vec<f64>); 2] = Default::default();
     for meta in routers {
-        // A home has an entry only once a probe was pushed.
-        let Some(home) = samples.get(&meta.router) else { continue };
+        let Some(home) = samples(meta.router).filter(|home| !home.is_empty()) else { continue };
         let bucket = match meta.country.region() {
             Region::Developed => &mut homes[0],
             Region::Developing => &mut homes[1],
         };
-        bucket.0.push(sorted_quantile(&home.median_ms, 0.5));
-        bucket.1.push(sorted_quantile(&home.max_ms, 0.5));
+        bucket.0.push(RttSamples::median_ms(&home.median_us));
+        bucket.1.push(RttSamples::median_ms(&home.max_us));
     }
     [Region::Developed, Region::Developing]
         .into_iter()

@@ -40,6 +40,7 @@ pub mod infrastructure;
 pub mod natchar;
 pub mod render;
 pub mod report;
+mod runs;
 pub mod stats;
 pub mod usage;
 

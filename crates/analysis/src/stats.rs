@@ -75,16 +75,22 @@ impl Cdf {
 /// The `q`-quantile of ascending samples for `q` in `[0, 1]`, by linear
 /// interpolation between the two nearest ranks. Panics when empty.
 pub(crate) fn sorted_quantile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty CDF");
+    quantile_of(sorted.len(), q, |i| sorted[i])
+}
+
+/// [`sorted_quantile`] of `len` ascending samples that `sample(i)`
+/// reads: only the two nearest ranks are read. Panics when `len` is 0.
+pub(crate) fn quantile_of(len: usize, q: f64, sample: impl Fn(usize) -> f64) -> f64 {
+    assert!(len > 0, "quantile of empty CDF");
     let q = q.clamp(0.0, 1.0);
-    if sorted.len() == 1 {
-        return sorted[0];
+    if len == 1 {
+        return sample(0);
     }
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    sample(lo) * (1.0 - frac) + sample(hi) * frac
 }
 
 /// Arithmetic mean; zero for an empty slice.

@@ -5,10 +5,10 @@ use crate::index::DataIndex;
 use crate::stats::{mean, median, Cdf};
 use collector::windows::Window;
 use firmware::anonymize::{AnonMac, ReportedDomain};
-use firmware::records::RouterId;
+use firmware::records::{FlowRecord, RouterId};
 use household::VendorClass;
 use simnet::time::SimTime;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Figure 13: mean wireless stations per local hour of day, weekday vs
 /// weekend, from the WiFi scans.
@@ -31,25 +31,30 @@ impl Fig13 {
 
 /// Figure 13's partial state, folded scan by scan: per (weekday or
 /// weekend, local hour) bucket, the integer station sum and the number of
-/// distinct scan instants. An instant's 2.4 GHz and 5 GHz scans add to
-/// one bucket, and it counts once, the first time its `(router, at)` key
-/// is seen, whichever window that is.
+/// distinct scan instants. An instant's 2.4 GHz and 5 GHz scans add
+/// stations to one bucket, and the fold counts the instant once, when it
+/// first enters its router's run of instants, whichever window that is.
 #[derive(Debug, Default)]
 pub(crate) struct Fig13Buckets {
     /// `[weekend][local hour]`: (station sum, scan instants).
     buckets: [[(u64, u64); 24]; 2],
-    instants: HashSet<(RouterId, SimTime)>,
 }
 
 impl Fig13Buckets {
-    /// Add one in-window scan of `router`, whose UTC offset is
-    /// `utc_offset` hours.
-    pub(crate) fn add(&mut self, router: RouterId, at: SimTime, utc_offset: i32, stations: u8) {
+    /// The bucket of instant `at` at a router `utc_offset` hours from UTC.
+    fn bucket(&mut self, at: SimTime, utc_offset: i32) -> &mut (u64, u64) {
         let local = at.to_local(utc_offset);
-        let bucket = &mut self.buckets[usize::from(local.weekday().is_weekend())]
-            [local.hour_of_day() as usize];
-        bucket.0 += u64::from(stations);
-        bucket.1 += u64::from(self.instants.insert((router, at)));
+        &mut self.buckets[usize::from(local.weekday().is_weekend())][local.hour_of_day() as usize]
+    }
+
+    /// Add the stations of one in-window scan taken at `at`.
+    pub(crate) fn add_stations(&mut self, at: SimTime, utc_offset: i32, stations: u8) {
+        self.bucket(at, utc_offset).0 += u64::from(stations);
+    }
+
+    /// Count one scan instant, the first time its router sees it.
+    pub(crate) fn add_instant(&mut self, at: SimTime, utc_offset: i32) {
+        self.bucket(at, utc_offset).1 += 1;
     }
 
     /// The mean stations per scan instant in each bucket. Integer sums
@@ -199,15 +204,14 @@ pub struct Fig17 {
     pub mean_second_share: f64,
 }
 
-/// Compute Figure 17 from per-device byte totals over the flows in the
-/// Traffic window.
-pub(crate) fn fig17_from_device_bytes(per_device: &HashMap<(RouterId, AnonMac), u64>) -> Fig17 {
-    let mut per_home: HashMap<RouterId, Vec<u64>> = HashMap::new();
-    for (&(router, _), &bytes) in per_device {
-        per_home.entry(router).or_default().push(bytes);
-    }
+/// Compute Figure 17 from each home's per-device byte totals over the
+/// flows in the Traffic window, homes in router order.
+pub(crate) fn fig17_from_tallies<'a>(
+    homes: impl Iterator<Item = (RouterId, &'a TrafficTally)>,
+) -> Fig17 {
     let mut rows = Vec::new();
-    for (router, mut volumes) in per_home {
+    for (router, tally) in homes {
+        let mut volumes: Vec<u64> = tally.devices.iter().map(|(_, d)| d.values().sum()).collect();
         volumes.sort_unstable_by(|a, b| b.cmp(a));
         let total: u64 = volumes.iter().sum();
         if total == 0 {
@@ -215,7 +219,6 @@ pub(crate) fn fig17_from_device_bytes(per_device: &HashMap<(RouterId, AnonMac), 
         }
         rows.push((router, volumes.iter().map(|v| *v as f64 / total as f64).collect::<Vec<f64>>()));
     }
-    rows.sort_by_key(|(router, _)| *router);
     let tops: Vec<f64> = rows.iter().filter_map(|(_, s)| s.first().copied()).collect();
     let seconds: Vec<f64> = rows.iter().filter_map(|(_, s)| s.get(1).copied()).collect();
     Fig17 { mean_top_share: mean(&tops), mean_second_share: mean(&seconds), per_home: rows }
@@ -244,6 +247,36 @@ pub(crate) fn domain_key(d: &ReportedDomain) -> String {
 /// Traffic window. The map is ordered so the rank sorts below see ties in
 /// one deterministic order however the flows were folded.
 pub type DomainTally = BTreeMap<String, (u64, u64)>;
+
+/// One home's flow tallies over the Traffic window: its domain tally
+/// (Figs 18/19) and, per device in device order, the device's bytes per
+/// domain (Figs 17/20). A device's byte total is the sum of its domains'.
+#[derive(Debug, Default)]
+pub(crate) struct TrafficTally {
+    /// Domain → (bytes, connections).
+    pub(crate) domains: DomainTally,
+    /// Each device's domain → bytes, ascending by device.
+    pub(crate) devices: Vec<(AnonMac, HashMap<String, u64>)>,
+}
+
+impl TrafficTally {
+    /// Tally one in-window flow of this home.
+    pub(crate) fn add(&mut self, flow: &FlowRecord) {
+        let bytes = flow.total_bytes();
+        let domain = domain_key(&flow.domain);
+        let entry = self.domains.entry(domain.clone()).or_default();
+        entry.0 += bytes;
+        entry.1 += 1;
+        let at = match self.devices.binary_search_by_key(&flow.device, |(device, _)| *device) {
+            Ok(at) => at,
+            Err(at) => {
+                self.devices.insert(at, (flow.device, HashMap::new()));
+                at
+            }
+        };
+        *self.devices[at].1.entry(domain).or_default() += bytes;
+    }
+}
 
 /// Compute Figure 18 (whitelisted names only, as the paper plots names)
 /// from the per-home domain tallies, in router order.
@@ -351,36 +384,38 @@ pub struct Fig20Device {
 }
 
 /// Compute the domain mix for every Traffic-home device above a volume
-/// floor, from per-device domain volumes; callers pick exemplars (e.g. a
-/// streaming box vs a desktop).
-pub(crate) fn fig20_from_device_domains(
-    per_device: &HashMap<(RouterId, AnonMac), HashMap<String, u64>>,
+/// floor, from each home's per-device domain volumes; callers pick
+/// exemplars (e.g. a streaming box vs a desktop).
+pub(crate) fn fig20_from_tallies<'a>(
+    homes: impl Iterator<Item = (RouterId, &'a TrafficTally)>,
     min_bytes: u64,
 ) -> Vec<Fig20Device> {
     let mut out = Vec::new();
-    for (&(router, device), domains) in per_device {
-        let total: u64 = domains.values().sum();
-        if total < min_bytes {
-            continue;
+    for (router, tally) in homes {
+        for (device, domains) in &tally.devices {
+            let total: u64 = domains.values().sum();
+            if total < min_bytes {
+                continue;
+            }
+            let mut ranked: Vec<(String, f64)> = domains
+                .iter()
+                .map(|(d, &b)| (d.clone(), b as f64 / total as f64))
+                .collect();
+            ranked.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1).expect("finite shares").then_with(|| a.0.cmp(&b.0))
+            });
+            ranked.truncate(8);
+            out.push(Fig20Device {
+                router,
+                device: *device,
+                vendor: VendorClass::from_oui(device.oui),
+                domains: ranked,
+                total_bytes: total,
+            });
         }
-        let mut ranked: Vec<(String, f64)> = domains
-            .iter()
-            .map(|(d, &b)| (d.clone(), b as f64 / total as f64))
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("finite shares").then_with(|| a.0.cmp(&b.0))
-        });
-        ranked.truncate(8);
-        out.push(Fig20Device {
-            router,
-            device,
-            vendor: VendorClass::from_oui(device.oui),
-            domains: ranked,
-            total_bytes: total,
-        });
     }
-    // Tie-break by (router, device) so equal-volume devices keep a stable
-    // order regardless of hash-map iteration.
+    // Tie-break by (router, device) so equal-volume devices keep one
+    // order however the flows were folded.
     out.sort_by_key(|d| {
         (std::cmp::Reverse(d.total_bytes), d.router, d.device.oui, d.device.suffix_hash)
     });

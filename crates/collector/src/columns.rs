@@ -937,7 +937,7 @@ macro_rules! columnar_table {
             }
 
             /// Every router with rows, resident or spilled.
-            fn routers(&self) -> BTreeSet<RouterId> {
+            pub fn routers(&self) -> BTreeSet<RouterId> {
                 let mut routers: BTreeSet<RouterId> = self.by_router.keys().copied().collect();
                 for part in &self.spilled {
                     routers.extend(part.blocks.keys().copied());

@@ -431,7 +431,7 @@ mod tests {
     }
 
     fn hot(path: &str, func: &str) -> HotPathFn {
-        HotPathFn { path: path.to_string(), func: func.to_string() }
+        HotPathFn { path: path.to_string(), func: func.to_string(), line: 1 }
     }
 
     #[test]

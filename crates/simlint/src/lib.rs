@@ -278,6 +278,25 @@ pub fn scan_workspace(root: &Path) -> io::Result<Report> {
 
     let mut ws: Vec<Finding> = Vec::new();
     rules::layering::rule_layering(&ctx.graph, &ctx.layers, &mut ws);
+    // A manifest entry is checked by the file it names, so an entry whose
+    // file is gone would never be checked at all.
+    for (entries, manifest, rule) in [
+        (&ctx.hotpaths, HOTPATHS_FILE, "hot-path-alloc"),
+        (&ctx.inline, INLINE_FILE, "hot-path-inline"),
+    ] {
+        for e in entries.iter().filter(|e| !ctx.sources.contains_key(&e.path)) {
+            ws.push(Finding {
+                rule: rule.to_string(),
+                path: manifest.to_string(),
+                line: e.line,
+                message: format!(
+                    "manifest entry `{}::{}` names no workspace source; delete the stale line \
+                     or point it at the file that now holds the fn",
+                    e.path, e.func
+                ),
+            });
+        }
+    }
     for e in &ctx.whitelist {
         if e.justification.is_empty() {
             ws.push(Finding {

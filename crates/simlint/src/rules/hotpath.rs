@@ -227,7 +227,7 @@ mod tests {
     use crate::graph::TransitiveHot;
 
     fn scan_hot(path: &str, source: &str, func: &str) -> Vec<Finding> {
-        let hp = vec![HotPathFn { path: path.to_string(), func: func.to_string() }];
+        let hp = vec![HotPathFn { path: path.to_string(), func: func.to_string(), line: 1 }];
         scan_file(&FileInput { path, source, hotpaths: &hp, ..FileInput::default() }).findings
     }
 
@@ -284,7 +284,7 @@ mod tests {
     }
 
     fn scan_inline(path: &str, source: &str, func: &str) -> Vec<Finding> {
-        let entry = vec![HotPathFn { path: path.to_string(), func: func.to_string() }];
+        let entry = vec![HotPathFn { path: path.to_string(), func: func.to_string(), line: 1 }];
         scan_file(&FileInput { path, source, inline: &entry, ..FileInput::default() }).findings
     }
 

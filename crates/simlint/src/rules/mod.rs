@@ -137,16 +137,19 @@ pub struct HotPathFn {
     pub path: String,
     /// Function name.
     pub func: String,
+    /// 1-based line of the entry in its manifest.
+    pub line: u32,
 }
 
 /// Parse the manifest format: one `path::function` per line, `#` comments.
 pub fn parse_hotpaths(text: &str) -> Vec<HotPathFn> {
     text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .filter_map(|l| {
+        .zip(1u32..)
+        .map(|(l, line)| (l.trim(), line))
+        .filter(|(l, _)| !l.is_empty() && !l.starts_with('#'))
+        .filter_map(|(l, line)| {
             let (path, func) = l.rsplit_once("::")?;
-            Some(HotPathFn { path: path.trim().to_string(), func: func.trim().to_string() })
+            Some(HotPathFn { path: path.trim().to_string(), func: func.trim().to_string(), line })
         })
         .collect()
 }

@@ -25,6 +25,11 @@ if [ -z "${SKIP_TESTS:-}" ]; then
     cargo build --release --offline --workspace
     echo "== tests =="
     cargo test -q --offline --workspace
+    echo "== incremental report property at 2,000 cases (release) =="
+    # Every `cargo test` runs tests/incremental_properties.rs at 64 cases;
+    # here the window cuts, arrival orders and duplicates it draws are
+    # explored at scale.
+    PROPTEST_CASES=2000 cargo test -q --release --offline -p analysis --test incremental_properties
     echo "== golden digests of the full study (release) =="
     # tests/golden.rs pins the quick runs in every `cargo test`; its
     # 197-day row is #[ignore]d there and runs here on the release build.
@@ -121,11 +126,13 @@ if peak is None:
 else:
     budget = 4 * 2**20
     # Deployment + runlogs + row tables + merge buffers, plus the
-    # report's folded latency samples (16 B per latency record, 12.8 MiB
-    # here), which the budget does not govern either. The deployment
-    # holds a domain taste (~10 KB) only for the ~21% of homes that
-    # consent to traffic capture, so peak RSS reads ~183 MiB; a taste per
-    # home would add ~150 MiB and break this bound.
+    # report's per-router records (160 B each) and held runs, which the
+    # budget does not govern either: RTT samples (16 B per latency
+    # record, 12.8 MiB here), scan instants and 2.4 GHz neighbour BSSIDs
+    # (8 B each), devices (24 B each) and >=100 KiB MAC sightings (8 B
+    # each). The deployment holds a domain taste (~10 KB) only for the
+    # ~21% of homes that consent to traffic capture, so peak RSS reads
+    # ~144 MiB; a taste per home would add ~150 MiB and break this bound.
     slack = 320 * 2**20
     assert peak < budget + slack, \
         f"peak RSS {peak} exceeds budget {budget} + slack {slack}"
