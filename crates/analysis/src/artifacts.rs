@@ -196,7 +196,7 @@ mod tests {
                     .ingest_heartbeat(HeartbeatRecord { router: RouterId(router), at: m(minute) });
             }
         }
-        collector.snapshot()
+        collector.drain_delta()
     }
 
     #[test]
@@ -222,7 +222,7 @@ mod tests {
         for minute in 0..200u64 {
             collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(0), at: m(minute) });
         }
-        let data = collector.snapshot();
+        let data = collector.drain_delta();
         let flagged = correlated_gaps(
             &data,
             Window { start: m(0), end: m(200) },
@@ -274,7 +274,7 @@ mod tests {
             }
         }
         assert!(collector.dropped_in_downtime() > 0, "downtime must drop datagrams");
-        let data = collector.snapshot();
+        let data = collector.drain_delta();
         let flagged = correlated_gaps(&data, span, 0.8, SimDuration::from_mins(15));
         let score = score_against_truth(
             &flagged,

@@ -178,18 +178,10 @@ pub fn fig6_timeline(data: &Datasets, router: RouterId, window: Window) -> Vec<(
 /// (a) an always-on home (highest coverage), (b) an appliance-mode home
 /// (lowest coverage with many distinct runs), (c) a flaky-connectivity
 /// home (mid coverage, many downtimes, but whose Uptime reports prove the
-/// router stayed powered).
+/// router stayed powered). The flaky-home check reads each candidate's
+/// own uptime rows instead of re-scanning the table.
 pub fn fig6_archetypes(
     data: &Datasets,
-    routers: &[RouterAvailability],
-) -> (Option<RouterId>, Option<RouterId>, Option<RouterId>) {
-    fig6_archetypes_with(&crate::index::DataIndex::new(data), routers)
-}
-
-/// [`fig6_archetypes`] over a prebuilt index: the flaky-home check reads
-/// each candidate's own uptime slice instead of re-scanning the table.
-pub fn fig6_archetypes_with(
-    idx: &crate::index::DataIndex,
     routers: &[RouterAvailability],
 ) -> (Option<RouterId>, Option<RouterId>, Option<RouterId>) {
     let always_on = routers
@@ -207,7 +199,7 @@ pub fn fig6_archetypes_with(
         .iter()
         .filter(|r| r.downtimes_per_day > 0.2 && r.coverage > 0.6)
         .filter(|r| {
-            idx.uptime(r.router).iter().any(|u| u.uptime > SimDuration::from_days(7))
+            data.router_uptime(r.router).iter().any(|u| u.uptime > SimDuration::from_days(7))
         })
         .max_by(|a, b| {
             a.downtimes_per_day.partial_cmp(&b.downtimes_per_day).expect("finite")
@@ -267,7 +259,7 @@ mod tests {
                     .ingest_heartbeat(HeartbeatRecord { router: RouterId(1), at: mins(i) });
             }
         }
-        collector.snapshot()
+        collector.drain_delta()
     }
 
     fn window() -> Window {
@@ -325,7 +317,7 @@ mod tests {
         for i in 0..10 {
             collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(5), at: mins(i) });
         }
-        let data = collector.snapshot();
+        let data = collector.drain_delta();
         assert!(per_router(&data, window()).is_empty());
     }
 

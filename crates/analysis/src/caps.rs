@@ -172,7 +172,7 @@ mod tests {
             flow(0, mac(1), 100, 30),
         ]);
         let plan = Plan { cap_bytes: 10_000, thresholds: DEFAULT_THRESHOLDS };
-        let usage = account(&collector.snapshot(), window(), &plan);
+        let usage = account(&collector.drain_delta(), window(), &plan);
         assert_eq!(usage.len(), 1);
         assert_eq!(usage[0].total_bytes, 1_000);
         assert_eq!(usage[0].per_device[0], (mac(1), 700));
@@ -197,7 +197,7 @@ mod tests {
             flow(0, mac(1), 500, 30),
         ]);
         let plan = Plan { cap_bytes: 1_000, thresholds: DEFAULT_THRESHOLDS };
-        let usage = account(&collector.snapshot(), window(), &plan);
+        let usage = account(&collector.drain_delta(), window(), &plan);
         let alerts = &usage[0].alerts;
         assert_eq!(alerts.len(), 3);
         assert_eq!(alerts[0].threshold, 0.5);
@@ -224,7 +224,7 @@ mod tests {
             flow(2, mac(1), 400, 7),
         ]);
         let plan = Plan { cap_bytes: 10_000, thresholds: DEFAULT_THRESHOLDS };
-        let usage = account(&collector.snapshot(), window(), &plan);
+        let usage = account(&collector.drain_delta(), window(), &plan);
         let order: Vec<u32> = usage.iter().map(|u| u.router.0).collect();
         assert_eq!(order, vec![1, 2, 0]);
     }

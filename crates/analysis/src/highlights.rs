@@ -238,7 +238,7 @@ mod tests {
                 traffic_consent: false,
             });
         }
-        let rows = table1(&collector.snapshot());
+        let rows = table1(&collector.drain_delta());
         assert_eq!(rows.len(), 2);
         let us = rows.iter().find(|r| r.country == Country::UnitedStates).unwrap();
         assert_eq!(us.routers, 2);
@@ -268,7 +268,7 @@ mod tests {
                 }
             }
         }
-        let data = collector.snapshot();
+        let data = collector.drain_delta();
         let window = Window { start: SimTime::EPOCH, end: mins(total) };
         let routers = availability::per_router(&data, window);
         let t3 = table3(&routers);

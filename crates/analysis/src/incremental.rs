@@ -2,13 +2,17 @@
 //! then finished into a [`StudyReport`].
 //!
 //! There is one report path. [`IncrementalReport::update`] folds a
-//! snapshot's columnar tables into partial state, one scan per table, and
-//! [`IncrementalReport::finalize`] funnels that state, the accumulated
-//! snapshot and its per-router [`DataIndex`] through one finisher per
-//! figure. A stream study calls `update` with each window's drained
-//! delta and `finalize` at every window boundary; a batch report
-//! ([`StudyReport::compute`]) is the same fold over one window holding
-//! the whole snapshot.
+//! delta's columnar tables into partial state, one scan per table, and
+//! [`IncrementalReport::finalize`] funnels that state and the accumulated
+//! [`Datasets`] through one finisher per figure. The finishers read a
+//! router's rows only through `Datasets`: its registration by
+//! [`Datasets::meta`], its row-table rows by the per-router accessors
+//! ([`Datasets::router_capacity`] and its siblings) and its columnar rows
+//! by each table's `router`, all binary searches over the router-sorted
+//! layout the collector's drain keeps. A stream study calls `update` with
+//! each window's drained delta and `finalize` at every window boundary;
+//! a batch report ([`StudyReport::compute`]) is the same fold over one
+//! window holding the whole drain.
 //!
 //! # Why any split of the stream finalizes to the same bytes
 //!
@@ -52,9 +56,9 @@
 //!   tables. Refolding sidesteps the one order-sensitive aggregate in the
 //!   report: the population standard deviation of Figs 8/9, whose
 //!   squared-residual sum is a float fold in table order.
-//! * Fig 15's peak samples are read per router from the index, so no
-//!   partial state grows with every packet-stat record. They feed only
-//!   medians and quantiles, which sort their inputs.
+//! * Fig 15's peak samples are read per router from the packet-stats
+//!   table, so no partial state grows with every packet-stat record.
+//!   They feed only medians and quantiles, which sort their inputs.
 //!
 //! The fixed-cut unit test below, the property tests in
 //! `tests/incremental_properties.rs` and the stream differential harness
@@ -63,7 +67,6 @@
 
 use crate::availability;
 use crate::highlights;
-use crate::index::DataIndex;
 use crate::infrastructure::{self, DeviceRun};
 use crate::latency::{self, RttSamples};
 use crate::natchar;
@@ -231,7 +234,6 @@ impl IncrementalReport {
     pub fn finalize(&self, acc: &Datasets) -> StudyReport {
         let w = self.windows;
         let s = &self.folded;
-        let idx = &timed("analysis_index", || DataIndex::new(acc));
 
         // §4 availability: RLE heartbeat logs, cheap to refold entirely.
         let routers = timed("analysis_availability_per_router", || {
@@ -240,7 +242,7 @@ impl IncrementalReport {
         let fig3 = timed("analysis_fig3", || availability::fig3(&routers));
         let fig4 = timed("analysis_fig4", || availability::fig4(&routers));
         let fig5 = timed("analysis_fig5", || availability::fig5(&routers));
-        let fig6 = timed("analysis_fig6", || availability::fig6_archetypes_with(idx, &routers));
+        let fig6 = timed("analysis_fig6", || availability::fig6_archetypes(acc, &routers));
         let table3 = timed("analysis_table3", || highlights::table3(&routers));
         let coverage =
             timed("analysis_coverage", || availability::median_coverage_by_country(&routers));
@@ -250,17 +252,17 @@ impl IncrementalReport {
         let homes = &s.homes;
         let device_runs = || homes.records.iter().map(|home| home.devices.as_slice());
         let fig7 = timed("analysis_fig7", || infrastructure::fig7_from_runs(device_runs()));
-        let fig8 = timed("analysis_fig8", || infrastructure::fig8_with(idx, w.devices));
+        let fig8 = timed("analysis_fig8", || infrastructure::fig8_with(acc, w.devices));
         let fig9 = timed("analysis_fig9", || infrastructure::fig9(acc, w.devices));
         let fig10 = timed("analysis_fig10", || infrastructure::fig10_from_runs(device_runs()));
         let fig11 = timed("analysis_fig11", || {
             let scanned_24 = homes.iter().filter(|(_, home)| home.scanned_24);
             let neighbors = scanned_24.map(|(router, home)| (router, home.bssids.len()));
-            infrastructure::fig11_from_counts(idx, neighbors)
+            infrastructure::fig11_from_counts(acc, neighbors)
         });
         let fig12 = timed("analysis_fig12", || infrastructure::fig12_from_counts(&s.fig12_counts));
         let table5 = timed("analysis_table5", || {
-            infrastructure::table5_from_runs(idx, w.devices, |router| {
+            infrastructure::table5_from_runs(acc, w.devices, |router| {
                 homes.get(router).map_or(&[], |home| home.devices.as_slice())
             })
         });
@@ -269,7 +271,7 @@ impl IncrementalReport {
         // §6 usage. Figs 14-16 read each router's packet-stats and
         // capacity slices; the rest finish the folded maps.
         let fig13 = timed("analysis_fig13", || s.fig13.finish());
-        let fig15 = timed("analysis_fig15", || usage::fig15_with(idx, w.traffic));
+        let fig15 = timed("analysis_fig15", || usage::fig15_with(acc, w.traffic));
         // Fig 14 exemplar: an ordinary busy home — meaningful utilization
         // with clear headroom, as in the paper's example (its Fig 14 home
         // peaks well below capacity on most days).
@@ -283,16 +285,16 @@ impl IncrementalReport {
                         .partial_cmp(&(b.down_utilization - 0.5).abs())
                         .expect("finite")
                 })
-                .and_then(|p| usage::fig14_with(idx, w.traffic, p.router))
+                .and_then(|p| usage::fig14_with(acc, w.traffic, p.router))
         });
-        let fig16 = timed("analysis_fig16", || usage::fig16_from(idx, w.traffic, &fig15));
+        let fig16 = timed("analysis_fig16", || usage::fig16_from(acc, w.traffic, &fig15));
         let fig17 = timed("analysis_fig17", || usage::fig17_from_tallies(homes.traffic()));
         // Registered homes' domain tallies in router order, so the
         // figures derived from them accumulate deterministically.
         let tallies: Vec<&DomainTally> = timed("analysis_domain_tallies", || {
             homes
                 .traffic()
-                .filter(|(router, _)| idx.meta(*router).is_some())
+                .filter(|(router, _)| acc.meta(*router).is_some())
                 .map(|(_, tally)| &tally.domains)
                 .collect()
         });
@@ -335,7 +337,7 @@ impl IncrementalReport {
             ]
         });
         let latency = timed("analysis_latency", || {
-            latency::by_region(idx.routers(), |router| homes.get(router).map(|home| &home.rtts))
+            latency::by_region(&acc.routers, |router| homes.get(router).map(|home| &home.rtts))
         });
         let natchar = timed("analysis_natchar", || {
             (s.nat_probes_total > 0).then(|| {

@@ -1,7 +1,6 @@
 //! §5 — Infrastructure: device counts, wired vs wireless, spectrum
 //! occupancy, neighboring APs, and device vendors (Figs 7–12, Tables 4–5).
 
-use crate::index::DataIndex;
 use crate::stats::{Cdf, MeanStd};
 use collector::windows::Window;
 use collector::Datasets;
@@ -86,17 +85,17 @@ pub struct Fig8 {
 /// Compute Figure 8 from the census records in `window`: one pass over
 /// the censuses with a run-cached region lookup (the table is
 /// router-sorted), instead of a registration scan per record per region.
-pub fn fig8_with(idx: &DataIndex, window: Window) -> Fig8 {
+pub fn fig8_with(data: &Datasets, window: Window) -> Fig8 {
     let mut buckets = [(Vec::new(), Vec::new()), (Vec::new(), Vec::new())];
     let mut current: Option<(RouterId, Option<Region>)> = None;
-    for census in &idx.data().devices {
+    for census in &data.devices {
         if !window.contains(census.at) {
             continue;
         }
         let region = match current {
             Some((router, region)) if router == census.router => region,
             _ => {
-                let region = idx.region(census.router);
+                let region = data.meta(census.router).map(|m| m.country.region());
                 current = Some((census.router, region));
                 region
             }
@@ -170,12 +169,12 @@ pub struct Fig11 {
 /// window, each with its number of distinct neighbor BSSIDs. A home whose
 /// 2.4 GHz scans list no AP adds 0.
 pub(crate) fn fig11_from_counts(
-    idx: &DataIndex,
+    data: &Datasets,
     homes: impl Iterator<Item = (RouterId, usize)>,
 ) -> Fig11 {
     let (mut developed, mut developing) = (Vec::new(), Vec::new());
     for (router, neighbors) in homes {
-        match idx.region(router) {
+        match data.meta(router).map(|m| m.country.region()) {
             Some(Region::Developed) => developed.push(neighbors as f64),
             Some(Region::Developing) => developing.push(neighbors as f64),
             None => {}
@@ -214,7 +213,7 @@ pub struct Table5Row {
 /// censuses within the window (the window approximates the paper's five
 /// weeks) and the home has a meaningful number of censuses.
 pub(crate) fn table5_from_runs<'a>(
-    idx: &DataIndex,
+    data: &Datasets,
     window: Window,
     runs: impl Fn(RouterId) -> &'a [DeviceRun],
 ) -> Vec<Table5Row> {
@@ -226,9 +225,10 @@ pub(crate) fn table5_from_runs<'a>(
         wired: 0,
         wireless: 0,
     });
-    for meta in idx.routers() {
+    for meta in &data.routers {
         let router = meta.router;
-        let censuses = idx.devices(router).iter().filter(|c| window.contains(c.at)).count();
+        let censuses =
+            data.router_devices(router).iter().filter(|c| window.contains(c.at)).count();
         if censuses < min_censuses {
             continue;
         }
@@ -358,7 +358,7 @@ mod tests {
             }
             collector.ingest_batch(in_records);
         }
-        collector.snapshot()
+        collector.drain_delta()
     }
 
     #[test]
@@ -440,7 +440,7 @@ mod tests {
             mk(VendorClass::Samsung.oui(), 4, 10_000), // below 100 KB: dropped
             mk(0x12_34_56, 5, 500_000),                // unknown OUI: dropped
         ]);
-        let hist = report(&collector.snapshot(), 1).fig12;
+        let hist = report(&collector.drain_delta(), 1).fig12;
         assert_eq!(hist[0], (VendorClass::Apple, 2));
         assert_eq!(hist[1], (VendorClass::Intel, 1));
         assert_eq!(hist.len(), 2);

@@ -155,7 +155,7 @@ mod tests {
             collector.ingest(rec(0, t(h), 45, if h % 6 == 0 { 900 } else { 50 }));
             collector.ingest(rec(1, t(h), 120, 150));
         }
-        let data = collector.snapshot();
+        let data = collector.drain_delta();
         let window = Window { start: t(0), end: t(48) };
         let regions = StudyReport::compute(&data, ReportWindows::spanning(window)).latency;
         let developed = regions.iter().find(|r| r.region == Region::Developed).unwrap();
@@ -178,7 +178,7 @@ mod tests {
             traffic_consent: false,
         });
         collector.ingest(rec(0, t(0), 40, 50));
-        let data = collector.snapshot();
+        let data = collector.drain_delta();
         assert!(bloat_stretch(&data, Window { start: t(0), end: t(10) }, RouterId(0)).is_none());
     }
 }

@@ -10,8 +10,6 @@
 //! * [`infrastructure`] — §5: Figs 7–12, Table 5;
 //! * [`usage`] — §6: Figs 13–20;
 //! * [`highlights`] — Tables 1–4 and 6;
-//! * [`index`] — the shared per-router [`DataIndex`] the figures read
-//!   through instead of re-scanning whole tables;
 //! * [`incremental`] — [`IncrementalReport`], the report engine:
 //!   per-figure partial state folded delta by delta, then finished into
 //!   a [`StudyReport`];
@@ -34,7 +32,6 @@ pub mod caps;
 pub mod fingerprint;
 pub mod highlights;
 pub mod incremental;
-pub mod index;
 pub mod latency;
 pub mod infrastructure;
 pub mod natchar;
@@ -45,6 +42,5 @@ pub mod stats;
 pub mod usage;
 
 pub use incremental::IncrementalReport;
-pub use index::DataIndex;
 pub use report::{ReportWindows, StudyReport};
 pub use stats::Cdf;

@@ -144,11 +144,9 @@ pub(crate) fn characterize_from_parts(
         .collect();
     type_counts.retain(|&(_, n)| n > 0);
 
-    let country_of: BTreeMap<RouterId, Country> =
-        data.routers.iter().map(|m| (m.router, m.country)).collect();
     let mut by_country: BTreeMap<&'static str, CountryDetection> = BTreeMap::new();
     for h in &homes {
-        let Some(&country) = country_of.get(&h.router) else { continue };
+        let Some(country) = data.meta(h.router).map(|m| m.country) else { continue };
         let entry = by_country
             .entry(country.code())
             .or_insert(CountryDetection { country, flagged: 0, probed: 0 });
@@ -295,7 +293,7 @@ mod tests {
                 success,
             }));
         }
-        collector.snapshot()
+        collector.drain_delta()
     }
 
     #[test]
@@ -340,7 +338,7 @@ mod tests {
         // Home 2 was re-leased: its ports span two distant blocks.
         collector.ingest(probe_port(2, 0, 2_050));
         collector.ingest(probe_port(2, 720, 9_000));
-        let nc = natchar(&collector.snapshot());
+        let nc = natchar(&collector.drain_delta());
         let pa = &nc.port_allocation;
         assert_eq!(pa.per_home.len(), 2);
         assert_eq!(pa.per_home[0], PortAllocRow {
@@ -361,7 +359,7 @@ mod tests {
         let collector = Collector::new();
         collector.ingest(probe(9, 0, NatType::Symmetric, false));
         collector.ingest(probe(9, 720, NatType::FullCone, false));
-        let nc = natchar(&collector.snapshot());
+        let nc = natchar(&collector.drain_delta());
         assert_eq!(nc.homes[0].modal_type, NatType::FullCone);
     }
 
@@ -371,7 +369,7 @@ mod tests {
         // type and a single CGN flag is a detection (1 flag * 2 > 1 probe).
         let collector = Collector::new();
         collector.ingest(probe(5, 0, NatType::Symmetric, true));
-        let nc = natchar(&collector.snapshot());
+        let nc = natchar(&collector.drain_delta());
         assert_eq!(nc.homes.len(), 1);
         assert_eq!(nc.homes[0].probes, 1);
         assert_eq!(nc.homes[0].modal_type, NatType::Symmetric);
@@ -392,7 +390,7 @@ mod tests {
         collector.ingest(probe(9, 0, NatType::Symmetric, false));
         collector.ingest(probe(9, 720, NatType::PortRestricted, false));
         collector.ingest(probe(9, 1_440, NatType::Restricted, false));
-        let nc = natchar(&collector.snapshot());
+        let nc = natchar(&collector.drain_delta());
         assert_eq!(nc.homes[0].modal_type, NatType::Restricted);
     }
 

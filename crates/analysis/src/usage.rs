@@ -1,9 +1,9 @@
 //! §6 — Usage: diurnal patterns, link saturation, per-device consumption,
 //! and domain popularity (Figs 13–20).
 
-use crate::index::DataIndex;
 use crate::stats::{mean, median, Cdf};
 use collector::windows::Window;
+use collector::Datasets;
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::records::{FlowRecord, RouterId};
 use household::VendorClass;
@@ -87,11 +87,11 @@ pub struct Fig14 {
     pub down_capacity_bps: f64,
 }
 
-/// Median capacity for one router within `window`, from its index slice.
-pub(crate) fn capacity_of(idx: &DataIndex, window: Window, router: RouterId) -> Option<(f64, f64)> {
+/// Median capacity for one router within `window`, from its capacity rows.
+pub(crate) fn capacity_of(data: &Datasets, window: Window, router: RouterId) -> Option<(f64, f64)> {
     let mut down = Vec::new();
     let mut up = Vec::new();
-    for rec in idx.capacity(router) {
+    for rec in data.router_capacity(router) {
         if window.contains(rec.at) {
             down.push(rec.down_bps as f64);
             up.push(rec.up_bps as f64);
@@ -105,11 +105,11 @@ pub(crate) fn capacity_of(idx: &DataIndex, window: Window, router: RouterId) -> 
 
 /// Compute Figure 14 for `router` (typically a busy, ordinary home) from
 /// its capacity and packet-stats slices alone.
-pub fn fig14_with(idx: &DataIndex, window: Window, router: RouterId) -> Option<Fig14> {
-    let (down_cap, up_cap) = capacity_of(idx, window, router)?;
+pub fn fig14_with(data: &Datasets, window: Window, router: RouterId) -> Option<Fig14> {
+    let (down_cap, up_cap) = capacity_of(data, window, router)?;
     let mut up_series = Vec::new();
     let mut down_series = Vec::new();
-    for stats in idx.packet_stats(router) {
+    for stats in data.packet_stats.router(router) {
         if window.contains(stats.at) {
             up_series.push((stats.at, stats.peak_up_bps() as f64));
             down_series.push((stats.at, stats.peak_down_bps() as f64));
@@ -148,13 +148,13 @@ pub struct Fig15Point {
 /// packet-stats slice in ID order, so the output needs no final sort and
 /// the accumulation order is independent of hash layout; only one
 /// router's samples are held at a time.
-pub fn fig15_with(idx: &DataIndex, window: Window) -> Vec<Fig15Point> {
+pub fn fig15_with(data: &Datasets, window: Window) -> Vec<Fig15Point> {
     let mut out = Vec::new();
-    for meta in idx.routers() {
+    for meta in &data.routers {
         let router = meta.router;
         let mut down = Vec::new();
         let mut up = Vec::new();
-        for stats in idx.packet_stats(router) {
+        for stats in data.packet_stats.router(router) {
             if window.contains(stats.at) {
                 down.push(stats.peak_down_bps() as f64);
                 up.push(stats.peak_up_bps() as f64);
@@ -163,7 +163,7 @@ pub fn fig15_with(idx: &DataIndex, window: Window) -> Vec<Fig15Point> {
         if down.len() < 10 {
             continue;
         }
-        let Some((down_cap, up_cap)) = capacity_of(idx, window, router) else {
+        let Some((down_cap, up_cap)) = capacity_of(data, window, router) else {
             continue;
         };
         if down_cap <= 0.0 || up_cap <= 0.0 {
@@ -185,11 +185,11 @@ pub fn fig15_with(idx: &DataIndex, window: Window) -> Vec<Fig15Point> {
 /// Figure 16: the homes whose p95 uplink utilization exceeds measured
 /// capacity, with their timeseries, from Figure 15's points (the report
 /// shares one Figure 15 result between Figures 14, 15, 16, and Table 6).
-pub fn fig16_from(idx: &DataIndex, window: Window, points: &[Fig15Point]) -> Vec<Fig14> {
+pub fn fig16_from(data: &Datasets, window: Window, points: &[Fig15Point]) -> Vec<Fig14> {
     points
         .iter()
         .filter(|p| p.up_utilization > 1.0)
-        .filter_map(|p| fig14_with(idx, window, p.router))
+        .filter_map(|p| fig14_with(data, window, p.router))
         .collect()
 }
 
@@ -517,7 +517,7 @@ mod tests {
                 associated_stations: stations,
             }));
         }
-        let fig = report(&collector.snapshot(), 7).fig13;
+        let fig = report(&collector.drain_delta(), 7).fig13;
         assert_eq!(fig.weekday[20], 4.0);
         assert_eq!(fig.weekend[20], 2.0);
         assert_eq!(fig.weekday.iter().sum::<f64>(), 4.0);
@@ -534,7 +534,7 @@ mod tests {
             flow(0, mac(3), clear("google.com"), 1_000, 12),
             flow(1, mac(4), clear("hulu.com"), 500, 13),
         ]);
-        let fig = report(&collector.snapshot(), 1).fig17;
+        let fig = report(&collector.drain_delta(), 1).fig17;
         assert_eq!(fig.per_home.len(), 2);
         let home0 = &fig.per_home.iter().find(|(r, _)| *r == RouterId(0)).unwrap().1;
         assert!((home0[0] - 0.6).abs() < 0.01);
@@ -551,7 +551,7 @@ mod tests {
             collector.ingest(flow(router, mac(1), clear("netflix.com"), 5_000, 6));
         }
         collector.ingest(flow(0, mac(1), ReportedDomain::Obfuscated(77), 9_000, 7));
-        let rows = report(&collector.snapshot(), 1).fig18;
+        let rows = report(&collector.drain_delta(), 1).fig18;
         let netflix = rows.iter().find(|r| r.domain == "netflix.com").unwrap();
         assert_eq!(netflix.top5_homes, 3);
         assert!(rows.iter().all(|r| !r.domain.starts_with("anon-")));
@@ -566,7 +566,7 @@ mod tests {
         for i in 0..3 {
             collector.ingest(flow(0, mac(1), clear("google.com"), 667, 6 + i));
         }
-        let fig = report(&collector.snapshot(), 1).fig19;
+        let fig = report(&collector.drain_delta(), 1).fig19;
         // Volume rank 1 = netflix: 8400/10401 ≈ 0.807 of bytes.
         assert!(fig.volume_share_by_rank[0] > 0.75);
         // Connection rank 1 = google with 3 of 4 connections.
@@ -602,7 +602,7 @@ mod tests {
                 }));
             }
         }
-        let report = report(&collector.snapshot(), 1);
+        let report = report(&collector.drain_delta(), 1);
         let points = &report.fig15;
         assert_eq!(points.len(), 2);
         let normal = points.iter().find(|p| p.router == RouterId(0)).unwrap();
@@ -626,7 +626,7 @@ mod tests {
             flow(0, mac(1), clear("dropbox.com"), 500_000, 7),
             flow(0, mac(1), clear("google.com"), 200_000, 8),
         ]);
-        let devices = report(&collector.snapshot(), 1).fig20;
+        let devices = report(&collector.drain_delta(), 1).fig20;
         assert_eq!(devices.len(), 2);
         let (computer, streamer) = fig20_exemplars(&devices);
         let streamer = streamer.expect("roku found");

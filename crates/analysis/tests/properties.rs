@@ -96,7 +96,7 @@ proptest! {
                     wireless_5: w5,
                 }));
             }
-            collector.snapshot()
+            collector.drain_delta()
         };
         let forward: Vec<usize> = (0..censuses.len()).collect();
         let mut shuffled = forward.clone();

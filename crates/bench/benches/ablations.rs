@@ -1,13 +1,14 @@
-//! Ablation benches for the design choices DESIGN.md calls out. Each group
-//! sweeps one mechanism and prints the measured effect once, so the bench
-//! run doubles as the ablation study:
+//! Timing benches for the mechanisms DESIGN.md's ablations sweep. The
+//! ablation outcomes themselves are asserted by unit tests beside the code
+//! they drive:
 //!
-//! * **bufferbloat**: CPE queue depth vs probe accuracy and queueing delay;
-//! * **scan throttle**: client-protection factor vs scan completeness and
-//!   disassociation disruptions;
-//! * **heartbeat interval**: sampling period vs downtime-detection
-//!   resolution;
-//! * **probe train length**: ShaperProbe accuracy vs cost on shaped links.
+//! * **bufferbloat** (`simnet::link`): queue depth vs standing delay;
+//! * **scan throttle** (`simnet::wifi`): scan rate vs AP sightings and
+//!   client disassociations;
+//! * **heartbeat interval** (`collector::runlog`): sampling period vs
+//!   downtime detection;
+//! * **probe train length** (`firmware::shaperprobe`): train bytes vs the
+//!   burst phase of a shaped link.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use simnet::link::{Link, LinkConfig, TxOutcome};
@@ -15,27 +16,7 @@ use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
 use simnet::wifi::{Band, NeighborAp, Radio};
 
-fn bench_bufferbloat_queue_sweep(c: &mut Criterion) {
-    // A 1 Mbps uplink with increasingly bloated queues: the queueing delay
-    // a saturating sender inflicts grows linearly with depth.
-    let mut summary = String::new();
-    for queue_kb in [16u64, 64, 256, 1024] {
-        let cfg = LinkConfig::simple(1_000_000, SimDuration::from_millis(10), queue_kb * 1024);
-        let mut link = Link::new(cfg);
-        let mut sent = 0u64;
-        while matches!(link.transmit(SimTime::EPOCH, 1_500), TxOutcome::Delivered { .. }) {
-            sent += 1;
-            if sent > 10_000 {
-                break;
-            }
-        }
-        let delay = link.queueing_delay(SimTime::EPOCH);
-        summary.push_str(&format!(
-            "  queue {queue_kb:>5} KB -> standing delay {delay} ({sent} packets buffered)\n"
-        ));
-    }
-    println!("\n===== Ablation: bufferbloat queue depth =====\n{summary}");
-
+fn bench_bufferbloat_queue_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_bufferbloat");
     for queue_kb in [16u64, 256, 1024] {
         let cfg = LinkConfig::simple(1_000_000, SimDuration::from_millis(10), queue_kb * 1024);
@@ -54,38 +35,13 @@ fn bench_bufferbloat_queue_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scan_throttle_sweep(c: &mut Criterion) {
-    // Scan policy ablation: without throttling, scans run 3x as often and
-    // knock clients off proportionally more.
+fn bench_scan_slot(c: &mut Criterion) {
     let hood = vec![NeighborAp {
         bssid: simnet::packet::MacAddr::from_oui_nic(0xF8_1A_67, 7),
         channel: Band::Ghz24.default_channel(),
         signal_dbm: -55,
         airtime_load: 0.1,
     }];
-    let mut summary = String::new();
-    for throttle in [1u64, 3, 6] {
-        let mut radio = Radio::new(Band::Ghz24);
-        let mut rng = DetRng::new(42);
-        let mac = simnet::packet::MacAddr::from_oui_nic(0x00_17_F2, 1);
-        let mut scans = 0u32;
-        let mut drops = 0u32;
-        let mut sightings = 0u32;
-        for slot in 0..1_000u64 {
-            radio.associate(mac);
-            if slot % throttle == 0 {
-                scans += 1;
-                let outcome = radio.scan(&hood, &mut rng);
-                drops += outcome.dropped_stations.len() as u32;
-                sightings += outcome.visible.len() as u32;
-            }
-        }
-        summary.push_str(&format!(
-            "  throttle 1/{throttle}: {scans} scans, {sightings} AP sightings, {drops} client drops\n"
-        ));
-    }
-    println!("\n===== Ablation: scan throttle =====\n{summary}");
-
     c.bench_function("ablation_scan_slot", |b| {
         let mut radio = Radio::new(Band::Ghz24);
         let mut rng = DetRng::new(1);
@@ -93,34 +49,7 @@ fn bench_scan_throttle_sweep(c: &mut Criterion) {
     });
 }
 
-fn bench_heartbeat_interval_sweep(c: &mut Criterion) {
-    // Downtime detection resolution: with a 1-minute heartbeat the 10-min
-    // threshold sees a 12-minute outage; with a 10-minute heartbeat the
-    // run tolerance swallows it entirely.
-    let mut summary = String::new();
-    for interval_mins in [1u64, 5, 10] {
-        let mut log = collector::RunLog::new();
-        let outage_start = 100;
-        let outage_end = 112; // a 12-minute outage
-        let mut t = 0;
-        while t < 300 {
-            if !(outage_start..outage_end).contains(&t) {
-                log.push(SimTime::EPOCH + SimDuration::from_mins(t));
-            }
-            t += interval_mins;
-        }
-        let gaps = log.downtimes(
-            SimTime::EPOCH,
-            SimTime::EPOCH + SimDuration::from_mins(300),
-            SimDuration::from_mins(10),
-        );
-        summary.push_str(&format!(
-            "  heartbeat every {interval_mins:>2} min -> {} downtime(s) detected for a 12-min outage\n",
-            gaps.len()
-        ));
-    }
-    println!("\n===== Ablation: heartbeat interval =====\n{summary}");
-
+fn bench_runlog_ingest(c: &mut Criterion) {
     c.bench_function("ablation_runlog_ingest_10k", |b| {
         b.iter(|| {
             let mut log = collector::RunLog::new();
@@ -132,9 +61,7 @@ fn bench_heartbeat_interval_sweep(c: &mut Criterion) {
     });
 }
 
-fn bench_probe_train_sweep(c: &mut Criterion) {
-    // ShaperProbe train length vs shaped-link accuracy: short trains never
-    // leave the burst phase and report the peak rate as capacity.
+fn bench_probe_train(c: &mut Criterion) {
     let cfg = LinkConfig::shaped(
         10_000_000,
         20_000_000,
@@ -142,29 +69,6 @@ fn bench_probe_train_sweep(c: &mut Criterion) {
         SimDuration::from_millis(8),
         1 << 22,
     );
-    let mut summary = String::new();
-    for train in [64usize, 128, 256, 512] {
-        let mut link = Link::new(cfg);
-        let mut rng = DetRng::new(9);
-        // Re-implement the estimator core at the given length.
-        let mut arrivals = Vec::with_capacity(train);
-        for _ in 0..train {
-            if let TxOutcome::Delivered { at } = link.transmit(SimTime::EPOCH, 1_500) {
-                arrivals.push(at + SimDuration::from_micros(rng.uniform_int(0, 60)));
-            }
-        }
-        arrivals.sort();
-        let tail_n = (arrivals.len() / 4).max(8);
-        let tail = &arrivals[arrivals.len() - tail_n..];
-        let span = tail.last().unwrap().since(tail[0]).as_secs_f64();
-        let rate = (tail_n as f64 - 1.0) * 1_500.0 * 8.0 / span;
-        summary.push_str(&format!(
-            "  train {train:>3} packets -> tail-estimated {:.1} Mbps (true sustained 10.0)\n",
-            rate / 1e6
-        ));
-    }
-    println!("\n===== Ablation: probe train length =====\n{summary}");
-
     c.bench_function("ablation_probe_512", |b| {
         let mut rng = DetRng::new(10);
         b.iter(|| {
@@ -177,7 +81,7 @@ fn bench_probe_train_sweep(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bufferbloat_queue_sweep, bench_scan_throttle_sweep,
-        bench_heartbeat_interval_sweep, bench_probe_train_sweep
+    targets = bench_bufferbloat_queue_fill, bench_scan_slot, bench_runlog_ingest,
+        bench_probe_train
 );
 criterion_main!(benches);

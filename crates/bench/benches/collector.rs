@@ -1,8 +1,7 @@
 //! Collector ingestion and merge benches: the sharded server's hot paths —
 //! per-record vs batched uploads, contended multi-thread ingestion, and
-//! snapshot/merge throughput over a deployment-sized dataset.
+//! drain/merge throughput over a deployment-sized dataset.
 
-use analysis::DataIndex;
 use collector::{Collector, FlowTable, PacketStatsTable, RouterMeta};
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use firmware::anonymize::{AnonMac, ReportedDomain};
@@ -56,7 +55,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
                 for record in records {
                     collector.ingest(record);
                 }
-                black_box(collector.snapshot().record_count())
+                black_box(collector.drain_delta().record_count())
             },
             BatchSize::LargeInput,
         )
@@ -67,7 +66,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
             |records| {
                 let collector = registered(1);
                 collector.ingest_batch(records);
-                black_box(collector.snapshot().record_count())
+                black_box(collector.drain_delta().record_count())
             },
             BatchSize::LargeInput,
         )
@@ -78,7 +77,7 @@ fn bench_ingest_paths(c: &mut Criterion) {
             |mut records| {
                 let collector = registered(1);
                 collector.shard_handle(RouterId(7)).ingest_drain(&mut records);
-                black_box(collector.snapshot().record_count())
+                black_box(collector.drain_delta().record_count())
             },
             BatchSize::LargeInput,
         )
@@ -124,9 +123,9 @@ fn bench_contended_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// Snapshot (clone + merge) vs draining merge over a full-deployment-sized
-/// collector: 126 homes, 5k records each, spread over all shards.
-fn bench_snapshot_merge(c: &mut Criterion) {
+/// The draining merge over a full-deployment-sized collector: 126 homes,
+/// 5k records each, spread over all shards.
+fn bench_drain_merge(c: &mut Criterion) {
     const ROUTERS: u32 = 126;
     let filled = || {
         let collector = registered(ROUTERS);
@@ -141,10 +140,6 @@ fn bench_snapshot_merge(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("collector_merge_126x5k");
     group.sample_size(10);
-    let live = filled();
-    group.bench_function("snapshot", |b| {
-        b.iter(|| black_box(live.snapshot().record_count()))
-    });
     group.bench_function("drain_delta", |b| {
         b.iter_batched(
             filled,
@@ -213,8 +208,8 @@ fn bench_columnar_append(c: &mut Criterion) {
     group.finish();
 }
 
-/// DataIndex construction over columnar datasets, plus a full per-router
-/// column scan — the analysis-side read path over the encoded columns.
+/// A full per-router column scan — the analysis-side read path over the
+/// encoded columns.
 fn bench_index_from_columns(c: &mut Criterion) {
     const ROUTERS: u32 = 126;
     const PER_ROUTER: u64 = 2_000;
@@ -229,18 +224,14 @@ fn bench_index_from_columns(c: &mut Criterion) {
     let datasets = collector.drain_delta();
     let mut group = c.benchmark_group("columnar_index_126x4k");
     group.sample_size(20);
-    group.bench_function("data_index_new", |b| {
-        b.iter(|| black_box(DataIndex::new(&datasets).routers().len()))
-    });
     group.bench_function("scan_all_columns", |b| {
         b.iter(|| {
-            let idx = DataIndex::new(&datasets);
             let mut bytes = 0u64;
             for r in 0..ROUTERS {
-                for s in idx.packet_stats(RouterId(r)) {
+                for s in datasets.packet_stats.router(RouterId(r)) {
                     bytes = bytes.wrapping_add(s.bytes_down);
                 }
-                for f in idx.flows(RouterId(r)) {
+                for f in datasets.flows.router(RouterId(r)) {
                     bytes = bytes.wrapping_add(f.bytes_down);
                 }
             }
@@ -254,7 +245,7 @@ criterion_group!(
     benches,
     bench_ingest_paths,
     bench_contended_ingest,
-    bench_snapshot_merge,
+    bench_drain_merge,
     bench_columnar_append,
     bench_index_from_columns
 );

@@ -53,7 +53,7 @@ fn bench_single_home(c: &mut Criterion) {
                     cgn: None,
                 })
                 .run(&collector);
-                black_box(collector.snapshot().record_count())
+                black_box(collector.drain_delta().record_count())
             })
         });
     }

@@ -192,7 +192,7 @@ mod tests {
         collector.ingest(firmware::records::Record::Heartbeat(
             firmware::records::HeartbeatRecord { router: RouterId(3), at: SimTime::EPOCH },
         ));
-        let files = to_csv(&collector.snapshot());
+        let files = to_csv(&collector.drain_delta());
         let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,

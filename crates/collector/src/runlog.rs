@@ -305,6 +305,29 @@ mod tests {
         assert_eq!(gaps, vec![(m(19), m(40))]);
     }
 
+    /// The heartbeat-interval ablation: five hours of heartbeats with a
+    /// 12-minute outage, sent every 1, 5 or 10 minutes, read against the
+    /// paper's 10-minute downtime threshold. At 1 and 5 minutes the log
+    /// finds the outage and nothing else. At 10 minutes every interval
+    /// exceeds [`RUN_TOLERANCE`], so each heartbeat is a run of its own
+    /// and every gap reaches the threshold: the outage is one of 28
+    /// downtimes, one per heartbeat received.
+    #[test]
+    fn heartbeat_interval_ablation() {
+        let detect = |interval: usize| {
+            let mut log = RunLog::new();
+            for t in (0..300).step_by(interval).filter(|t| !(100..112).contains(t)) {
+                log.push(m(t));
+            }
+            (log.runs().len(), log.downtimes(m(0), m(300), SimDuration::from_mins(10)))
+        };
+        assert_eq!(detect(1).1, vec![(m(99), m(112))]);
+        assert_eq!(detect(5).1, vec![(m(95), m(115))]);
+        let (runs, gaps) = detect(10);
+        assert_eq!((runs, gaps.len()), (28, 28));
+        assert!(gaps.contains(&(m(90), m(120))), "the outage is among them");
+    }
+
     #[test]
     fn leading_and_trailing_silence_count() {
         let mut log = RunLog::new();

@@ -1,5 +1,5 @@
 //! The central collection server: router registration, record ingestion
-//! (including wire-level heartbeat packets), and snapshotting what was
+//! (including wire-level heartbeat packets), and draining what was
 //! collected for analysis. The paper's six data sets are stored as 14
 //! tables ([`Datasets`]): registration, heartbeat run logs, four row
 //! tables (uptime, capacity, device censuses, the upload-gap ledger), the
@@ -15,11 +15,14 @@
 //! running on parallel threads never contend on the bulk upload path (homes
 //! never share a router ID, and the 126-router deployment maps onto 128
 //! shards collision-free). Each shard keeps its slice of the tables as one
-//! [`Datasets`] value. Snapshotting clones or takes every shard's slice and
-//! merges them back into one deterministic, (router, time)-sorted
-//! [`Datasets`] — concatenating already-ordered shard runs where possible
-//! and falling back to a stable sort otherwise — so the result is
-//! bit-identical regardless of how many threads uploaded.
+//! [`Datasets`] value. Draining ([`Collector::drain_delta`]) takes every
+//! shard's slice and merges them back into one deterministic, (router,
+//! time)-sorted [`Datasets`] — concatenating already-ordered shard runs
+//! where possible and falling back to a stable sort otherwise — so the
+//! result is bit-identical regardless of how many threads uploaded. Each
+//! router's rows therefore form one contiguous run of every table, which
+//! the per-router accessors ([`Datasets::router_uptime`] and its siblings)
+//! find by binary search.
 
 use crate::columns::{
     AbsorbState, AssociationTable, Columnar, DnsTable, FlowTable, LatencyTable, MacTable,
@@ -269,6 +272,21 @@ impl Datasets {
             .and_then(|i| self.routers.get(i))
     }
 
+    /// One router's uptime reports, in time order (empty if none).
+    pub fn router_uptime(&self, router: RouterId) -> &[UptimeRecord] {
+        router_run(&self.uptime, router, |r| r.router)
+    }
+
+    /// One router's capacity measurements, in time order.
+    pub fn router_capacity(&self, router: RouterId) -> &[CapacityRecord] {
+        router_run(&self.capacity, router, |r| r.router)
+    }
+
+    /// One router's device censuses, in time order.
+    pub fn router_devices(&self, router: RouterId) -> &[DeviceCensusRecord] {
+        router_run(&self.devices, router, |r| r.router)
+    }
+
     /// Routers in the Traffic data set (consented).
     pub fn traffic_routers(&self) -> Vec<RouterId> {
         self.routers.iter().filter(|m| m.traffic_consent).map(|m| m.router).collect()
@@ -345,6 +363,15 @@ impl Datasets {
         });
         self.absorb_columns(&mut delta, state);
     }
+}
+
+/// One router's rows of a router-sorted row table: two binary searches.
+/// [`merge_table`] and [`absorb_rows`] keep every row table sorted with
+/// the router as the leading key, so a router's rows are contiguous.
+fn router_run<T>(table: &[T], router: RouterId, router_of: impl Fn(&T) -> RouterId) -> &[T] {
+    let start = table.partition_point(|r| router_of(r) < router);
+    let end = table.partition_point(|r| router_of(r) <= router);
+    table.get(start..end).unwrap_or_default()
 }
 
 /// Fold one window's sorted rows behind an accumulated sorted row table.
@@ -838,16 +865,6 @@ impl ShardHandle<'_> {
     }
 }
 
-/// How [`Collector::try_extract`] hands each shard's tables to the merge.
-#[derive(Debug, Clone, Copy)]
-enum Extract {
-    /// Clone them, leaving the collector untouched.
-    Clone,
-    /// Take them, with their sealed segments: the shards keep running on
-    /// empty tables and a reset spill estimate.
-    Take,
-}
-
 impl Collector {
     /// An empty collector.
     pub fn new() -> Collector {
@@ -908,7 +925,7 @@ impl Collector {
     /// `config.budget_bytes` as its resident-columnar budget and seals its
     /// columnar tables into segment files (under `config.dir`, or the OS
     /// temp directory) whenever ingestion crosses that slice. Call before
-    /// ingestion starts; the snapshot merge reunifies spilled and resident
+    /// ingestion starts; the drain's merge reunifies spilled and resident
     /// rows deterministically, so reports are byte-identical to an
     /// unbounded run. Fails only if the spill directory cannot be created.
     pub fn set_spill(&self, config: &SpillConfig) -> std::io::Result<()> {
@@ -1025,25 +1042,6 @@ impl Collector {
             .add(self.dropped_in_downtime());
     }
 
-    /// Snapshot everything collected so far, without disturbing ongoing
-    /// ingestion. Records are cloned out of each shard and merged sorted by
-    /// (router, time), so snapshots are deterministic regardless of the
-    /// upload interleaving across home threads. Finished callers should
-    /// prefer [`Collector::drain_delta`], which skips the clone.
-    ///
-    /// Panics if a spilled run's segment merge hits an I/O error; use
-    /// [`Collector::try_snapshot`] to handle that case. In-memory runs
-    /// (the default) cannot fail.
-    pub fn snapshot(&self) -> Datasets {
-        merged_or_panic(self.try_snapshot(), "during snapshot")
-    }
-
-    /// Fallible [`Collector::snapshot`]: surfaces spill-merge I/O errors
-    /// instead of panicking. Always `Ok` when spilling is disabled.
-    pub fn try_snapshot(&self) -> Result<Datasets, SpillError> {
-        self.try_extract(Extract::Clone)
-    }
-
     /// Drain everything applied behind the per-router watermarks since
     /// the previous drain (or since startup) as one merged window delta,
     /// leaving the collector running: batches buffered ahead of a
@@ -1069,34 +1067,21 @@ impl Collector {
     /// errors instead of panicking. Always `Ok` when spilling is
     /// disabled.
     pub fn try_drain_delta(&self) -> Result<Datasets, SpillError> {
-        self.try_extract(Extract::Take)
-    }
-
-    /// The one extraction behind every snapshot: clone or take each
-    /// shard's tables (spilled parts included) under its lock, then merge
-    /// them all.
-    fn try_extract(&self, mode: Extract) -> Result<Datasets, SpillError> {
+        // Take each shard's tables with their sealed segments under its
+        // lock: the shard keeps running on empty tables and a reset
+        // spill estimate.
         let mut segments = 0;
         let chunks: Vec<Datasets> = self
             .shards
             .iter()
             .map(|s| {
                 let mut shard = s.lock();
-                let shard = &mut *shard;
-                match mode {
-                    Extract::Clone => {
-                        segments += shard.spill.as_ref().map_or(0, |sp| sp.segments);
-                        shard.tables.clone()
-                    }
-                    Extract::Take => {
-                        if let Some(sp) = &mut shard.spill {
-                            segments += std::mem::take(&mut sp.segments);
-                            sp.bytes = 0;
-                        }
-                        shard.columnar_est = 0;
-                        std::mem::take(&mut shard.tables)
-                    }
+                if let Some(sp) = &mut shard.spill {
+                    segments += std::mem::take(&mut sp.segments);
+                    sp.bytes = 0;
                 }
+                shard.columnar_est = 0;
+                std::mem::take(&mut shard.tables)
             })
             .collect();
         merge_chunks(
@@ -1156,7 +1141,7 @@ fn merge_table<T, K: Ord, F: Fn(&T) -> K>(mut chunks: Vec<Vec<T>>, key: F) -> Ve
 
 /// Collect one merge worker's table. A worker is pure comparison-and-move
 /// code, so the only failure mode is a panic; re-raising the original
-/// payload on the snapshot caller is the correct propagation (there is no
+/// payload on the draining caller is the correct propagation (there is no
 /// half-merged data worth salvaging).
 fn join_merged<T>(handle: crossbeam::thread::ScopedJoinHandle<'_, T>) -> T {
     handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -1200,14 +1185,14 @@ fn merge_chunks(
             // resident columnar rows contributes one sorted input run.
             let resident = chunks.iter().filter(|c| c.has_resident_columns()).count() as u64;
             obs::gauge("spill_merge_fanin").set(segments + resident);
-            // Snapshots can merge repeatedly over the same store, so
+            // Drains merge repeatedly over the same store, so
             // every merged output gets a unique file-name generation.
             store.next_merge_id()
         }
         None => 0,
     };
     // The per-table merges are independent; run them on scoped threads so a
-    // snapshot of a 33M-record study sorts all twelve tables concurrently.
+    // drain of a 33M-record study sorts all twelve tables concurrently.
     crossbeam::scope(|scope| -> Result<(), SpillError> {
         let uptime = scope.spawn(|_| merge_table(uptime, |r: &UptimeRecord| (r.router, r.at)));
         let capacity =
@@ -1242,8 +1227,8 @@ mod tests {
             let hb = Heartbeat { router: RouterId(9), seq: i };
             collector.ingest_heartbeat_wire(m(i), &hb.emit(wan)).unwrap();
         }
-        let snap = collector.snapshot();
-        let log = &snap.heartbeats[&RouterId(9)];
+        let data = collector.drain_delta();
+        let log = &data.heartbeats[&RouterId(9)];
         assert_eq!(log.runs().len(), 1);
         assert_eq!(log.total_heartbeats(), 30);
     }
@@ -1253,7 +1238,7 @@ mod tests {
         let collector = Collector::new();
         assert!(collector.ingest_heartbeat_wire(m(0), &[0u8; 44]).is_err());
         assert_eq!(collector.rejected_heartbeats(), 1);
-        assert!(collector.snapshot().heartbeats.is_empty());
+        assert!(collector.drain_delta().heartbeats.is_empty());
     }
 
     #[test]
@@ -1271,10 +1256,10 @@ mod tests {
             wireless_24: 3,
             wireless_5: 1,
         }));
-        let snap = collector.snapshot();
-        assert_eq!(snap.uptime.len(), 1);
-        assert_eq!(snap.devices.len(), 1);
-        assert_eq!(snap.record_count(), 2);
+        let data = collector.drain_delta();
+        assert_eq!(data.uptime.len(), 1);
+        assert_eq!(data.devices.len(), 1);
+        assert_eq!(data.record_count(), 2);
     }
 
     #[test]
@@ -1287,50 +1272,62 @@ mod tests {
                 uptime: SimDuration::ZERO,
             }));
         }
-        let snap = collector.snapshot();
-        let order: Vec<(u32, SimTime)> = snap.uptime.iter().map(|r| (r.router.0, r.at)).collect();
+        let data = collector.drain_delta();
+        let order: Vec<(u32, SimTime)> = data.uptime.iter().map(|r| (r.router.0, r.at)).collect();
         assert_eq!(order, vec![(1, m(50)), (1, m(200)), (2, m(10)), (2, m(100))]);
     }
 
     #[test]
-    fn drain_delta_matches_snapshot() {
+    fn router_accessors_find_each_contiguous_run() {
         let collector = Collector::new();
-        collector.register(RouterMeta {
-            router: RouterId(4),
-            country: Country::India,
-            traffic_consent: false,
-        });
-        collector.register(RouterMeta {
-            router: RouterId(3),
-            country: Country::UnitedStates,
-            traffic_consent: true,
-        });
-        // Routers 130 and 2 collide with 2 mod 128: exercises the in-shard
-        // stable-sort fallback as well as the disjoint fast path.
+        // Routers 130 and 2 collide with 2 mod 128: the drain's merge
+        // takes the in-shard stable-sort fallback as well as the
+        // disjoint fast path.
         for (router, at) in [(130u32, 5u64), (2, 9), (3, 1), (130, 7), (2, 4)] {
+            let (router, at) = (RouterId(router), m(at));
             collector.ingest(Record::Uptime(UptimeRecord {
-                router: RouterId(router),
-                at: m(at),
+                router,
+                at,
                 uptime: SimDuration::ZERO,
             }));
+            collector.ingest(Record::Capacity(CapacityRecord {
+                router,
+                at,
+                down_bps: 1,
+                up_bps: 1,
+                shaping_detected: false,
+            }));
+            collector.ingest(Record::DeviceCensus(DeviceCensusRecord {
+                router,
+                at,
+                wired: 0,
+                wireless_24: 0,
+                wireless_5: 0,
+            }));
         }
-        // Heartbeat logs require chronological pushes per router.
-        for (router, at) in [(2u32, 4u64), (2, 9), (3, 1), (130, 5), (130, 7)] {
-            collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(router), at: m(at) });
-        }
-        let snap = collector.snapshot();
-        let owned = collector.drain_delta();
-        assert_eq!(snap.routers, owned.routers);
-        assert_eq!(snap.uptime, owned.uptime);
+        let data = collector.drain_delta();
         assert_eq!(
-            snap.uptime.iter().map(|r| (r.router.0, r.at)).collect::<Vec<_>>(),
+            data.uptime.iter().map(|r| (r.router.0, r.at)).collect::<Vec<_>>(),
             vec![(2, m(4)), (2, m(9)), (3, m(1)), (130, m(5)), (130, m(7))]
         );
-        assert_eq!(snap.heartbeats.len(), owned.heartbeats.len());
-        for (router, log) in &snap.heartbeats {
-            assert_eq!(log.runs(), owned.heartbeats[router].runs());
+        // The first and last routers, one between them, and absent
+        // routers before, between and after the runs.
+        for (router, times) in [
+            (2u32, vec![m(4), m(9)]),
+            (3, vec![m(1)]),
+            (130, vec![m(5), m(7)]),
+            (1, vec![]),
+            (4, vec![]),
+            (131, vec![]),
+        ] {
+            let router = RouterId(router);
+            let uptime: Vec<SimTime> = data.router_uptime(router).iter().map(|r| r.at).collect();
+            let capacity: Vec<SimTime> =
+                data.router_capacity(router).iter().map(|r| r.at).collect();
+            let devices: Vec<SimTime> = data.router_devices(router).iter().map(|r| r.at).collect();
+            assert_eq!((uptime, capacity, devices), (times.clone(), times.clone(), times));
         }
-        assert_eq!(collector.drain_delta().record_count(), 0, "the drain took every record");
+        assert!(Datasets::default().router_uptime(RouterId(2)).is_empty());
     }
 
     #[test]
@@ -1350,9 +1347,9 @@ mod tests {
             }
         })
         .expect("threads join");
-        let snap = collector.snapshot();
-        assert_eq!(snap.heartbeats.len(), 8);
-        for log in snap.heartbeats.values() {
+        let data = collector.drain_delta();
+        assert_eq!(data.heartbeats.len(), 8);
+        for log in data.heartbeats.values() {
             assert_eq!(log.total_heartbeats(), 1_000);
         }
     }
@@ -1365,11 +1362,11 @@ mod tests {
         for i in 0..30u64 {
             collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(0), at: m(i) });
         }
-        let snap = collector.snapshot();
-        assert_eq!(snap.heartbeats[&RouterId(0)].total_heartbeats(), 20);
+        let data = collector.drain_delta();
+        assert_eq!(data.heartbeats[&RouterId(0)].total_heartbeats(), 20);
         assert_eq!(collector.dropped_in_outage(), 10);
         // The gap in the log matches the outage window.
-        let gaps = snap.heartbeats[&RouterId(0)].downtimes(
+        let gaps = data.heartbeats[&RouterId(0)].downtimes(
             m(0),
             m(30),
             SimDuration::from_mins(5),
@@ -1396,7 +1393,7 @@ mod tests {
         let out = handle.ingest_upload(m(10), RouterId(7), 1, 0, &[], &mut batch);
         assert_eq!(out, UploadOutcome::Accepted);
         assert!(batch.is_empty(), "accepted batch is drained");
-        assert_eq!(collector.snapshot().uptime.len(), 10);
+        assert_eq!(collector.drain_delta().uptime.len(), 10);
         let c = collector.upload_counters();
         assert_eq!((c.accepted, c.retried_accepted, c.duplicates, c.rejected), (1, 0, 0, 0));
     }
@@ -1407,11 +1404,12 @@ mod tests {
         let handle = collector.shard_handle(RouterId(7));
         let mut batch = uptime_batch(7, 0..10);
         assert!(handle.ingest_upload(m(10), RouterId(7), 1, 0, &[], &mut batch).is_ack());
+        assert_eq!(collector.drain_delta().uptime.len(), 10);
         let mut replay = uptime_batch(7, 0..10);
         let out = handle.ingest_upload(m(11), RouterId(7), 1, 2, &[], &mut replay);
         assert_eq!(out, UploadOutcome::Duplicate);
         assert!(replay.is_empty());
-        assert_eq!(collector.snapshot().uptime.len(), 10, "no double ingestion");
+        assert_eq!(collector.drain_delta().record_count(), 0, "the replay's drain has no rows");
         assert_eq!(collector.upload_counters().duplicates, 1);
     }
 
@@ -1433,14 +1431,14 @@ mod tests {
             UploadOutcome::Accepted,
             "arrives first, buffered ahead of the watermark"
         );
-        assert_eq!(collector.snapshot().heartbeats.len(), 0, "not applied yet");
+        assert!(collector.drain_delta().heartbeats.is_empty(), "this drain has no heartbeats");
         assert_eq!(
             handle.ingest_upload(m(31), RouterId(3), 1, 0, &[], &mut first),
             UploadOutcome::Accepted
         );
-        let snap = collector.snapshot();
-        assert_eq!(snap.heartbeats[&RouterId(3)].total_heartbeats(), 20);
-        assert_eq!(snap.heartbeats[&RouterId(3)].runs().len(), 1);
+        let data = collector.drain_delta();
+        assert_eq!(data.heartbeats[&RouterId(3)].total_heartbeats(), 20);
+        assert_eq!(data.heartbeats[&RouterId(3)].runs().len(), 1);
     }
 
     #[test]
@@ -1458,13 +1456,14 @@ mod tests {
         let retry = handle.ingest_upload(m(20), RouterId(5), 1, 1, &[], &mut batch);
         assert_eq!(retry, UploadOutcome::Accepted);
         assert_eq!(collector.upload_counters().retried_accepted, 1);
-        assert_eq!(collector.snapshot().uptime.len(), 4);
+        assert_eq!(collector.drain_delta().uptime.len(), 4);
         // Heartbeat datagrams are fire-and-forget: dropped, counted.
         collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(5), at: m(15) });
         collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(5), at: m(25) });
         assert_eq!(collector.dropped_in_downtime(), 1);
-        assert_eq!(collector.snapshot().heartbeats[&RouterId(5)].total_heartbeats(), 1);
-        assert_eq!(collector.snapshot().collector_downtime.len(), 1);
+        let data = collector.drain_delta();
+        assert_eq!(data.heartbeats[&RouterId(5)].total_heartbeats(), 1);
+        assert_eq!(data.collector_downtime.len(), 1);
     }
 
     #[test]
@@ -1484,13 +1483,14 @@ mod tests {
         let mut batch = uptime_batch(9, 40..50);
         let out = handle.ingest_upload(m(50), RouterId(9), 3, 0, &[decl], &mut batch);
         assert_eq!(out, UploadOutcome::Accepted);
-        assert_eq!(collector.snapshot().uptime.len(), 10, "batch 3 applied past the gap");
+        let data = collector.drain_delta();
+        assert_eq!(data.uptime.len(), 10, "batch 3 applied past the gap");
         // Replaying the declaration (with a duplicate batch) adds nothing.
         let mut replay = uptime_batch(9, 40..50);
         handle.ingest_upload(m(51), RouterId(9), 3, 1, &[decl], &mut replay);
-        let snap = collector.snapshot();
-        assert_eq!(snap.upload_gaps.len(), 1);
-        let row = snap.upload_gaps[0];
+        assert_eq!(collector.drain_delta().record_count(), 0, "the replay's drain has no rows");
+        assert_eq!(data.upload_gaps.len(), 1);
+        let row = data.upload_gaps[0];
         assert_eq!(
             (row.router, row.first_seq, row.last_seq, row.records_lost, row.cause),
             (RouterId(9), 1, 2, 100, GapCause::FlashWipe)
@@ -1525,40 +1525,48 @@ mod tests {
         spilled
             .set_spill(&SpillConfig { budget_bytes: 0, dir: Some(dir.clone()) })
             .expect("spill dir creation");
+        // Two colliding routers on one shard, uploaded in several batches
+        // so multiple segments seal per shard, in two drained windows.
+        let ingest_window = |chunks: std::ops::Range<u64>| {
+            for c in [&unbounded, &spilled] {
+                for router in [2u32, 130, 7] {
+                    for chunk in chunks.clone() {
+                        c.ingest_batch(traffic_records(router, 50 + chunk));
+                    }
+                }
+            }
+        };
         for c in [&unbounded, &spilled] {
             c.register(RouterMeta {
                 router: RouterId(2),
                 country: Country::UnitedStates,
                 traffic_consent: true,
             });
-            // Two colliding routers on one shard, uploaded in several
-            // batches so multiple segments seal per shard.
-            for router in [2u32, 130, 7] {
-                for chunk in 0..4u64 {
-                    c.ingest_batch(traffic_records(router, 50 + chunk));
-                }
-            }
         }
+        ingest_window(0..2);
         let stats = spilled.spill_stats().expect("spilling armed");
         assert!(stats.segments > 0, "budget 0 must seal every batch");
         assert!(stats.bytes_written > 0);
         assert_eq!(stats.error, None);
         assert_eq!(unbounded.spill_stats(), None, "unarmed collector reports no stats");
 
-        let snap = spilled.snapshot();
+        let first = spilled.drain_delta();
         let from_memory = unbounded.drain_delta();
-        assert_eq!(snap.packet_stats, from_memory.packet_stats);
-        assert!(snap.spilled_bytes() > 0);
+        assert_eq!(first.packet_stats, from_memory.packet_stats);
+        assert!(first.spilled_bytes() > 0);
         assert_eq!(from_memory.spilled_bytes(), 0);
         assert_eq!(
-            snap.packet_stats.iter().collect::<Vec<_>>(),
+            first.packet_stats.iter().collect::<Vec<_>>(),
             from_memory.packet_stats.iter().collect::<Vec<_>>()
         );
 
-        // A second merge from the same collector (snapshot then drain)
-        // must agree with the first — unique merged-file generations.
-        let owned = spilled.drain_delta();
-        assert_eq!(owned.packet_stats, from_memory.packet_stats);
+        // A second merge over the same store must leave the first one's
+        // merged files readable — unique merged-file generations.
+        ingest_window(2..4);
+        let second = spilled.drain_delta();
+        assert!(second.spilled_bytes() > 0);
+        assert_eq!(second.packet_stats, unbounded.drain_delta().packet_stats);
+        assert_eq!(first.packet_stats, from_memory.packet_stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1589,11 +1597,10 @@ mod tests {
         assert_eq!((stats.segments, stats.bytes_written), (0, 0), "no segment was sealed");
         assert!(stats.error.is_some(), "the failed write is reported");
 
-        let snap = spilled.snapshot();
-        assert_eq!(snap.spilled_bytes(), 0, "the shards stayed resident");
-        assert!(snap.columnar_heap_bytes() > 0);
-        assert_eq!(snap, unbounded.snapshot());
-        assert_eq!(spilled.drain_delta(), unbounded.drain_delta());
+        let drained = spilled.drain_delta();
+        assert_eq!(drained.spilled_bytes(), 0, "the shards stayed resident");
+        assert!(drained.columnar_heap_bytes() > 0);
+        assert_eq!(drained, unbounded.drain_delta());
         std::fs::remove_file(&store_dir).ok();
         std::fs::remove_dir_all(&base).ok();
     }
@@ -1731,8 +1738,8 @@ mod tests {
             country: Country::India,
             traffic_consent: false,
         });
-        let snap = collector.snapshot();
-        assert_eq!(snap.traffic_routers(), vec![RouterId(3)]);
-        assert_eq!(snap.meta(RouterId(4)).unwrap().country, Country::India);
+        let data = collector.drain_delta();
+        assert_eq!(data.traffic_routers(), vec![RouterId(3)]);
+        assert_eq!(data.meta(RouterId(4)).unwrap().country, Country::India);
     }
 }

@@ -78,11 +78,6 @@ pub fn traffic() -> Window {
     Window { start: day(APR_1), end: day(APR_16) }
 }
 
-/// The full study span (equal to the Heartbeats window).
-pub fn full_study() -> Window {
-    heartbeats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,7 +33,7 @@ fn ingest_agrees_with_parse(wires: &[Vec<u8>]) -> Collector {
     }
     assert_eq!(collector.rejected_heartbeats(), rejected);
     let logged: u64 =
-        collector.snapshot().heartbeats.values().map(|log| log.total_heartbeats()).sum();
+        collector.drain_delta().heartbeats.values().map(|log| log.total_heartbeats()).sum();
     assert_eq!(logged, wires.len() as u64 - rejected);
     collector
 }

@@ -94,7 +94,7 @@ fn reference_datasets() -> Datasets {
     for (router, seq) in canonical_order() {
         deliver(&collector, router, seq, 0);
     }
-    collector.snapshot()
+    collector.drain_delta()
 }
 
 proptest! {
@@ -119,7 +119,7 @@ proptest! {
         for &(router, seq) in all.iter().rev() {
             deliver(&collector, router, seq, 1);
         }
-        let datasets = collector.snapshot();
+        let datasets = collector.drain_delta();
         prop_assert!(
             datasets == reference,
             "scrambled delivery diverged from clean in-order delivery"
@@ -147,6 +147,6 @@ proptest! {
         for &(router, seq) in &all {
             deliver(&collector, router, seq, 1);
         }
-        prop_assert!(collector.snapshot() == reference);
+        prop_assert!(collector.drain_delta() == reference);
     }
 }

@@ -1,17 +1,18 @@
-//! Property-based tests for the out-of-core spill path and the two ways
-//! of taking data out of a collector: a collector that seals columnar
-//! segments to disk whenever its memory estimate crosses an arbitrary
-//! budget must produce data sets *identical* to the unbounded in-memory
-//! collector, for arbitrary record mixes over all 13 record kinds, batch
-//! arrival orders, and shard collision patterns.
+//! Property-based tests for the out-of-core spill path and for draining
+//! a collector: a collector that seals columnar segments to disk whenever
+//! its memory estimate crosses an arbitrary budget must produce data sets
+//! *identical* to the unbounded in-memory collector, for arbitrary record
+//! mixes over all 13 record kinds, batch arrival orders, and shard
+//! collision patterns.
 //!
 //! The unbounded collector's single `drain_delta()` is the specification:
-//! spilling is purely a storage decision, and clone (`snapshot`) and take
-//! (`drain_delta`, once or at cut points with each delta folded by
-//! `Datasets::absorb`) are routes to the same merge. Each must equal the
-//! model as a whole `Datasets` — including at the degenerate budget of
-//! zero bytes, where every batch seals its own segment, and for drains at
-//! arbitrary cut points.
+//! spilling is purely a storage decision, and draining once or at cut
+//! points with each delta folded by `Datasets::absorb` are routes to the
+//! same merge. Each must equal the model as a whole `Datasets` —
+//! including at the degenerate budget of zero bytes, where every batch
+//! seals its own segment, and for drains at arbitrary cut points. Either
+//! way every row table stays router-sorted, so the per-router accessors
+//! find exactly the rows a linear filter by router finds.
 
 use collector::{Collector, Datasets, DatasetsAbsorber, RouterMeta, SpillConfig};
 use firmware::anonymize::{AnonMac, ReportedDomain};
@@ -218,38 +219,34 @@ fn assert_spill_matches_memory(specs: Vec<RecordSpec>, batch: usize, budget: u64
         assert!(stats.segments > 0, "budget 0 must seal every non-empty batch");
     }
 
-    // snapshot() merges while the collector stays live; drain_delta()
-    // merges again as a fresh generation. Both must equal the in-memory
-    // model, table for table.
-    let snap = spilled.snapshot();
+    // One drain must equal the in-memory model, table for table.
     let drained = spilled.drain_delta();
     let model = unbounded.drain_delta();
-    assert_eq!(snap, model, "clone path");
     assert_eq!(drained, model, "take path, one drain");
     assert_eq!(
-        snap.flows.iter().collect::<Vec<_>>(),
+        drained.flows.iter().collect::<Vec<_>>(),
         model.flows.iter().collect::<Vec<_>>(),
         "spilled per-row iteration must match the in-memory merge"
     );
     for router in ROUTERS {
         assert_eq!(
-            snap.packet_stats.router(RouterId(router)).collect::<Vec<_>>(),
+            drained.packet_stats.router(RouterId(router)).collect::<Vec<_>>(),
             model.packet_stats.router(RouterId(router)).collect::<Vec<_>>(),
         );
         assert_eq!(
-            snap.wifi.router(RouterId(router)).collect::<Vec<_>>(),
+            drained.wifi.router(RouterId(router)).collect::<Vec<_>>(),
             model.wifi.router(RouterId(router)).collect::<Vec<_>>(),
         );
         assert_eq!(
-            snap.latency.router(RouterId(router)).collect::<Vec<_>>(),
+            drained.latency.router(RouterId(router)).collect::<Vec<_>>(),
             model.latency.router(RouterId(router)).collect::<Vec<_>>(),
         );
         assert_eq!(
-            snap.nat_probes.router(RouterId(router)).collect::<Vec<_>>(),
+            drained.nat_probes.router(RouterId(router)).collect::<Vec<_>>(),
             model.nat_probes.router(RouterId(router)).collect::<Vec<_>>(),
         );
         assert_eq!(
-            snap.punch_trials.router(RouterId(router)).collect::<Vec<_>>(),
+            drained.punch_trials.router(RouterId(router)).collect::<Vec<_>>(),
             model.punch_trials.router(RouterId(router)).collect::<Vec<_>>(),
         );
     }
@@ -290,7 +287,58 @@ fn assert_drained_stream_matches_memory(
     assert_eq!(acc, unbounded.drain_delta(), "take path");
 }
 
+/// Every per-router row accessor must return exactly the rows a linear
+/// filter by router finds, in table order: the accessors' binary search
+/// rests on each row table being router-sorted. Routers 0, 3 and
+/// `u32::MAX` never report; the rest of `ROUTERS` may.
+fn assert_router_runs_match_filter(data: &Datasets) {
+    let absent = [0, 3, u32::MAX];
+    for router in ROUTERS.into_iter().chain(absent).map(RouterId) {
+        assert_eq!(
+            data.router_uptime(router).iter().collect::<Vec<_>>(),
+            data.uptime.iter().filter(|r| r.router == router).collect::<Vec<_>>(),
+        );
+        assert_eq!(
+            data.router_capacity(router).iter().collect::<Vec<_>>(),
+            data.capacity.iter().filter(|r| r.router == router).collect::<Vec<_>>(),
+        );
+        assert_eq!(
+            data.router_devices(router).iter().collect::<Vec<_>>(),
+            data.devices.iter().filter(|r| r.router == router).collect::<Vec<_>>(),
+        );
+    }
+}
+
+/// The same arrivals taken out of one collector by a single drain and
+/// out of another at cut points, each delta absorbed as a stream window.
+fn assert_router_runs_hold(specs: Vec<RecordSpec>, batch: usize, cuts: Vec<bool>) {
+    let records = records_from(specs);
+    let single = Collector::new();
+    let stream = Collector::new();
+    let mut acc = Datasets::default();
+    let mut absorber = DatasetsAbsorber::default();
+    for (i, chunk) in records.chunks(batch.max(1)).enumerate() {
+        single.ingest_batch(chunk.to_vec());
+        stream.ingest_batch(chunk.to_vec());
+        if cuts.get(i % cuts.len().max(1)).copied().unwrap_or(false) {
+            acc.absorb(stream.drain_delta(), &mut absorber);
+        }
+    }
+    acc.absorb(stream.drain_delta(), &mut absorber);
+    assert_router_runs_match_filter(&single.drain_delta());
+    assert_router_runs_match_filter(&acc);
+}
+
 proptest! {
+    #[test]
+    fn router_accessors_equal_a_linear_filter(
+        specs in specs(),
+        batch in 1usize..64,
+        cuts in proptest::collection::vec(any::<bool>(), 0..16),
+    ) {
+        assert_router_runs_hold(specs, batch, cuts);
+    }
+
     #[test]
     fn drained_stream_equals_in_memory_model(
         specs in specs(),

@@ -1341,7 +1341,7 @@ mod tests {
             cgn: None,
         });
         sim.run(&collector);
-        collector.snapshot()
+        collector.drain_delta()
     }
 
     #[test]

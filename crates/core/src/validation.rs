@@ -173,7 +173,7 @@ mod tests {
             cgn: None,
         })
         .run(&collector);
-        let data = collector.snapshot();
+        let data = collector.drain_delta();
         let truth = ground_truth_up(&cfg, &windows, seed);
         let true_up = total_duration(&truth) / windows.span.duration();
         let measured = data.heartbeats[&RouterId(0)]

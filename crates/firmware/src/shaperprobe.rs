@@ -138,8 +138,11 @@ mod tests {
 
     #[test]
     fn detects_token_bucket_shaping() {
-        // 10 Mbps sustained, 20 Mbps peak, 192 KB bucket: the 384 KB train
-        // straddles the level shift.
+        // 10 Mbps sustained, 20 Mbps peak, 192 KiB bucket. The bucket
+        // drains at the peak rate while it refills at the sustained one,
+        // so the burst phase carries bucket × peak / (peak − sustained) =
+        // 393,216 B. The 768,000 B train outlasts it, so its tail reads
+        // the sustained rate; a 256-packet train (384,000 B) would not.
         let cfg = LinkConfig::shaped(
             10_000_000,
             20_000_000,
@@ -147,6 +150,9 @@ mod tests {
             SimDuration::from_millis(8),
             4 * 1024 * 1024,
         );
+        let burst_phase = cfg.bucket_bytes * cfg.peak_bps / (cfg.peak_bps - cfg.rate_bps);
+        assert_eq!((burst_phase, TRAIN_LEN as u64 * PROBE_BYTES), (393_216, 768_000));
+        assert!(256 * PROBE_BYTES < burst_phase);
         let mut link = Link::new(cfg);
         let mut rng = DetRng::new(7);
         let est = probe_link(&mut link, t(0), &mut rng).expect("probe must succeed");

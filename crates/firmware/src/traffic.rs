@@ -143,11 +143,6 @@ impl TrafficMonitor {
         }
     }
 
-    /// Access to the anonymizer (e.g. for user whitelist additions).
-    pub fn anonymizer_mut(&mut self) -> &mut Anonymizer {
-        &mut self.anonymizer
-    }
-
     /// Observe a DNS response relayed to `device`: sample the record and
     /// learn the IP→domain mapping.
     pub fn on_dns_response(&mut self, now: SimTime, device: MacAddr, response: &DnsResponse) {

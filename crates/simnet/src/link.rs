@@ -341,6 +341,29 @@ mod tests {
         assert!(link.is_idle(t(4_000)));
     }
 
+    /// The bufferbloat ablation behind Fig 16: a saturating sender fills
+    /// a 1 Mbps uplink's drop-tail queue of 16 KB to 1 MB with 1,500-byte
+    /// packets. The standing delay the next arrival meets is the whole
+    /// queue's serialization time, 12 ms per packet: linear in the depth,
+    /// from 120 ms to 8.4 s.
+    #[test]
+    fn bufferbloat_delay_grows_with_queue_depth() {
+        let standing_delay = |queue_kb: u64| {
+            let cfg = LinkConfig::simple(1_000_000, SimDuration::from_millis(10), queue_kb * 1024);
+            let mut link = Link::new(cfg);
+            let mut accepted = 0;
+            while accepted < 10_000
+                && matches!(link.transmit(t(0), 1_500), TxOutcome::Delivered { .. })
+            {
+                accepted += 1;
+            }
+            assert_eq!(accepted, queue_kb * 1024 / 1_500, "the queue holds whole packets");
+            link.queueing_delay(t(0)).as_micros()
+        };
+        let delays = [16, 64, 256, 1024].map(standing_delay);
+        assert_eq!(delays, [120_000, 516_000, 2_088_000, 8_388_000]);
+    }
+
     #[test]
     fn token_bucket_gives_peak_then_sustained() {
         // 10 Mbps sustained, 20 Mbps peak, 15 KB bucket. First ten 1500-byte

@@ -51,11 +51,6 @@ impl MacAddr {
     pub fn is_multicast(self) -> bool {
         self.0[0] & 0x01 != 0
     }
-
-    /// True for locally administered addresses.
-    pub fn is_local(self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
 }
 
 impl fmt::Display for MacAddr {

@@ -157,11 +157,6 @@ impl Radio {
         Radio { channel: band.default_channel(), stations: BTreeMap::new() }
     }
 
-    /// A radio on a specific channel (users could reconfigure).
-    pub fn on_channel(channel: Channel) -> Radio {
-        Radio { channel, stations: BTreeMap::new() }
-    }
-
     /// The configured channel.
     pub fn channel(&self) -> Channel {
         self.channel
@@ -353,6 +348,30 @@ mod tests {
             total_drops += radio.scan(&[], &mut rng).dropped_stations.len();
         }
         assert!(total_drops > 0, "scan disassociation side effect must occur");
+    }
+
+    /// The scan-throttle ablation (§3.2.2): one associated station, one
+    /// strong co-channel neighbour, and 1,000 slots with a scan in every
+    /// 1st, 3rd or 6th. Every scan sees the neighbour, and each knocks the
+    /// station off with probability `SCAN_DROP_PROB`, so throttling cuts
+    /// disruptions as it cuts sightings: 74, 20 and 7 client drops for
+    /// 1,000, 334 and 167 AP sightings at this seed.
+    #[test]
+    fn scan_throttle_trades_sightings_for_disruptions() {
+        let hood = [neighbor(7, Band::Ghz24.default_channel(), -55, 0.1)];
+        let sweep = [1u64, 3, 6].map(|throttle| {
+            let mut radio = Radio::new(Band::Ghz24);
+            let mut rng = DetRng::new(42);
+            let (mut sightings, mut drops) = (0, 0);
+            for _ in (0..1_000u64).filter(|slot| slot % throttle == 0) {
+                radio.associate(mac(1));
+                let outcome = radio.scan(&hood, &mut rng);
+                sightings += outcome.visible.len();
+                drops += outcome.dropped_stations.len();
+            }
+            (sightings, drops)
+        });
+        assert_eq!(sweep, [(1_000, 74), (334, 20), (167, 7)]);
     }
 
     #[test]

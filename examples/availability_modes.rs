@@ -92,7 +92,7 @@ fn main() {
         .run(&collector);
     }
 
-    let data = collector.snapshot();
+    let data = collector.drain_delta();
     for (label, id, tz) in [
         ("(a) always-on (US, EDT)", 0u32, -5),
         ("(b) router as appliance (China, CST)", 1, 8),

@@ -23,8 +23,17 @@ cd "$(dirname "$0")/.."
 if [ -z "${SKIP_TESTS:-}" ]; then
     echo "== build (release) =="
     cargo build --release --offline --workspace
+    echo "== build every target (benches, examples, tests) =="
+    # `cargo test` builds tests and examples but not benches; a bench that
+    # stops compiling fails here.
+    cargo build -q --offline --workspace --all-targets
     echo "== tests =="
     cargo test -q --offline --workspace
+    echo "== benchmark package tests =="
+    # The benchmark is a workspace of its own, so the root `cargo test`
+    # never runs its unit tests or the smoke-scale digests that pin the
+    # CSV export.
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
     echo "== incremental report property at 2,000 cases (release) =="
     # Every `cargo test` runs tests/incremental_properties.rs at 64 cases;
     # here the window cuts, arrival orders and duplicates it draws are

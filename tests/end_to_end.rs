@@ -41,7 +41,7 @@ fn run_one(mut mutate: impl FnMut(&mut HomeConfig), days: u64, seed: u64) -> (Da
         cgn: None,
     })
         .run(&collector);
-    (collector.snapshot(), span)
+    (collector.drain_delta(), span)
 }
 
 #[test]

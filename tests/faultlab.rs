@@ -66,7 +66,7 @@ fn unfaulted_upload_queue_is_invisible() {
             cgn: None,
         })
         .run(&collector);
-        collector.snapshot()
+        collector.drain_delta()
     };
     let direct = run(false);
     let queued = run(true);
