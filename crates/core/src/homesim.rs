@@ -58,6 +58,9 @@ use simnet::wifi::Band;
 /// path buffered heartbeat stamps count toward it too.
 const FLUSH_THRESHOLD: usize = 50_000;
 
+/// The traffic lattice's step: flows move second by second.
+const SECOND: SimDuration = SimDuration::from_secs(1);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     PowerOn,
@@ -71,7 +74,10 @@ enum Ev {
     ScanSlot,
     PresenceSlot,
     SessionArrival,
-    TrafficTick,
+    /// The boundary second of the current rate epoch (see
+    /// [`HomeSim::plan_traffic`]); `plan` guards against events planned
+    /// before the chain was last re-planned or cut off.
+    Traffic { plan: u32 },
     Reassociate { device: usize },
     NatSweep,
     LatencyProbe,
@@ -165,7 +171,7 @@ pub struct HomeSim<'a> {
     monitor: Option<TrafficMonitor>,
     flows: FlowScheduler,
     /// Per-station throughput of the 2.4 GHz radio, the per-flow cap of
-    /// every traffic tick. It depends only on the radio's channel and the
+    /// every traffic second. It depends only on the radio's channel and the
     /// neighborhood, and neither changes during a run.
     wireless_cap_bps: u64,
     up_link: Link,
@@ -175,7 +181,15 @@ pub struct HomeSim<'a> {
     device_state: Vec<DeviceState>,
     outages: Vec<Interval>,
     boot_epoch: u32,
-    tick_scheduled: bool,
+    /// The traffic chain's next lattice second not yet applied. A chain's
+    /// seconds fall 1 s after the start that opened it and every whole
+    /// second after that. `None` when no chain runs; after an abort the
+    /// chain ends at this second unless a flow joins it by then.
+    traffic_next: Option<SimTime>,
+    /// Bumped on every re-plan of the chain; stamps its live event.
+    traffic_plan: u32,
+    /// Traffic events popped, stale and re-queued ones included.
+    traffic_events: u64,
     uploader_active: bool,
     dns_id: u16,
     ephemeral_port: u16,
@@ -346,7 +360,9 @@ impl<'a> HomeSim<'a> {
             device_state,
             outages,
             boot_epoch: 0,
-            tick_scheduled: false,
+            traffic_next: None,
+            traffic_plan: 0,
+            traffic_events: 0,
             uploader_active: false,
             dns_id: 1,
             ephemeral_port: 20_000,
@@ -390,6 +406,18 @@ impl<'a> HomeSim<'a> {
             idx if idx < self.outages.len() => !self.outages[idx].contains(t),
             _ => true,
         }
+    }
+
+    /// Queue a non-traffic event. Each lands more than 1 s after `now`: a
+    /// traffic second at the same instant used to be queued exactly 1 s
+    /// ahead, after it, and `on_traffic` re-queues itself behind every
+    /// event pending at its instant to keep that order.
+    fn schedule(&mut self, now: SimTime, at: SimTime, ev: Ev) {
+        debug_assert!(
+            at > now + SECOND && !matches!(ev, Ev::Traffic { .. }),
+            "{ev:?} at {at} is not a non-traffic event more than 1 s after {now}"
+        );
+        self.queue.schedule(at, ev);
     }
 
     fn flush(&mut self, now: SimTime, shard: &collector::ShardHandle<'_>) {
@@ -464,16 +492,16 @@ impl<'a> HomeSim<'a> {
             } else {
                 let delay = up.fail_front(&mut self.rng_upload);
                 self.metrics.fw.record_backoff(delay);
-                self.schedule_retry(now + delay);
+                self.schedule_retry(now, now + delay);
                 return;
             }
         }
     }
 
-    fn schedule_retry(&mut self, at: SimTime) {
+    fn schedule_retry(&mut self, now: SimTime, at: SimTime) {
         if !self.retry_scheduled {
             self.retry_scheduled = true;
-            self.queue.schedule(at, Ev::UploadRetry { epoch: self.boot_epoch });
+            self.schedule(now, at, Ev::UploadRetry { epoch: self.boot_epoch });
         }
     }
 
@@ -493,7 +521,7 @@ impl<'a> HomeSim<'a> {
         }
         let next = now + SimDuration::from_hours(6);
         if next < self.windows.span.end {
-            self.queue.schedule(next, Ev::UploadFlush);
+            self.schedule(now, next, Ev::UploadFlush);
         }
     }
 
@@ -626,7 +654,7 @@ impl<'a> HomeSim<'a> {
             Ev::ScanSlot => self.on_scan_slot(now),
             Ev::PresenceSlot => self.on_presence_slot(now),
             Ev::SessionArrival => self.on_session_arrival(now),
-            Ev::TrafficTick => self.on_traffic_tick(now),
+            Ev::Traffic { plan } => self.on_traffic(now, plan),
             Ev::Reassociate { device } => self.on_reassociate(now, device),
             Ev::NatSweep => {
                 self.gateway.nat.expire(now);
@@ -634,7 +662,7 @@ impl<'a> HomeSim<'a> {
                 if let Some(hop) = self.cgn_hop.as_mut() {
                     hop.expire(now);
                 }
-                self.queue.schedule(now + SimDuration::from_hours(1), Ev::NatSweep);
+                self.schedule(now, now + SimDuration::from_hours(1), Ev::NatSweep);
             }
             Ev::LatencyProbe => self.on_latency_probe(now),
             Ev::NatProbe => self.on_nat_probe(now),
@@ -660,10 +688,8 @@ impl<'a> HomeSim<'a> {
                 self.attach(idx, now);
             }
         }
-        self.queue.schedule(
-            now + SimDuration::from_secs(self.rng_heartbeat.uniform_int(5, 65)),
-            Ev::Heartbeat { epoch: self.boot_epoch },
-        );
+        let first = now + SimDuration::from_secs(self.rng_heartbeat.uniform_int(5, 65));
+        self.schedule(now, first, Ev::Heartbeat { epoch: self.boot_epoch });
         // Anything spooled from before the outage uploads at boot (any
         // in-flight retry from the previous boot was invalidated by the
         // epoch bump, so this is the path that resumes delivery).
@@ -684,12 +710,21 @@ impl<'a> HomeSim<'a> {
     }
 
     fn abort_flows(&mut self, now: SimTime) {
+        self.settle_traffic(now);
         for flow in self.flows.abort_all() {
             if let Some(monitor) = self.monitor.as_mut() {
                 monitor.on_flow_end(now, flow.id);
             }
         }
         self.uploader_active = false;
+        // The chain lives on to its first second at or after `now`, outage
+        // or not, and a flow started by then joins its lattice. The planned
+        // event is stale.
+        self.traffic_next = self
+            .traffic_next
+            .filter(|&next| next >= now)
+            .map(|next| next - SECOND * next.since(now).as_secs());
+        self.traffic_plan += 1;
     }
 
     fn on_heartbeat(&mut self, now: SimTime, epoch: u32) {
@@ -721,8 +756,7 @@ impl<'a> HomeSim<'a> {
                 }
             }
         }
-        self.queue
-            .schedule(now + SimDuration::from_secs(60), Ev::Heartbeat { epoch });
+        self.schedule(now, now + SimDuration::from_secs(60), Ev::Heartbeat { epoch });
     }
 
     fn on_uptime(&mut self, now: SimTime) {
@@ -733,7 +767,7 @@ impl<'a> HomeSim<'a> {
         }
         let next = now + SimDuration::from_hours(12);
         if next < self.windows.span.end {
-            self.queue.schedule(next, Ev::UptimeReport);
+            self.schedule(now, next, Ev::UptimeReport);
         }
     }
 
@@ -746,6 +780,7 @@ impl<'a> HomeSim<'a> {
             // rate — drops to capacity/(n+1). This is why the Fig 16
             // uploader's *measured* capacity sits well below the rate his
             // LAN-side utilization counters reach.
+            self.settle_traffic(now);
             let backlogged_up = self
                 .flows
                 .active()
@@ -783,7 +818,7 @@ impl<'a> HomeSim<'a> {
         }
         let next = now + SimDuration::from_hours(12);
         if next < self.windows.span.end {
-            self.queue.schedule(next, Ev::CapacityProbe);
+            self.schedule(now, next, Ev::CapacityProbe);
         }
     }
 
@@ -804,7 +839,7 @@ impl<'a> HomeSim<'a> {
         }
         let next = now + SimDuration::from_hours(1);
         if next < self.windows.span.end {
-            self.queue.schedule(next, Ev::LatencyProbe);
+            self.schedule(now, next, Ev::LatencyProbe);
         }
     }
 
@@ -840,7 +875,7 @@ impl<'a> HomeSim<'a> {
         }
         let next = now + SimDuration::from_hours(12);
         if next < self.windows.span.end {
-            self.queue.schedule(next, Ev::NatProbe);
+            self.schedule(now, next, Ev::NatProbe);
         }
     }
 
@@ -922,7 +957,7 @@ impl<'a> HomeSim<'a> {
         }
         let next = now + SimDuration::from_hours(1);
         if next < self.windows.devices.end {
-            self.queue.schedule(next, Ev::Census);
+            self.schedule(now, next, Ev::Census);
         }
     }
 
@@ -945,7 +980,7 @@ impl<'a> HomeSim<'a> {
                         {
                             let delay =
                                 SimDuration::from_secs(self.rng_scan.uniform_int(20, 180));
-                            self.queue.schedule(now + delay, Ev::Reassociate { device: idx });
+                            self.schedule(now, now + delay, Ev::Reassociate { device: idx });
                         }
                     }
                 }
@@ -953,7 +988,7 @@ impl<'a> HomeSim<'a> {
         }
         let next = now + SimDuration::from_mins(firmware::gateway::SCAN_INTERVAL_MINS);
         if next < self.windows.wifi.end {
-            self.queue.schedule(next, Ev::ScanSlot);
+            self.schedule(now, next, Ev::ScanSlot);
         }
     }
 
@@ -1034,7 +1069,7 @@ impl<'a> HomeSim<'a> {
                 }
             }
         }
-        self.queue.schedule(now + SimDuration::from_mins(10), Ev::PresenceSlot);
+        self.schedule(now, now + SimDuration::from_mins(10), Ev::PresenceSlot);
     }
 
     fn ephemeral(&mut self) -> u16 {
@@ -1061,7 +1096,7 @@ impl<'a> HomeSim<'a> {
         );
         let next = now + gap;
         if next < self.windows.traffic.end {
-            self.queue.schedule(next, Ev::SessionArrival);
+            self.schedule(now, next, Ev::SessionArrival);
         }
         if !self.gateway.is_powered()
             || !self.is_isp_up(now)
@@ -1142,6 +1177,9 @@ impl<'a> HomeSim<'a> {
         rate_cap_bps: Option<u64>,
         rate_cap_up_bps: Option<u64>,
     ) {
+        // The monitor must have seen every earlier second before it sees
+        // this start's DNS response.
+        self.settle_traffic(now);
         let device: &Device = &self.cfg.devices[device_idx];
         // Resolve the destination through the gateway's resolver; the
         // monitor observes the response when it goes upstream.
@@ -1238,66 +1276,155 @@ impl<'a> HomeSim<'a> {
             monitor.on_flow_start(&flow);
         }
         self.flows.start(flow);
-        if !self.tick_scheduled {
-            self.tick_scheduled = true;
-            self.queue.schedule(now + SimDuration::from_secs(1), Ev::TrafficTick);
-        }
+        // A chain whose next second is still to come takes the flow on (the
+        // second at `now` itself runs after this event); otherwise a new
+        // chain starts 1 s after this start.
+        let next = match self.traffic_next {
+            Some(next) if next >= now => next,
+            _ => now + SECOND,
+        };
+        self.plan_traffic(next);
     }
 
-    fn on_traffic_tick(&mut self, now: SimTime) {
-        self.tick_scheduled = false;
-        if self.flows.active_count() == 0 {
-            return;
-        }
-        if !self.gateway.is_powered() {
-            // Power-off already aborted the flows; nothing to do.
-            return;
-        }
-        // ISP down: nothing moves and flows stall, so only the next tick
-        // is scheduled.
-        if self.is_isp_up(now) {
-            let outcome = self.flows.tick(
-                SimDuration::from_secs(1),
+    /// Traffic events popped so far, stale and re-queued ones included:
+    /// one per rate epoch, where there used to be one per second of every
+    /// live flow.
+    pub fn traffic_events(&self) -> u64 {
+        self.traffic_events
+    }
+
+    /// Start a rate epoch at the chain's lattice second `next`, skipping
+    /// outage seconds first: they move nothing and leave every saturation
+    /// count as it is. The epoch runs the flows' steady seconds, then its
+    /// boundary second, or ends early at the last second before the ISP
+    /// next goes down. Only the boundary gets an event; the steady seconds
+    /// are applied in bulk by [`Self::settle_traffic`].
+    fn plan_traffic(&mut self, next: SimTime) {
+        let next = self.next_up_second(next);
+        self.traffic_next = Some(next);
+        self.traffic_plan += 1;
+        let steady = self
+            .flows
+            .steady_seconds(
                 self.cfg.down_link.rate_bps,
                 self.cfg.up_link.rate_bps,
                 Some(self.wireless_cap_bps),
                 self.cfg.up_link.queue_limit_bytes,
-            );
-            let window = now.align_down(SimDuration::from_secs(1));
-            let mut skew_from = None;
-            if let Some(monitor) = self.monitor.as_mut() {
-                let mut drained_up = 0;
-                for progress in &outcome.progress {
-                    drained_up += progress.bytes_up;
-                    monitor.on_flow_progress(window, progress);
-                }
-                let burst = outcome.total_up_offered.saturating_sub(drained_up);
-                monitor.add_uplink_burst(window, burst);
-                for flow in &outcome.completed {
-                    monitor.on_flow_end(now, flow.id);
-                }
-                if !outcome.completed.is_empty() {
-                    skew_from = Some(self.out.len());
-                    monitor.drain_into(&mut self.out);
-                }
-            }
-            if !outcome.completed.is_empty() {
-                self.metrics.flows.record_completions(now, &outcome.completed);
-            }
-            if self.uploader_active
-                && outcome.completed.iter().any(|f| f.kind == AppKind::BulkUpload)
-            {
-                self.uploader_active = false;
-            }
-            if let Some(from) = skew_from {
-                self.apply_skew_from(now, from);
-            }
-        }
-        if self.flows.active_count() > 0 {
-            self.tick_scheduled = true;
-            self.queue.schedule(now + SimDuration::from_secs(1), Ev::TrafficTick);
+            )
+            .min(self.up_seconds_from(next) - 1);
+        // A boundary at or past the end of the span never pops; `finish`
+        // settles the chain up to the end.
+        if steady < lattice_seconds(next, self.windows.span.end) {
+            self.queue.schedule(next + SECOND * steady, Ev::Traffic { plan: self.traffic_plan });
         }
     }
+
+    /// Apply every second of the chain's lattice strictly before `now`.
+    /// They lie inside the current epoch, ahead of its boundary event (not
+    /// yet popped, or popping at `now`) and clear of outages (the plan
+    /// keeps them out of an epoch), so all are steady and move in one step.
+    fn settle_traffic(&mut self, now: SimTime) {
+        let Some(next) = self.traffic_next else { return };
+        let seconds = lattice_seconds(next, now);
+        if seconds == 0 || self.flows.active_count() == 0 {
+            return;
+        }
+        debug_assert!(seconds < self.up_seconds_from(next), "an epoch crosses no outage");
+        let outcome = self.flows.advance_steady(
+            seconds,
+            self.cfg.down_link.rate_bps,
+            self.cfg.up_link.rate_bps,
+            Some(self.wireless_cap_bps),
+            self.cfg.up_link.queue_limit_bytes,
+        );
+        if let Some(monitor) = self.monitor.as_mut() {
+            monitor.on_seconds(next.align_down(SECOND), seconds, outcome);
+        }
+        self.traffic_next = Some(next + SECOND * seconds);
+    }
+
+    /// The first second of `t`'s lattice, at or after `t`, with the ISP up.
+    fn next_up_second(&self, mut t: SimTime) -> SimTime {
+        // Outages are sorted and disjoint.
+        while let Some(outage) = self.outages.get(self.outages.partition_point(|iv| iv.end <= t)) {
+            if !outage.contains(t) {
+                break;
+            }
+            t += SECOND * lattice_seconds(t, outage.end);
+        }
+        t
+    }
+
+    /// How many seconds of `t`'s lattice, from `t` (ISP up) on, pass before
+    /// the first with the ISP down; `u64::MAX` if none does.
+    fn up_seconds_from(&self, t: SimTime) -> u64 {
+        self.outages[self.outages.partition_point(|iv| iv.end <= t)..]
+            .iter()
+            .find_map(|outage| {
+                let up = lattice_seconds(t, outage.start);
+                (t + SECOND * up < outage.end).then_some(up)
+            })
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The boundary second of the current epoch: the seconds before it are
+    /// settled, then it runs through the scheduler's one-second tick, where
+    /// a direction runs dry, a flow completes or a saturation count passes
+    /// its threshold. Then the next epoch is planned.
+    fn on_traffic(&mut self, now: SimTime, plan: u32) {
+        self.traffic_events += 1;
+        if plan != self.traffic_plan {
+            return; // stale: the chain was re-planned or cut off since
+        }
+        if self.queue.peek_time() == Some(now) {
+            // Every other event at this instant runs first (see
+            // `Self::schedule`).
+            self.queue.schedule(now, Ev::Traffic { plan });
+            return;
+        }
+        self.settle_traffic(now);
+        debug_assert_eq!(self.traffic_next, Some(now));
+        // Power-off aborts every flow and planning skips outage seconds.
+        debug_assert!(self.gateway.is_powered() && self.is_isp_up(now));
+        let outcome = self.flows.tick(
+            self.cfg.down_link.rate_bps,
+            self.cfg.up_link.rate_bps,
+            Some(self.wireless_cap_bps),
+            self.cfg.up_link.queue_limit_bytes,
+        );
+        let mut skew_from = None;
+        if let Some(monitor) = self.monitor.as_mut() {
+            monitor.on_seconds(now.align_down(SECOND), 1, outcome);
+            for flow in &outcome.completed {
+                monitor.on_flow_end(now, flow.id);
+            }
+            if !outcome.completed.is_empty() {
+                skew_from = Some(self.out.len());
+                monitor.drain_into(&mut self.out);
+            }
+        }
+        if !outcome.completed.is_empty() {
+            self.metrics.flows.record_completions(now, &outcome.completed);
+        }
+        if self.uploader_active
+            && outcome.completed.iter().any(|f| f.kind == AppKind::BulkUpload)
+        {
+            self.uploader_active = false;
+        }
+        if let Some(from) = skew_from {
+            self.apply_skew_from(now, from);
+        }
+        // The chain ends with its last flow.
+        match self.flows.active_count() {
+            0 => self.traffic_next = None,
+            _ => self.plan_traffic(now + SECOND),
+        }
+    }
+}
+
+/// Seconds of `from`'s one-second lattice in `[from, to)`.
+fn lattice_seconds(from: SimTime, to: SimTime) -> u64 {
+    to.saturating_since(from).as_micros().div_ceil(SECOND.as_micros())
 }
 
 #[cfg(test)]
@@ -1342,6 +1469,243 @@ mod tests {
         });
         sim.run(&collector);
         collector.drain_delta()
+    }
+
+    /// A consenting US home whose devices are always connected, so any of
+    /// them can open a flow. Its own sessions arrive only in the span's
+    /// last hour, so until then a test drives its flows alone.
+    fn quiet_home() -> (DomainUniverse, ZoneDb, StudyWindows, HomeConfig) {
+        let universe = DomainUniverse::standard();
+        let zone = universe.build_zone();
+        let mut windows = short_windows(1);
+        windows.traffic.start = windows.span.end - SimDuration::from_hours(1);
+        let root = DetRng::new(99);
+        let mut cfg = HomeConfig::sample(
+            household::HomeId(1),
+            Country::UnitedStates,
+            &root.derive("h"),
+            &universe,
+        );
+        cfg.traffic_consent = true;
+        for device in &mut cfg.devices {
+            device.always_connected = true;
+        }
+        (universe, zone, windows, cfg)
+    }
+
+    /// When the test upload starts: ten minutes and a fraction of a second
+    /// in, so its lattice is not the whole seconds'.
+    fn t0() -> SimTime {
+        SimTime::EPOCH + SimDuration::from_mins(10) + SimDuration::from_millis(300)
+    }
+
+    /// Run `test` on a quiet home that opens, at `t0()`, an upload from
+    /// device 0: one byte down and `seconds` full seconds of bytes up at
+    /// the link's rate, so that it completes on the boundary second
+    /// `t0() + seconds`. `test` also gets the upload's bytes per second.
+    fn with_upload<R>(
+        seconds: u64,
+        test: impl FnOnce(&mut HomeSim<'_>, &Collector, u64) -> R,
+    ) -> R {
+        let (universe, zone, windows, cfg) = quiet_home();
+        let collector = Collector::new();
+        collector.register(collector::RouterMeta {
+            router: RouterId(1),
+            country: Country::UnitedStates,
+            traffic_consent: true,
+        });
+        let mut sim = HomeSim::new(SimParams {
+            cfg: &cfg,
+            universe: &universe,
+            zone: &zone,
+            windows: &windows,
+            seed: 42,
+            reliable_upload: false,
+            faults: None,
+            cgn: None,
+        });
+        sim.run_until(t0(), &collector);
+        assert!(sim.gateway.is_powered(), "the home is up at t0");
+        let per_second = cfg.up_link.rate_bps.min(sim.wireless_cap_bps) / 8;
+        sim.start_flow(t0(), 0, AppKind::BulkUpload, 1, seconds * per_second, None, None);
+        assert_eq!(sim.flows.active_count(), 1, "the upload started");
+        test(&mut sim, &collector, per_second)
+    }
+
+    /// A completion count, the live flows' state and every record since
+    /// `t0()`.
+    type Aftermath = (u64, Vec<(u64, u64, u32)>, Vec<Record>);
+
+    /// Queue `ev` at `at(done)`, where `done` is the boundary second on
+    /// which a 50-second upload completes, once the epoch ending there is
+    /// planned (so its event was queued first), and run 1.5 s past `done`.
+    fn event_at_completion(ev: Ev, at: fn(SimTime) -> SimTime) -> Aftermath {
+        with_upload(50, |sim, collector, _| {
+            let done = t0() + SECOND * 50;
+            sim.run_until(t0() + SECOND * 2, collector);
+            sim.windows.capacity = sim.windows.span;
+            sim.windows.traffic.start = t0();
+            sim.queue.schedule(at(done), ev);
+            let until = done + SimDuration::from_millis(1_500);
+            sim.run_until(until, collector);
+            sim.settle_traffic(until);
+            let live = sim
+                .flows
+                .active()
+                .iter()
+                .map(|f| (f.remaining_down, f.remaining_up, f.saturated_ticks))
+                .collect();
+            let mut records = std::mem::take(&mut sim.out);
+            sim.monitor.as_mut().expect("consenting home").drain_into(&mut records);
+            (sim.flows.completed_total(), live, records)
+        })
+    }
+
+    #[test]
+    fn events_at_a_boundary_second_run_before_it() {
+        let before: fn(SimTime) -> SimTime = |done| done - SimDuration::from_micros(1);
+        let on: fn(SimTime) -> SimTime = |done| done;
+        let after: fn(SimTime) -> SimTime = |done| done + SimDuration::from_micros(1);
+
+        // A probe at the boundary still counts the completing upload as
+        // backlogged, as one just before it does; one just after does not.
+        let estimate = |when| {
+            event_at_completion(Ev::CapacityProbe, when).2.iter().find_map(|r| match r {
+                Record::Capacity(c) => Some((c.down_bps, c.up_bps)),
+                _ => None,
+            })
+        };
+        let probes = [before, on, after].map(estimate);
+        assert!(probes[1].is_some(), "the probe ran");
+        assert_eq!(probes[1], probes[0]);
+        assert_ne!(probes[1], probes[2]);
+
+        // A power-off at the boundary aborts the upload before its last
+        // second: no completion, 49 seconds of bytes.
+        let uploaded = |(completed, live, records): Aftermath| {
+            assert!(live.is_empty());
+            let up = records.iter().find_map(|r| match r {
+                Record::Flow(f) => Some(f.bytes_up),
+                _ => None,
+            });
+            (completed, up.expect("the upload's record"))
+        };
+        let cuts =
+            [before, on, after].map(|when| uploaded(event_at_completion(Ev::PowerOff, when)));
+        assert_eq!(cuts[1].0, 0, "an abort is not a completion");
+        assert_eq!(cuts[1], cuts[0]);
+        assert_eq!(cuts[2].0, 1);
+        assert_eq!(cuts[1].1 * 50, cuts[2].1 * 49);
+
+        // A session at the boundary joins the chain: its flow's first
+        // second is the boundary itself, as for a session just before it.
+        let sessions =
+            [before, on, after].map(|when| event_at_completion(Ev::SessionArrival, when));
+        assert_eq!(sessions[1].0, 1, "the upload still completes");
+        assert_eq!(sessions[1].1.len(), 1, "the session opened a flow");
+        assert_eq!(sessions[1].1, sessions[0].1);
+        assert_ne!(sessions[1].1, sessions[2].1);
+    }
+
+    #[test]
+    fn a_flow_started_within_a_second_of_an_abort_joins_the_old_lattice() {
+        with_upload(1_000, |sim, collector, per_second| {
+            let ms = SimDuration::from_millis;
+            // Cut the power 20.4 s in and restore it 0.2 s later; a flow
+            // started at 20.9 s ticks first at 21 s, on the old lattice.
+            let abort = t0() + ms(20_400);
+            sim.queue.schedule(abort, Ev::PowerOff);
+            sim.queue.schedule(abort + ms(200), Ev::PowerOn);
+            sim.run_until(abort + ms(500), collector);
+            assert_eq!(sim.flows.active_count(), 0, "the power-off aborted the upload");
+            let bytes = 1_000 * per_second;
+            sim.start_flow(abort + ms(500), 0, AppKind::BulkUpload, 1, bytes, None, None);
+            assert_eq!(sim.traffic_next, Some(t0() + SECOND * 21));
+            // The same cut ten seconds later, but the flow starts 0.2 s
+            // past the chain's next second: a chain of its own.
+            let abort = abort + SECOND * 10;
+            sim.queue.schedule(abort, Ev::PowerOff);
+            sim.queue.schedule(abort + ms(200), Ev::PowerOn);
+            sim.run_until(abort + ms(800), collector);
+            assert_eq!(sim.flows.active_count(), 0);
+            sim.start_flow(abort + ms(800), 0, AppKind::BulkUpload, 1, bytes, None, None);
+            assert_eq!(sim.traffic_next, Some(abort + ms(800) + SECOND));
+        });
+    }
+
+    #[test]
+    fn outage_seconds_move_nothing_and_keep_the_lattice() {
+        with_upload(10_000, |sim, collector, per_second| {
+            let ms = SimDuration::from_millis;
+            // The upload's seconds fall at t0 + n s; the ISP is down from
+            // 100.5 s to 400.25 s, over seconds 101 to 400.
+            let (down, up) = (t0() + ms(100_500), t0() + ms(400_250));
+            sim.outages = vec![Interval::new(down, up)];
+            sim.run_until(down, collector);
+            let popped = sim.traffic_events();
+            sim.run_until(up, collector);
+            assert_eq!(sim.traffic_events(), popped, "no traffic event pops in the outage");
+            let resumed = t0() + ms(405_500);
+            sim.run_until(resumed, collector);
+            sim.settle_traffic(resumed);
+            assert_eq!(sim.traffic_next, Some(t0() + SECOND * 406), "back on the old lattice");
+            let upload = &sim.flows.active()[0];
+            // Seconds 1–100 and 401–405 moved bytes; the outage's did not,
+            // nor did they count as saturated.
+            assert_eq!(upload.remaining_up, (10_000 - 105) * per_second);
+            assert_eq!(upload.saturated_ticks, 105);
+        });
+    }
+
+    #[test]
+    fn traffic_events_fall_tenfold_below_one_second_ticks() {
+        // Home 18 as a scientific uploader over two days of capture: an
+        // endless upload whose saturation passes its threshold, sessions
+        // beside it, and an ISP outage under the live upload.
+        let universe = DomainUniverse::standard();
+        let zone = universe.build_zone();
+        let mut windows = short_windows(2);
+        windows.traffic = windows.span;
+        let root = DetRng::new(99);
+        let mut cfg = HomeConfig::sample(
+            household::HomeId(18),
+            Country::UnitedStates,
+            &root.derive("h"),
+            &universe,
+        );
+        cfg.traffic_consent = true;
+        cfg.quirk = Some(Quirk::ScientificUploader);
+        let collector = Collector::new();
+        collector.register(collector::RouterMeta {
+            router: RouterId(18),
+            country: Country::UnitedStates,
+            traffic_consent: true,
+        });
+        let mut sim = HomeSim::new(SimParams {
+            cfg: &cfg,
+            universe: &universe,
+            zone: &zone,
+            windows: &windows,
+            seed: 42,
+            reliable_upload: false,
+            faults: None,
+            cgn: None,
+        });
+        sim.run_until(windows.span.end, &collector);
+        // Popped when every second of a live flow was an event of its own.
+        const ONE_SECOND_TICKS: u64 = 172_698;
+        let events = sim.traffic_events();
+        assert!(events * 10 <= ONE_SECOND_TICKS, "{events} traffic events");
+        assert_eq!(sim.outages.len(), 1);
+        assert_eq!((sim.flows.started_total(), sim.flows.completed_total()), (5, 4));
+        sim.finish(&collector);
+        // The records those ticks produced.
+        let data = collector.drain_delta();
+        let flow_bytes: u64 = data.flows.iter().map(|f| f.bytes_down + f.bytes_up).sum();
+        let upstream: u64 =
+            data.packet_stats.iter().map(|p| p.bytes_up + p.pkts_up + p.peak_up_1s).sum();
+        assert_eq!((data.flows.len(), data.packet_stats.len(), data.macs.len()), (5, 2_779, 4));
+        assert_eq!((flow_bytes, upstream), (104_429_224_726, 131_013_991_977));
     }
 
     #[test]

@@ -19,9 +19,15 @@ use crate::records::{
 };
 use simnet::dns::{DnsResponse, RecordData};
 use simnet::packet::MacAddr;
-use simnet::time::SimTime;
+use simnet::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+
+/// Packet statistics are kept per minute.
+const MINUTE: SimDuration = SimDuration::from_mins(1);
+
+/// Packet size the uplink's extra bytes are counted in.
+const BURST_PACKET_BYTES: u64 = 1_420;
 
 /// Metadata the monitor keeps per active flow.
 #[derive(Debug, Clone)]
@@ -73,7 +79,7 @@ impl TrafficMonitor {
     /// Fold a (second, down, up) bucket into the current minute window,
     /// emitting the window when the minute rolls over.
     fn fold_second(&mut self, second: SimTime, down: u64, up: u64, pkts_down: u64, pkts_up: u64) {
-        let minute_start = second.align_down(simnet::time::SimDuration::from_mins(1));
+        let minute_start = second.align_down(MINUTE);
         let minute = self.minute.get_or_insert(PacketStatsRecord {
             router: self.router,
             at: minute_start,
@@ -127,7 +133,7 @@ impl TrafficMonitor {
         // Packet counts go straight to the minute totals (their per-second
         // peak is not needed).
         if pkts_down + pkts_up > 0 {
-            let minute_probe = second_start.align_down(simnet::time::SimDuration::from_mins(1));
+            let minute_probe = second_start.align_down(MINUTE);
             let minute = self.minute.get_or_insert(PacketStatsRecord {
                 router: self.router,
                 at: minute_probe,
@@ -219,7 +225,84 @@ impl TrafficMonitor {
     /// is precisely the paper's Fig 16 observation.
     pub fn add_uplink_burst(&mut self, second_start: SimTime, extra_bytes: u64) {
         if extra_bytes > 0 {
-            self.account(second_start, 0, extra_bytes, 0, extra_bytes.div_ceil(1_420));
+            self.account(second_start, 0, extra_bytes, 0, extra_bytes.div_ceil(BURST_PACKET_BYTES));
+        }
+    }
+
+    /// Account `seconds` identical seconds of the scheduler's `outcome`,
+    /// the first in the one-second bucket starting at `first`: in each,
+    /// every flow moves what its `progress` entry says and the uplink
+    /// carries what the second offered beyond the flows' bytes, exactly
+    /// as a round of [`Self::on_flow_progress`] per entry plus
+    /// [`Self::add_uplink_burst`] per second would account them. The
+    /// outcome's totals cover all `seconds`, as after a steady advance.
+    ///
+    /// Flow and device totals grow by `seconds` times one second's bytes.
+    /// The seconds that open or roll over a one-second bucket or a minute
+    /// go through `account`, so every rule about which minute a second's
+    /// counts land in stays there; the seconds after them only add the
+    /// same values to the open minute, so each minute's run is added in
+    /// closed form. The cost is O(flows + minutes crossed).
+    pub fn on_seconds(&mut self, first: SimTime, seconds: u64, outcome: &netstack::TickOutcome) {
+        // One second's sums over the tracked flows, as `account` sees them.
+        let (mut down, mut up, mut pkts_down, mut pkts_up) = (0, 0, 0, 0);
+        let mut accounted = false;
+        let drained_up: u64 = outcome.progress.iter().map(|p| p.bytes_up).sum();
+        let burst = (outcome.total_up_offered / seconds).saturating_sub(drained_up);
+        for p in &outcome.progress {
+            let Ok(idx) = self.flow_index(p.id) else { continue };
+            let meta = &mut self.flows[idx].1;
+            meta.bytes_down += seconds * p.bytes_down;
+            meta.bytes_up += seconds * p.bytes_up;
+            let device = meta.device;
+            if let Some((_, total)) = self.device_bytes.get_mut(&device) {
+                *total += seconds * (p.bytes_down + p.bytes_up);
+            }
+            down += p.bytes_down;
+            up += p.bytes_up;
+            pkts_down += p.pkts_down;
+            pkts_up += p.pkts_up;
+            accounted = true;
+        }
+        if burst > 0 {
+            up += burst;
+            pkts_up += burst.div_ceil(BURST_PACKET_BYTES);
+            accounted = true;
+        }
+        if !accounted {
+            return;
+        }
+        let one = SimDuration::from_secs(1);
+        let mut at = first;
+        let mut left = seconds;
+        while left > 0 {
+            match (self.second, self.minute.as_mut()) {
+                // The previous second holds these same values, and it and
+                // this second lie in the open minute: so do the later
+                // seconds up to the minute's end.
+                (Some((prev, d, u)), Some(minute))
+                    if prev + one == at
+                        && (d, u) == (down, up)
+                        && prev.align_down(MINUTE) == minute.at
+                        && at.align_down(MINUTE) == minute.at =>
+                {
+                    let n = left.min((minute.at + MINUTE).since(at).as_secs());
+                    minute.bytes_down += n * down;
+                    minute.bytes_up += n * up;
+                    minute.pkts_down += n * pkts_down;
+                    minute.pkts_up += n * pkts_up;
+                    minute.peak_down_1s = minute.peak_down_1s.max(down);
+                    minute.peak_up_1s = minute.peak_up_1s.max(up);
+                    self.second = Some((prev + one * n, down, up));
+                    at += one * n;
+                    left -= n;
+                }
+                _ => {
+                    self.account(at, down, up, pkts_down, pkts_up);
+                    at += one;
+                    left -= 1;
+                }
+            }
         }
     }
 
@@ -297,7 +380,6 @@ mod tests {
     use netstack::{AppKind, Flow, FlowId, FlowProgress};
     use simnet::dns::{DnsRecord, DomainName};
     use simnet::packet::Endpoint;
-    use simnet::time::SimDuration;
 
     fn name(s: &str) -> DomainName {
         DomainName::new(s).unwrap()

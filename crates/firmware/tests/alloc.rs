@@ -5,8 +5,8 @@
 //! packet; the store-and-forward upload queue sits on the same hot path
 //! whenever a fault plan is active, so its steady state (fill → seal →
 //! attempt → fail → ack) carries the same requirement. So do the
-//! one-second traffic tick (flow scheduler plus traffic monitor), which
-//! runs millions of times in a traffic-capturing study, the hourly
+//! traffic path (flow scheduler plus traffic monitor), both a boundary
+//! second's tick and a rate epoch's steady advance and replay, the hourly
 //! latency probe, and the gateway's parse of the gratuitous ARP a device
 //! broadcasts on every attach. The `obs` metric handles ride these same hot paths, so
 //! their increments are held to the same bar. A counting global allocator
@@ -178,36 +178,32 @@ fn upload_queue_steady_state_allocates_nothing() {
     assert_eq!(up.stats().failed_attempts, 1_004);
 }
 
-/// One traffic tick as the simulator drives it: every third second a flow
-/// starts on one of three devices, then the scheduler advances, the
-/// monitor sees each flow's progress, the uplink burst and every
-/// completion, and completions drain the monitor's records into `out`.
-fn traffic_second(
+/// Start a flow on one of three devices, its sizes varying with `t` and
+/// scaled by `scale`.
+fn start_at(
     sched: &mut FlowScheduler,
     mon: &mut TrafficMonitor,
-    out: &mut Vec<Record>,
     template: &Flow,
     t: u64,
+    scale: u64,
 ) {
+    let mut flow = template.clone();
+    flow.id = sched.next_id();
+    flow.device = MacAddr::from_oui_nic(0x00_17_F2, (t % 9 / 3) as u32);
+    flow.started = SimTime::EPOCH + SimDuration::from_secs(t);
+    flow.remaining_down = (200_000 + (t % 7) * 150_000) * scale;
+    flow.remaining_up = (20_000 + (t % 5) * 60_000) * scale;
+    mon.on_flow_start(&flow);
+    sched.start(flow);
+}
+
+/// One second through the scheduler's tick: the monitor accounts it and
+/// sees every completion, and completions drain the monitor's records into
+/// `out`.
+fn one_second(sched: &mut FlowScheduler, mon: &mut TrafficMonitor, out: &mut Vec<Record>, t: u64) {
     let now = SimTime::EPOCH + SimDuration::from_secs(t);
-    if t.is_multiple_of(3) {
-        let mut flow = template.clone();
-        flow.id = sched.next_id();
-        flow.device = MacAddr::from_oui_nic(0x00_17_F2, (t % 9 / 3) as u32);
-        flow.started = now;
-        flow.remaining_down = 200_000 + (t % 7) * 150_000;
-        flow.remaining_up = 20_000 + (t % 5) * 60_000;
-        mon.on_flow_start(&flow);
-        sched.start(flow);
-    }
-    let outcome =
-        sched.tick(SimDuration::from_secs(1), 8_000_000, 1_000_000, Some(20_000_000), 256 * 1024);
-    let mut drained_up = 0;
-    for progress in &outcome.progress {
-        drained_up += progress.bytes_up;
-        mon.on_flow_progress(now, progress);
-    }
-    mon.add_uplink_burst(now, outcome.total_up_offered.saturating_sub(drained_up));
+    let outcome = sched.tick(8_000_000, 1_000_000, Some(20_000_000), 256 * 1024);
+    mon.on_seconds(now, 1, outcome);
     for flow in &outcome.completed {
         mon.on_flow_end(now, flow.id);
     }
@@ -217,10 +213,68 @@ fn traffic_second(
     }
 }
 
-#[test]
-fn traffic_tick_steady_state_allocates_nothing() {
-    let mut sched = FlowScheduler::new();
-    let mut mon = TrafficMonitor::new(
+/// A flow starts every third second, and every second runs through the
+/// tick: the boundary-second path under constant churn.
+fn traffic_second(
+    sched: &mut FlowScheduler,
+    mon: &mut TrafficMonitor,
+    out: &mut Vec<Record>,
+    template: &Flow,
+    t: u64,
+) {
+    if t.is_multiple_of(3) {
+        start_at(sched, mon, template, t, 1);
+    }
+    one_second(sched, mon, out, t);
+}
+
+/// Rate epochs as the simulator drives them over `[from, to)`: every 97
+/// seconds a flow starts; in between, the scheduler counts the steady
+/// seconds, advances them in one step and the monitor replays them across
+/// minute edges, while each boundary second runs alone. Returns the
+/// longest steady run and how many replayed seconds carried an uplink
+/// burst.
+fn traffic_epochs(
+    sched: &mut FlowScheduler,
+    mon: &mut TrafficMonitor,
+    out: &mut Vec<Record>,
+    template: &Flow,
+    from: u64,
+    to: u64,
+) -> (u64, u64) {
+    let (mut longest, mut burst_seconds) = (0, 0);
+    let mut t = from;
+    while t < to {
+        if t.is_multiple_of(97) {
+            start_at(sched, mon, template, t, 60);
+        }
+        let next_start = (t / 97 + 1) * 97;
+        if sched.active_count() == 0 {
+            t = next_start;
+            continue;
+        }
+        let run = sched
+            .steady_seconds(8_000_000, 1_000_000, Some(20_000_000), 256 * 1024)
+            .min(next_start - t);
+        if run == 0 {
+            one_second(sched, mon, out, t);
+            t += 1;
+            continue;
+        }
+        let outcome = sched.advance_steady(run, 8_000_000, 1_000_000, Some(20_000_000), 256 * 1024);
+        mon.on_seconds(SimTime::EPOCH + SimDuration::from_secs(t), run, outcome);
+        longest = longest.max(run);
+        let drained_up: u64 = outcome.progress.iter().map(|p| p.bytes_up).sum();
+        if outcome.total_up_offered > run * drained_up {
+            burst_seconds += run;
+        }
+        t += run;
+    }
+    (longest, burst_seconds)
+}
+
+fn traffic_pair() -> (FlowScheduler, TrafficMonitor, Flow) {
+    let mon = TrafficMonitor::new(
         RouterId(5),
         Anonymizer::new(0x5EED, [DomainName::new("netflix.com").expect("valid name")]),
     );
@@ -240,6 +294,37 @@ fn traffic_tick_steady_state_allocates_nothing() {
         rate_cap_up_bps: None,
         saturated_ticks: 0,
     };
+    (FlowScheduler::new(), mon, template)
+}
+
+#[test]
+fn traffic_epochs_steady_state_allocate_nothing() {
+    let (mut sched, mut mon, template) = traffic_pair();
+    let mut out: Vec<Record> = Vec::new();
+    // Warm-up grows every buffer to the pattern's high-water mark and
+    // registers all three devices.
+    traffic_epochs(&mut sched, &mut mon, &mut out, &template, 0, 20_000);
+
+    let started_before = sched.started_total();
+    let completed_before = sched.completed_total();
+    let before = ALLOCATIONS.with(Cell::get);
+    let (longest, burst_seconds) =
+        traffic_epochs(&mut sched, &mut mon, &mut out, &template, 20_000, 2_000_000);
+    let after = ALLOCATIONS.with(Cell::get);
+    assert!(
+        after == before,
+        "rate epochs allocated {} times over 23 simulated days",
+        after - before
+    );
+    assert!(sched.started_total() - started_before > 20_000, "flows kept starting");
+    assert!(sched.completed_total() - completed_before > 20_000, "flows kept completing");
+    assert!(longest > 60, "some run crosses a minute edge: longest {longest} s");
+    assert!(burst_seconds > 0, "some upload's saturation passes its threshold");
+}
+
+#[test]
+fn traffic_tick_steady_state_allocates_nothing() {
+    let (mut sched, mut mon, template) = traffic_pair();
     let mut out: Vec<Record> = Vec::new();
     // Warm-up grows every buffer to the pattern's high-water mark and
     // registers all three devices.

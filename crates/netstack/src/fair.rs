@@ -3,14 +3,14 @@
 //! The access link is the bottleneck for nearly all home traffic, and TCP's
 //! long-run behavior on a shared bottleneck approximates max-min fairness
 //! with per-flow rate caps (application-limited flows such as video streams
-//! never take more than their bitrate). The fluid flow model advances in
-//! one-second ticks; each tick asks this module how much each active flow
-//! moved.
+//! never take more than their bitrate). The fluid flow model advances
+//! second by second; each second, or each run of identical seconds, asks
+//! this module how fast each active flow moves.
 
 /// One flow's demand for an allocation round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
-    /// Rate the flow could use this tick, in bits/s. `f64::INFINITY` for
+    /// Rate the flow could use, in bits/s. `f64::INFINITY` for
     /// backlogged (bulk) flows.
     pub rate_cap_bps: f64,
 }

@@ -77,8 +77,7 @@ mod tests {
             rate_cap_up_bps: None,
             saturated_ticks: 0,
         });
-        let out =
-            sched.tick(SimDuration::from_secs(1), 10_000_000, 1_000_000, None, 256 * 1024);
+        let out = sched.tick(10_000_000, 1_000_000, None, 256 * 1024);
         assert_eq!(out.completed.len(), 1);
         m.record_completions(SimTime::EPOCH + SimDuration::from_secs(1), &out.completed);
         m.publish_scheduler(&sched);

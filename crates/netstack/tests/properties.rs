@@ -8,7 +8,7 @@ use netstack::{AppKind, Flow, FlowId, FlowScheduler};
 use proptest::prelude::*;
 use simnet::dns::DomainName;
 use simnet::packet::{Endpoint, MacAddr};
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 use std::net::Ipv4Addr;
 
 fn arb_demands() -> impl Strategy<Value = Vec<Demand>> {
@@ -118,14 +118,13 @@ proptest! {
                         fresh.start(flow.clone());
                     }
                     let args = (
-                        SimDuration::from_secs(1),
                         down_mbps * 1_000_000,
                         up_mbps * 1_000_000,
                         per_flow_cap_mbps.map(|m| m * 1_000_000),
                         256 * 1024,
                     );
-                    let want = fresh.tick(args.0, args.1, args.2, args.3, args.4);
-                    let got = sched.tick(args.0, args.1, args.2, args.3, args.4);
+                    let want = fresh.tick(args.0, args.1, args.2, args.3);
+                    let got = sched.tick(args.0, args.1, args.2, args.3);
                     prop_assert_eq!(&got.progress, &want.progress);
                     prop_assert_eq!(got.total_down, want.total_down);
                     prop_assert_eq!(got.total_up_offered, want.total_up_offered);
@@ -197,7 +196,6 @@ proptest! {
         let mut completed = 0usize;
         for _ in 0..ticks {
             let out = sched.tick(
-                SimDuration::from_secs(1),
                 down_mbps * 1_000_000,
                 up_mbps * 1_000_000,
                 None,

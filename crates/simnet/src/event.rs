@@ -34,8 +34,8 @@
 //! is the smallest pending one, moving any displaced occupant into the
 //! heap, and every read looks at the slot first. Pop order is therefore
 //! key order by construction, and a handler that reschedules itself
-//! ahead of everything else pending (a once-a-minute heartbeat, a
-//! one-second traffic tick) never touches the heap.
+//! ahead of everything else pending (a once-a-minute heartbeat) never
+//! touches the heap.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;

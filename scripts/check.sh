@@ -39,6 +39,11 @@ if [ -z "${SKIP_TESTS:-}" ]; then
     # here the window cuts, arrival orders and duplicates it draws are
     # explored at scale.
     PROPTEST_CASES=2000 cargo test -q --release --offline -p analysis --test incremental_properties
+    echo "== rate-epoch traffic property at 2,000 cases (release) =="
+    # Every `cargo test` runs tests/epoch_properties.rs at 64 cases; here
+    # its flow mixes, saturation crossings, epoch lengths and minute
+    # phases are explored at scale.
+    PROPTEST_CASES=2000 cargo test -q --release --offline -p firmware --test epoch_properties
     echo "== golden digests of the full study (release) =="
     # tests/golden.rs pins the quick runs in every `cargo test`; its
     # 197-day row is #[ignore]d there and runs here on the release build.
