@@ -198,9 +198,7 @@ pub fn fig6_archetypes(
     let flaky = routers
         .iter()
         .filter(|r| r.downtimes_per_day > 0.2 && r.coverage > 0.6)
-        .filter(|r| {
-            data.router_uptime(r.router).iter().any(|u| u.uptime > SimDuration::from_days(7))
-        })
+        .filter(|r| data.uptime.router(r.router).any(|u| u.uptime > SimDuration::from_days(7)))
         .max_by(|a, b| {
             a.downtimes_per_day.partial_cmp(&b.downtimes_per_day).expect("finite")
         })

@@ -6,10 +6,9 @@
 //! [`IncrementalReport::finalize`] funnels that state and the accumulated
 //! [`Datasets`] through one finisher per figure. The finishers read a
 //! router's rows only through `Datasets`: its registration by
-//! [`Datasets::meta`], its row-table rows by the per-router accessors
-//! ([`Datasets::router_capacity`] and its siblings) and its columnar rows
-//! by each table's `router`, all binary searches over the router-sorted
-//! layout the collector's drain keeps. A stream study calls `update` with
+//! [`Datasets::meta`] and its rows of each record table by that table's
+//! `router` iterator, one lookup in the per-router layout the collector's
+//! drain keeps. A stream study calls `update` with
 //! each window's drained delta and `finalize` at every window boundary;
 //! a batch report ([`StudyReport::compute`]) is the same fold over one
 //! window holding the whole drain.
@@ -51,9 +50,10 @@
 //!
 //! `finalize` reads neither the WiFi nor the latency rows. It reads the
 //! rest from the accumulated snapshot:
-//! * availability, Figs 8/9, Tables 1/3 and the row halves of Table 2
-//!   refold the run-length-encoded heartbeat logs and the small row
-//!   tables. Refolding sidesteps the one order-sensitive aggregate in the
+//! * availability, Figs 8/9, Tables 1/3 and the heartbeat, capacity,
+//!   uptime and census rows of Table 2 refold the run-length-encoded
+//!   heartbeat logs and the small uptime, capacity and census tables.
+//!   Refolding sidesteps the one order-sensitive aggregate in the
 //!   report: the population standard deviation of Figs 8/9, whose
 //!   squared-residual sum is a float fold in table order.
 //! * Fig 15's peak samples are read per router from the packet-stats
@@ -229,8 +229,8 @@ impl IncrementalReport {
 
     /// Materialize the full report from the partial state plus the
     /// accumulated snapshot: registration metadata, heartbeat logs, the
-    /// small row tables, and per-router slices of the packet-stats
-    /// table.
+    /// small uptime, capacity and census tables, and per-router slices of
+    /// the packet-stats table.
     pub fn finalize(&self, acc: &Datasets) -> StudyReport {
         let w = self.windows;
         let s = &self.folded;
@@ -248,7 +248,7 @@ impl IncrementalReport {
             timed("analysis_coverage", || availability::median_coverage_by_country(&routers));
 
         // §5 infrastructure from the per-router runs; Figs 8/9 and Table
-        // 5's census counts refold the small census row table.
+        // 5's census counts refold the small census table.
         let homes = &s.homes;
         let device_runs = || homes.records.iter().map(|home| home.devices.as_slice());
         let fig7 = timed("analysis_fig7", || infrastructure::fig7_from_runs(device_runs()));
@@ -305,8 +305,8 @@ impl IncrementalReport {
         let table6 =
             timed("analysis_table6", || highlights::table6_from(&fig13, &fig15, &fig17, &fig19));
 
-        // Deployment tables: row-table sets refolded from the
-        // accumulator, columnar sets from the partial state.
+        // Deployment tables: the uptime, capacity and census sets
+        // refolded from the accumulator, the rest from the partial state.
         let table1 = timed("analysis_table1", || highlights::table1(acc));
         let table2 = timed("analysis_table2", || {
             let heartbeat_routers = acc

@@ -227,8 +227,7 @@ pub(crate) fn table5_from_runs<'a>(
     });
     for meta in &data.routers {
         let router = meta.router;
-        let censuses =
-            data.router_devices(router).iter().filter(|c| window.contains(c.at)).count();
+        let censuses = data.devices.router(router).filter(|c| window.contains(c.at)).count();
         if censuses < min_censuses {
             continue;
         }

@@ -91,7 +91,7 @@ pub struct Fig14 {
 pub(crate) fn capacity_of(data: &Datasets, window: Window, router: RouterId) -> Option<(f64, f64)> {
     let mut down = Vec::new();
     let mut up = Vec::new();
-    for rec in data.router_capacity(router) {
+    for rec in data.capacity.router(router) {
         if window.contains(rec.at) {
             down.push(rec.down_bps as f64);
             up.push(rec.up_bps as f64);

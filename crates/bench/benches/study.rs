@@ -1,23 +1,17 @@
-//! End-to-end simulation benches: deployment construction and home/study
-//! simulation throughput — the cost of regenerating the data sets
-//! themselves.
+//! The one home-week kernel: a US and an Indian home simulated for seven
+//! days each. Deployment construction and whole-study throughput are the
+//! repository benchmark's `household.build_deployment_s` and `wall_s`.
 
 use bismark::homesim::{HomeSim, SimParams};
-use bismark::study::{run_study, StudyConfig, StudyWindows};
+use bismark::study::StudyWindows;
 use collector::windows::Window;
 use collector::{Collector, RouterMeta};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use firmware::records::RouterId;
 use household::domains::DomainUniverse;
-use household::{build_deployment, Country, HomeConfig, HomeId};
+use household::{Country, HomeConfig, HomeId};
 use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
-
-fn bench_deployment_build(c: &mut Criterion) {
-    c.bench_function("build_deployment_126_homes", |b| {
-        b.iter(|| black_box(build_deployment(2013)))
-    });
-}
 
 fn bench_single_home(c: &mut Criterion) {
     let span = Window {
@@ -60,17 +54,5 @@ fn bench_single_home(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scaled_study(c: &mut Criterion) {
-    let mut group = c.benchmark_group("full_deployment");
-    group.sample_size(10);
-    group.bench_function("study_126_homes_3_days", |b| {
-        b.iter(|| {
-            let output = run_study(&StudyConfig::quick(2013, 3));
-            black_box(output.datasets.record_count())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_deployment_build, bench_single_home, bench_scaled_study);
+criterion_group!(benches, bench_single_home);
 criterion_main!(benches);

@@ -1,18 +1,18 @@
-//! Columnar (struct-of-arrays) storage for the high-volume tables.
+//! Columnar (struct-of-arrays) storage for the collector's 13 record
+//! tables, one per record kind the routers upload.
 //!
-//! Nine of the collector's 14 tables dominate a study's memory footprint —
-//! the four consent-gated Traffic tables (per-minute packet statistics,
-//! flows, DNS samples, MAC sightings), the consent-free WiFi scans,
-//! associations, and latency probes that *every* home emits, and the two
-//! CGN characterization tables (NAT probes, hole-punch trials): the
-//! 197-day deployment materializes tens of millions of them, and scaling
-//! the deployment to 10k+ homes multiplies that by two orders of
-//! magnitude. Row-of-structs `Vec<Record>` storage pays padding and full
-//! `u64` width for every field; this module stores each table as one
-//! column per field, grouped per router, with narrow encodings. Each
-//! encoding is one type implementing the crate-private `Column` trait
-//! (append, length, iterate, heap bytes, per-value resident bytes,
-//! segment encode and decode):
+//! Nine of them dominate a study's memory footprint — the four
+//! consent-gated Traffic tables (per-minute packet statistics, flows, DNS
+//! samples, MAC sightings), the consent-free WiFi scans, associations, and
+//! latency probes that *every* home emits, and the two CGN
+//! characterization tables (NAT probes, hole-punch trials): the 197-day
+//! deployment materializes tens of millions of them, and scaling the
+//! deployment to 10k+ homes multiplies that by two orders of magnitude.
+//! Row-of-structs `Vec<Record>` storage pays padding and full `u64` width
+//! for every field; these tables store one column per field, grouped per
+//! router, with narrow encodings. Each encoding is one type implementing
+//! the crate-private `Column` trait (append, length, iterate, heap bytes,
+//! per-value resident bytes, segment encode and decode):
 //!
 //! * **timestamps** (`TimeCol`) — delta-from-previous as `u32`
 //!   microseconds, with a sentinel escape to a 64-bit side array for
@@ -29,6 +29,12 @@
 //!   media, NAT types) — `Dense<T>`, a plain vector at natural width
 //!   whose decode rejects out-of-range tags.
 //!
+//! The other four (uptime reports, capacity measurements, device
+//! censuses and the upload-gap ledger) hold one to three rows per router,
+//! so each keeps one `Dense` column of whole records: a column per field
+//! would pay a vector header and its growth slack per field per router
+//! (DESIGN.md §8 has the measurement).
+//!
 //! Each table is declared once, in a `columnar_table!` invocation: its
 //! merged-file tag, its sort key, its columns as `field: ColumnType =
 //! what it stores from the record`, and how a record is rebuilt from the
@@ -41,9 +47,8 @@
 //! `PartialEq` on a table equals record-sequence equality — determinism
 //! tests can keep comparing snapshots directly. Iteration rebuilds
 //! records by value in (router, arrival) order, which after a snapshot
-//! merge is exactly the (router, time)-sorted global order the legacy row
-//! vectors had; callers iterate (`for r in &data.flows`) without caring
-//! that rows no longer exist in memory.
+//! merge is the (router, key)-sorted global order; callers iterate (`for
+//! r in &data.flows`) or read one router (`data.flows.router(r)`).
 //!
 //! Under a spill budget ([`crate::spill`]) a table may additionally own
 //! disk-backed parts: per-router blocks of these same columns in segment
@@ -60,10 +65,13 @@ use crate::spill::{
 };
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::latency::LatencyRecord;
+use crate::server::UploadGapRecord;
 use firmware::records::{
-    ApSighting, AssociationRecord, DnsSampleRecord, FlowRecord, MacSightingRecord, Medium,
-    NatProbeRecord, NatType, PacketStatsRecord, PunchTrialRecord, RouterId, WifiScanRecord,
+    ApSighting, AssociationRecord, CapacityRecord, DeviceCensusRecord, DnsSampleRecord,
+    FlowRecord, MacSightingRecord, Medium, NatProbeRecord, NatType, PacketStatsRecord,
+    PunchTrialRecord, RouterId, UptimeRecord, WifiScanRecord,
 };
+use firmware::uploader::GapCause;
 use simnet::dns::DomainName;
 use simnet::packet::IpProtocol;
 use simnet::time::{SimDuration, SimTime};
@@ -173,6 +181,71 @@ fixed_tag! {
     Band: "wifi band tag out of range" = [Band::Ghz24, Band::Ghz5];
     Medium: "medium tag out of range" = [Medium::Wired, Medium::Wireless24, Medium::Wireless5];
     NatType: "nat type code out of range" = NatType::ALL;
+    GapCause: "gap cause tag out of range" = [GapCause::Evicted, GapCause::FlashWipe];
+}
+
+/// `Fixed` for an id or time framed as the integer it wraps.
+macro_rules! fixed_newtype {
+    ($($T:ty: $Inner:ty = |$v:ident| $raw:expr, $new:expr;)*) => {$(
+        impl Fixed for $T {
+            const WIRE: usize = <$Inner as Fixed>::WIRE;
+
+            fn put(self, out: &mut Vec<u8>) {
+                let $v = self;
+                $raw.put(out);
+            }
+
+            fn get(cur: &mut Cursor<'_>) -> Result<$T, SpillError> {
+                <$Inner as Fixed>::get(cur).map($new)
+            }
+        }
+    )*};
+}
+
+fixed_newtype! {
+    RouterId: u32 = |id| id.0, RouterId;
+    SimTime: u64 = |t| t.as_micros(), SimTime::from_micros;
+    SimDuration: u64 = |d| d.as_micros(), SimDuration::from_micros;
+}
+
+/// `Fixed` for a record stored whole: its fields framed in declaration
+/// order, each by its own `Fixed` impl, so decode rejects what any field
+/// rejects.
+macro_rules! fixed_record {
+    ($($T:ident { $($field:ident: $F:ty,)+ })*) => {$(
+        impl Fixed for $T {
+            const WIRE: usize = 0 $(+ <$F as Fixed>::WIRE)+;
+
+            fn put(self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+
+            fn get(cur: &mut Cursor<'_>) -> Result<$T, SpillError> {
+                Ok($T { $($field: <$F as Fixed>::get(cur)?,)+ })
+            }
+        }
+    )*};
+}
+
+fixed_record! {
+    UptimeRecord { router: RouterId, at: SimTime, uptime: SimDuration, }
+    CapacityRecord {
+        router: RouterId,
+        at: SimTime,
+        down_bps: u64,
+        up_bps: u64,
+        shaping_detected: bool,
+    }
+    DeviceCensusRecord { router: RouterId, at: SimTime, wired: u8, wireless_24: u8, wireless_5: u8, }
+    UploadGapRecord {
+        router: RouterId,
+        first_seq: u64,
+        last_seq: u64,
+        records_lost: u64,
+        from: SimTime,
+        to: SimTime,
+        cause: GapCause,
+    }
 }
 
 impl Fixed for AnonMac {
@@ -788,7 +861,8 @@ fn ascending<K: Ord>(mut keys: impl Iterator<Item = K>) -> bool {
 /// group's columns, and the table around them — groups keyed by a
 /// `BTreeMap`, disk-backed [`SpilledPart`]s, a flat record iterator in
 /// (router, arrival) order, segment sealing, and shard merges (in-memory
-/// and spilled) that reproduce the legacy row-table merge byte for byte.
+/// and spilled) whose rows equal a stable sort of every shard's rows by
+/// (router, key).
 /// `tag` names the table's merged spill file; `key` is the per-router
 /// sort subkey merges restore.
 macro_rules! columnar_table {
@@ -909,6 +983,13 @@ macro_rules! columnar_table {
                 0 $(+ <$Col as Column>::resident_bytes(&$value))+
             }
 
+            /// Push `record` and add its [`Self::resident_bytes`] to
+            /// `estimate`.
+            pub(crate) fn push_estimated(&mut self, record: $Record, estimate: &mut usize) {
+                *estimate += Self::resident_bytes(&record);
+                self.push(record);
+            }
+
             /// The per-router sort subkey merges restore.
             fn key($kr: &$Record) -> impl Ord {
                 $key
@@ -925,9 +1006,9 @@ macro_rules! columnar_table {
             }
 
             /// Iterate every record by value in (router, per-router
-            /// arrival) order — after a snapshot merge, the same global
-            /// (router, time)-sorted order the legacy row vector had.
-            /// Spilled routers stream from disk one router at a time.
+            /// arrival) order — after a snapshot merge, the global
+            /// (router, key)-sorted order. Spilled routers stream from
+            /// disk one router at a time.
             pub fn iter(&self) -> $TableIter<'_> {
                 $TableIter {
                     table: self,
@@ -1547,6 +1628,53 @@ columnar_table! {
     }
 }
 
+columnar_table! {
+    /// The uptime table: whole rows, 24 resident bytes each (see the
+    /// module docs for why the four small tables keep whole rows).
+    table UptimeTable: UptimeRecord, tag "uptime", key |r| r.at;
+    /// Flat record iterator over an [`UptimeTable`].
+    iter UptimeIter, router RouterUptime, resident ResidentUptime;
+    cols UptimeCols |r| {
+        row: Dense<UptimeRecord> = *r,
+    }
+    rebuild |_router| row
+}
+
+columnar_table! {
+    /// The capacity table: whole rows, 32 resident bytes each.
+    table CapacityTable: CapacityRecord, tag "capacity", key |r| r.at;
+    /// Flat record iterator over a [`CapacityTable`].
+    iter CapacityIter, router RouterCapacity, resident ResidentCapacity;
+    cols CapacityCols |r| {
+        row: Dense<CapacityRecord> = *r,
+    }
+    rebuild |_router| row
+}
+
+columnar_table! {
+    /// The device-census table: whole rows, 16 resident bytes each.
+    table CensusTable: DeviceCensusRecord, tag "devices", key |r| r.at;
+    /// Flat record iterator over a [`CensusTable`].
+    iter CensusIter, router RouterCensuses, resident ResidentCensuses;
+    cols CensusCols |r| {
+        row: Dense<DeviceCensusRecord> = *r,
+    }
+    rebuild |_router| row
+}
+
+columnar_table! {
+    /// The upload-gap ledger: whole rows, 48 resident bytes each, in
+    /// first-lost-batch order per router. Empty unless faults destroyed
+    /// spooled data.
+    table UploadGapTable: UploadGapRecord, tag "upload-gaps", key |r| r.first_seq;
+    /// Flat record iterator over an [`UploadGapTable`].
+    iter UploadGapsIter, router RouterUploadGaps, resident ResidentUploadGaps;
+    cols UploadGapCols |r| {
+        row: Dense<UploadGapRecord> = *r,
+    }
+    rebuild |_router| row
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1814,6 +1942,30 @@ mod tests {
                 peer_type: nat,
                 success: true,
             }), 11),
+            (UptimeTable::resident_bytes(&UptimeRecord { router, at, uptime: rtt }), 24),
+            (CapacityTable::resident_bytes(&CapacityRecord {
+                router,
+                at,
+                down_bps: 1,
+                up_bps: 2,
+                shaping_detected: false,
+            }), 32),
+            (CensusTable::resident_bytes(&DeviceCensusRecord {
+                router,
+                at,
+                wired: 1,
+                wireless_24: 2,
+                wireless_5: 3,
+            }), 16),
+            (UploadGapTable::resident_bytes(&UploadGapRecord {
+                router,
+                first_seq: 1,
+                last_seq: 2,
+                records_lost: 3,
+                from: at,
+                to: at,
+                cause: GapCause::Evicted,
+            }), 48),
         ];
         for (i, (got, want)) in figures.into_iter().enumerate() {
             assert_eq!(got, want, "figure {i}");
@@ -1888,9 +2040,10 @@ mod tests {
         assert_eq!(merged.router_len(RouterId(1)), 3);
     }
 
-    /// One valid encoded block per columnar table, each holding records
-    /// that exercise the escape lanes (backward and far-forward times,
-    /// 64-bit counters) and every tag value (bands, media, NAT types).
+    /// One valid encoded block per table, each holding records that
+    /// exercise the escape lanes (backward and far-forward times, 64-bit
+    /// counters) and every tag value (bands, media, NAT types, flags, gap
+    /// causes).
     fn valid_blocks() -> Vec<(&'static str, Vec<u8>)> {
         fn block<C>(cols: C, encode: fn(&C, &mut Vec<u8>)) -> Vec<u8> {
             let mut buf = Vec::new();
@@ -1914,6 +2067,10 @@ mod tests {
         let mut lt = LatencyCols::EMPTY;
         let mut np = NatProbeCols::EMPTY;
         let mut pt = PunchTrialCols::EMPTY;
+        let mut up = UptimeCols::EMPTY;
+        let mut cp = CapacityCols::EMPTY;
+        let mut cs = CensusCols::EMPTY;
+        let mut ug = UploadGapCols::EMPTY;
         for (i, &at) in times.iter().enumerate() {
             let big = if i % 2 == 0 { u64::MAX - i as u64 } else { i as u64 };
             ps.append(&PacketStatsRecord {
@@ -1984,6 +2141,30 @@ mod tests {
                 peer_type: nat(i + 1),
                 success: i % 2 == 0,
             });
+            up.append(&UptimeRecord { router: r, at, uptime: SimDuration::from_micros(big) });
+            cp.append(&CapacityRecord {
+                router: r,
+                at,
+                down_bps: big,
+                up_bps: i as u64,
+                shaping_detected: i % 2 == 1,
+            });
+            cs.append(&DeviceCensusRecord {
+                router: r,
+                at,
+                wired: i as u8,
+                wireless_24: 2 * i as u8,
+                wireless_5: u8::MAX - i as u8,
+            });
+            ug.append(&UploadGapRecord {
+                router: r,
+                first_seq: i as u64,
+                last_seq: big,
+                records_lost: 3 * i as u64,
+                from: at,
+                to: times[3 - i],
+                cause: [GapCause::Evicted, GapCause::FlashWipe][i % 2],
+            });
         }
         vec![
             ("PacketStatsCols", block(ps, PacketStatsCols::encode)),
@@ -1995,6 +2176,10 @@ mod tests {
             ("LatencyCols", block(lt, LatencyCols::encode)),
             ("NatProbeCols", block(np, NatProbeCols::encode)),
             ("PunchTrialCols", block(pt, PunchTrialCols::encode)),
+            ("UptimeCols", block(up, UptimeCols::encode)),
+            ("CapacityCols", block(cp, CapacityCols::encode)),
+            ("CensusCols", block(cs, CensusCols::encode)),
+            ("UploadGapCols", block(ug, UploadGapCols::encode)),
         ]
     }
 
@@ -2013,13 +2198,56 @@ mod tests {
             ("LatencyCols", 0x0f6b_b203_fad1_931a),
             ("NatProbeCols", 0xdfa5_63b4_f59d_0c42),
             ("PunchTrialCols", 0x7030_d857_2628_0f46),
+            ("UptimeCols", 0xdec5_b946_505b_05d5),
+            ("CapacityCols", 0xda8b_d77b_7661_d17f),
+            ("CensusCols", 0x6018_e2e0_ebe2_df5b),
+            ("UploadGapCols", 0xad0b_5655_7bcb_892d),
         ];
         let got: Vec<(&str, u64)> =
             valid_blocks().iter().map(|(table, block)| (*table, obs::fnv1a64(block))).collect();
         assert_eq!(got, pinned);
     }
 
-    /// Decode `bytes` as a block of every one of the nine column groups.
+    #[test]
+    fn whole_rows_frame_their_fields_little_endian_and_reject_bad_tags() {
+        let gap = UploadGapRecord {
+            router: RouterId(0x0102_0304),
+            first_seq: 5,
+            last_seq: 6,
+            records_lost: 7,
+            from: SimTime::from_micros(8),
+            to: SimTime::from_micros(9),
+            cause: GapCause::FlashWipe,
+        };
+        let mut cols = UploadGapCols::EMPTY;
+        cols.append(&gap);
+        let mut buf = Vec::new();
+        cols.encode(&mut buf);
+        let mut want = 1u64.to_le_bytes().to_vec();
+        want.extend(0x0102_0304u32.to_le_bytes());
+        for v in [5u64, 6, 7, 8, 9] {
+            want.extend(v.to_le_bytes());
+        }
+        want.push(1);
+        assert_eq!(buf, want);
+        assert_eq!(UploadGapRecord::WIRE, want.len() - 8);
+        *buf.last_mut().unwrap() = 2;
+        assert!(UploadGapCols::decode(&mut Cursor::new(&buf)).is_err(), "gap cause 2");
+        let mut cols = CapacityCols::EMPTY;
+        cols.append(&CapacityRecord {
+            router: RouterId(1),
+            at: t(1),
+            down_bps: 2,
+            up_bps: 3,
+            shaping_detected: true,
+        });
+        let mut buf = Vec::new();
+        cols.encode(&mut buf);
+        *buf.last_mut().unwrap() = 2;
+        assert!(CapacityCols::decode(&mut Cursor::new(&buf)).is_err(), "flag 2");
+    }
+
+    /// Decode `bytes` as a block of every one of the 13 column groups.
     /// Each decode must return an error or columns whose records all
     /// rebuild; a panic anywhere fails the calling test. Returns the
     /// groups that decoded, with their record counts.
@@ -2043,7 +2271,11 @@ mod tests {
             AssociationCols,
             LatencyCols,
             NatProbeCols,
-            PunchTrialCols
+            PunchTrialCols,
+            UptimeCols,
+            CapacityCols,
+            CensusCols,
+            UploadGapCols
         );
         decoded
     }
@@ -2075,7 +2307,7 @@ mod tests {
 
             #[test]
             fn decoders_never_panic_on_corrupted_valid_blocks(
-                table in 0usize..9,
+                table in 0usize..13,
                 edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..8),
             ) {
                 let (_, mut block) = valid_blocks().swap_remove(table);

@@ -9,7 +9,8 @@
 use crate::server::Datasets;
 use serde::Serialize;
 
-/// The released subset of the data: everything but Traffic.
+/// The released subset of the data: everything but Traffic. The record
+/// tables are materialized in their global (router, time) order.
 #[derive(Debug, Serialize)]
 pub struct PublicRelease<'a> {
     /// Router metadata (country, but no consent flags — those reveal which
@@ -18,13 +19,12 @@ pub struct PublicRelease<'a> {
     /// Heartbeat run logs.
     pub heartbeats: Vec<(u32, &'a crate::runlog::RunLog)>,
     /// Uptime reports.
-    pub uptime: &'a [firmware::records::UptimeRecord],
+    pub uptime: Vec<firmware::records::UptimeRecord>,
     /// Capacity measurements.
-    pub capacity: &'a [firmware::records::CapacityRecord],
+    pub capacity: Vec<firmware::records::CapacityRecord>,
     /// Device censuses.
-    pub devices: &'a [firmware::records::DeviceCensusRecord],
-    /// WiFi scans, materialized from the columnar table in its global
-    /// (router, time, band) order.
+    pub devices: Vec<firmware::records::DeviceCensusRecord>,
+    /// WiFi scans, in (router, time, band) order.
     pub wifi: Vec<firmware::records::WifiScanRecord>,
 }
 
@@ -50,9 +50,9 @@ pub fn public_release(data: &Datasets) -> PublicRelease<'_> {
             .map(|m| PublicRouter { router: m.router.0, country: m.country.code().to_string() })
             .collect(),
         heartbeats,
-        uptime: &data.uptime,
-        capacity: &data.capacity,
-        devices: &data.devices,
+        uptime: data.uptime.iter().collect(),
+        capacity: data.capacity.iter().collect(),
+        devices: data.devices.iter().collect(),
         wifi: data.wifi.iter().collect(),
     }
 }

@@ -1,14 +1,14 @@
 //! The central collection server: router registration, record ingestion
 //! (including wire-level heartbeat packets), and draining what was
-//! collected for analysis. The paper's six data sets are stored as 14
-//! tables ([`Datasets`]): registration, heartbeat run logs, four row
-//! tables (uptime, capacity, device censuses, the upload-gap ledger), the
-//! announced downtime, and nine columnar tables ([`crate::columns`], each
-//! declared once there). The nine columnar tables are listed once here,
-//! in `columnar_tables!`; sealing, merging, sizing and absorbing them is
-//! generated from that list. A shard's spill estimate grows by what each
-//! table reports for the record it routes (`resident_bytes`), so the
-//! estimate follows the column declarations.
+//! collected for analysis. The paper's six data sets are stored as 15
+//! tables ([`Datasets`]): registration, heartbeat run logs, the announced
+//! downtime, and 13 per-router record tables ([`crate::columns`], each
+//! declared once there), one per uploaded record kind, the upload-gap
+//! ledger among them. The 13 are listed once here, in `columnar_tables!`;
+//! sealing, merging, sizing and absorbing them is generated from that
+//! list. A shard's spill estimate grows by what each table reports for
+//! the record it routes (`resident_bytes`), so the estimate follows the
+//! column declarations and the spill budget covers every record table.
 //!
 //! The server shards its mutable state by router: each [`RouterId`] maps to
 //! one of [`NUM_SHARDS`] independently locked shards, so home simulations
@@ -16,25 +16,22 @@
 //! never share a router ID, and the 126-router deployment maps onto 128
 //! shards collision-free). Each shard keeps its slice of the tables as one
 //! [`Datasets`] value. Draining ([`Collector::drain_delta`]) takes every
-//! shard's slice and merges them back into one deterministic, (router,
-//! time)-sorted [`Datasets`] — concatenating already-ordered shard runs
-//! where possible and falling back to a stable sort otherwise — so the
-//! result is bit-identical regardless of how many threads uploaded. Each
-//! router's rows therefore form one contiguous run of every table, which
-//! the per-router accessors ([`Datasets::router_uptime`] and its siblings)
-//! find by binary search.
+//! shard's slice and merges them back into one deterministic [`Datasets`]:
+//! each router's rows come from one shard in arrival order, and a router
+//! whose rows arrived out of key order is stably re-sorted, so the result
+//! is bit-identical regardless of how many threads uploaded. Every table
+//! reads one router's rows through its `router` iterator.
 
 use crate::columns::{
-    AbsorbState, AssociationTable, Columnar, DnsTable, FlowTable, LatencyTable, MacTable,
-    NatProbeTable, PacketStatsTable, PunchTrialTable, WifiTable,
+    AbsorbState, AssociationTable, CapacityTable, CensusTable, Columnar, DnsTable, FlowTable,
+    LatencyTable, MacTable, NatProbeTable, PacketStatsTable, PunchTrialTable, UploadGapTable,
+    UptimeTable, WifiTable,
 };
 use crate::runlog::{RunLog, UploadCounters};
 use crate::spill::{SegmentStore, SpillConfig, SpillError, SEGMENT_MAGIC};
 use crate::windows::Window;
 use firmware::heartbeat::Heartbeat;
-use firmware::records::{
-    CapacityRecord, DeviceCensusRecord, HeartbeatRecord, Record, RouterId, UptimeRecord,
-};
+use firmware::records::{HeartbeatRecord, Record, RouterId};
 use firmware::uploader::{GapCause, GapDecl};
 use household::Country;
 use parking_lot::Mutex;
@@ -52,22 +49,28 @@ fn shard_index(router: RouterId) -> usize {
     router.0 as usize % NUM_SHARDS
 }
 
-/// The nine columnar tables of [`Datasets`], listed once, in the order a
-/// seal encodes them into a segment. `columnar_tables!(m)` expands to
-/// `m! { field: Table, ... }`; every struct and loop over the columnar
-/// tables in this module is generated from it.
+/// The 13 record tables of [`Datasets`], listed once, in the order a seal
+/// encodes them into a segment, each with the name in its
+/// `dataset_<name>_records` gauge. `columnar_tables!(m)` expands to
+/// `m! { field: Table = "name", ... }`; every struct and loop over the
+/// record tables in this module is generated from it. The upload-gap
+/// ledger stays last: [`Datasets::record_count`] leaves it out.
 macro_rules! columnar_tables {
     ($m:ident) => {
         $m! {
-            packet_stats: PacketStatsTable,
-            flows: FlowTable,
-            dns: DnsTable,
-            macs: MacTable,
-            wifi: WifiTable,
-            associations: AssociationTable,
-            latency: LatencyTable,
-            nat_probes: NatProbeTable,
-            punch_trials: PunchTrialTable,
+            packet_stats: PacketStatsTable = "packet_stat",
+            flows: FlowTable = "flow",
+            dns: DnsTable = "dns",
+            macs: MacTable = "mac_sighting",
+            wifi: WifiTable = "wifi_scan",
+            associations: AssociationTable = "association",
+            latency: LatencyTable = "latency",
+            nat_probes: NatProbeTable = "nat_probe",
+            punch_trials: PunchTrialTable = "punch_trial",
+            uptime: UptimeTable = "uptime",
+            capacity: CapacityTable = "capacity",
+            devices: CensusTable = "device_census",
+            upload_gaps: UploadGapTable = "upload_gap",
         }
     };
 }
@@ -141,11 +144,11 @@ pub struct Datasets {
     /// Compressed heartbeat logs per router.
     pub heartbeats: BTreeMap<RouterId, RunLog>,
     /// Uptime reports.
-    pub uptime: Vec<UptimeRecord>,
+    pub uptime: UptimeTable,
     /// Capacity measurements.
-    pub capacity: Vec<CapacityRecord>,
+    pub capacity: CapacityTable,
     /// Hourly device censuses.
-    pub devices: Vec<DeviceCensusRecord>,
+    pub devices: CensusTable,
     /// WiFi scans, in columnar form.
     pub wifi: WifiTable,
     /// Per-minute packet statistics (Traffic), in columnar form.
@@ -169,17 +172,17 @@ pub struct Datasets {
     pub punch_trials: PunchTrialTable,
     /// The gap ledger: batch ranges declared lost by routers, sorted by
     /// (router, first_seq). Empty unless faults destroyed spooled data.
-    pub upload_gaps: Vec<UploadGapRecord>,
+    pub upload_gaps: UploadGapTable,
     /// Downtime windows the collection infrastructure announced for this
     /// run (injected by a fault plan). Empty in normal operation.
     pub collector_downtime: Vec<Window>,
 }
 
 /// Generates [`DatasetsAbsorber`] and the [`Datasets`] methods that visit
-/// every columnar table, from the `columnar_tables!` list.
+/// every record table, from the `columnar_tables!` list.
 macro_rules! columnar_table_set {
-    ($($field:ident: $Table:ident,)*) => {
-        /// Cross-window absorb state for a streamed study: every columnar
+    ($($field:ident: $Table:ident = $gauge:literal,)*) => {
+        /// Cross-window absorb state for a streamed study: every record
         /// table's per-router accumulated tail, so [`Datasets::absorb`]
         /// can take the append fast path for in-order window deltas and
         /// fall back to a per-router stable re-sort only when a delta
@@ -190,15 +193,29 @@ macro_rules! columnar_table_set {
         }
 
         impl Datasets {
-            /// Heap bytes held by the nine columnar high-volume tables.
-            /// The remaining row tables and heartbeat run-logs are small
-            /// by comparison; this is the number that moves when the
-            /// deployment is scaled with more homes.
+            /// The size of every collected table as `(gauge key, rows)`
+            /// pairs: heartbeats (counted per heartbeat, not per run),
+            /// then every record table, the upload-gap ledger last. These
+            /// are the `dataset_*_records` gauges of every run manifest.
+            pub fn record_counts(&self) -> [(&'static str, u64); 14] {
+                [
+                    (
+                        "dataset_heartbeat_records",
+                        self.heartbeats.values().map(RunLog::total_heartbeats).sum(),
+                    ),
+                    $((concat!("dataset_", $gauge, "_records"), self.$field.len() as u64),)*
+                ]
+            }
+
+            /// Heap bytes held by the resident columns of the 13 record
+            /// tables. Heartbeat run logs are small by comparison; this is
+            /// the number that moves when the deployment is scaled with
+            /// more homes.
             pub fn columnar_heap_bytes(&self) -> usize {
                 [$(self.$field.heap_bytes()),*].iter().sum()
             }
 
-            /// Bytes of columnar data living in on-disk segment files
+            /// Bytes of table data living in on-disk segment files
             /// rather than RAM. Zero unless the collector ran with a spill
             /// budget and crossed it; rows behind these bytes stream in
             /// lazily during iteration.
@@ -206,7 +223,7 @@ macro_rules! columnar_table_set {
                 [$(self.$field.spilled_bytes()),*].iter().sum()
             }
 
-            /// Fold `delta`'s columnar tables into these, then reclaim the
+            /// Fold `delta`'s record tables into these, then reclaim the
             /// delta's merged spill files: every spilled row is resident
             /// now, so they need not pile up one per window until the
             /// store drops.
@@ -217,12 +234,12 @@ macro_rules! columnar_table_set {
                 )*
             }
 
-            /// Does any columnar table hold rows in resident columns?
+            /// Does any record table hold rows in resident columns?
             fn has_resident_columns(&self) -> bool {
                 [$(self.$field.has_resident()),*].contains(&true)
             }
 
-            /// Encode every columnar table into `buf` as one segment, write
+            /// Encode every record table into `buf` as one segment, write
             /// it to `store` as `file`, and only then hand the rows over to
             /// the segment. The buffer is fully encoded before anything is
             /// reset, so an I/O error leaves every record resident —
@@ -239,7 +256,7 @@ macro_rules! columnar_table_set {
                 Ok(())
             }
 
-            /// Merge the shards' columnar tables into these, one scoped
+            /// Merge the shards' record tables into these, one scoped
             /// worker per table. Each worker merges in memory, or through
             /// the segment store when some shard spilled that table.
             fn merge_columns(
@@ -272,51 +289,9 @@ impl Datasets {
             .and_then(|i| self.routers.get(i))
     }
 
-    /// One router's uptime reports, in time order (empty if none).
-    pub fn router_uptime(&self, router: RouterId) -> &[UptimeRecord] {
-        router_run(&self.uptime, router, |r| r.router)
-    }
-
-    /// One router's capacity measurements, in time order.
-    pub fn router_capacity(&self, router: RouterId) -> &[CapacityRecord] {
-        router_run(&self.capacity, router, |r| r.router)
-    }
-
-    /// One router's device censuses, in time order.
-    pub fn router_devices(&self, router: RouterId) -> &[DeviceCensusRecord] {
-        router_run(&self.devices, router, |r| r.router)
-    }
-
     /// Routers in the Traffic data set (consented).
     pub fn traffic_routers(&self) -> Vec<RouterId> {
         self.routers.iter().filter(|m| m.traffic_consent).map(|m| m.router).collect()
-    }
-
-    /// The size of every collected table as `(gauge key, rows)` pairs:
-    /// heartbeats (counted per heartbeat, not per run), the row tables,
-    /// the nine columnar tables, and last the upload-gap ledger. These
-    /// are the `dataset_*_records` gauges of every run manifest.
-    pub fn record_counts(&self) -> [(&'static str, u64); 14] {
-        let rows = |n: usize| n as u64;
-        [
-            (
-                "dataset_heartbeat_records",
-                self.heartbeats.values().map(RunLog::total_heartbeats).sum(),
-            ),
-            ("dataset_uptime_records", rows(self.uptime.len())),
-            ("dataset_capacity_records", rows(self.capacity.len())),
-            ("dataset_device_census_records", rows(self.devices.len())),
-            ("dataset_wifi_scan_records", rows(self.wifi.len())),
-            ("dataset_packet_stat_records", rows(self.packet_stats.len())),
-            ("dataset_flow_records", rows(self.flows.len())),
-            ("dataset_dns_records", rows(self.dns.len())),
-            ("dataset_mac_sighting_records", rows(self.macs.len())),
-            ("dataset_association_records", rows(self.associations.len())),
-            ("dataset_latency_records", rows(self.latency.len())),
-            ("dataset_nat_probe_records", rows(self.nat_probes.len())),
-            ("dataset_punch_trial_records", rows(self.punch_trials.len())),
-            ("dataset_upload_gap_records", rows(self.upload_gaps.len())),
-        ]
     }
 
     /// Total records across all sets (diagnostic). The upload-gap ledger
@@ -331,8 +306,8 @@ impl Datasets {
     /// exact batch arrival order (the drain hands over only what was
     /// applied behind the watermark), so after the final window every
     /// table here is byte-identical to the single batch snapshot —
-    /// row tables merge with ties keeping the earlier window, columnar
-    /// tables append behind each router's tail (see the per-table
+    /// record tables append behind each router's tail or re-sort that
+    /// router with ties keeping the earlier window (see the per-table
     /// `absorb`), and heartbeat logs splice at run granularity.
     ///
     /// The accumulator stays fully resident; a spill-backed delta
@@ -351,54 +326,7 @@ impl Datasets {
                 }
             }
         }
-        absorb_rows(&mut self.uptime, std::mem::take(&mut delta.uptime), |r| (r.router, r.at));
-        absorb_rows(&mut self.capacity, std::mem::take(&mut delta.capacity), |r| {
-            (r.router, r.at)
-        });
-        absorb_rows(&mut self.devices, std::mem::take(&mut delta.devices), |r| {
-            (r.router, r.at)
-        });
-        absorb_rows(&mut self.upload_gaps, std::mem::take(&mut delta.upload_gaps), |r| {
-            (r.router, r.first_seq)
-        });
         self.absorb_columns(&mut delta, state);
-    }
-}
-
-/// One router's rows of a router-sorted row table: two binary searches.
-/// [`merge_table`] and [`absorb_rows`] keep every row table sorted with
-/// the router as the leading key, so a router's rows are contiguous.
-fn router_run<T>(table: &[T], router: RouterId, router_of: impl Fn(&T) -> RouterId) -> &[T] {
-    let start = table.partition_point(|r| router_of(r) < router);
-    let end = table.partition_point(|r| router_of(r) <= router);
-    table.get(start..end).unwrap_or_default()
-}
-
-/// Fold one window's sorted rows behind an accumulated sorted row table.
-///
-/// Both sides are already sorted by `key` (the accumulator inductively,
-/// the delta by its shard merge); the steady state is a plain append, and
-/// a delta that starts before the accumulated tail takes a two-pointer
-/// stable merge with ties keeping the accumulated side — element for
-/// element the order one batch-wide stable sort of all arrivals produces.
-fn absorb_rows<T, K: Ord>(acc: &mut Vec<T>, delta: Vec<T>, key: impl Fn(&T) -> K) {
-    let Some(first) = delta.first() else { return };
-    if acc.last().is_none_or(|last| key(last) <= key(first)) {
-        acc.extend(delta);
-        return;
-    }
-    let old = std::mem::replace(acc, Vec::with_capacity(acc.len() + delta.len()));
-    let mut a = old.into_iter().peekable();
-    let mut b = delta.into_iter().peekable();
-    loop {
-        let take_a = match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => key(x) <= key(y),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let next = if take_a { a.next() } else { b.next() };
-        acc.extend(next);
     }
 }
 
@@ -413,7 +341,7 @@ struct ShardSpill {
     /// split evenly across shards. A budget of 0 seals on every batch.
     budget: usize,
     /// Segments sealed since startup or the last drain. Their rows are
-    /// the spilled parts of the shard's columnar tables.
+    /// the spilled parts of the shard's record tables.
     segments: u64,
     /// Bytes written across those segments.
     bytes: u64,
@@ -448,7 +376,7 @@ struct Shard {
     seq: BTreeMap<RouterId, SeqState>,
     /// Delivery accounting for the batch upload path.
     counters: UploadCounters,
-    /// Estimated resident heap bytes of the nine columnar tables, grown on
+    /// Estimated resident heap bytes of the 13 record tables, grown on
     /// the ingest path by each table's `resident_bytes` (its columns'
     /// steady-state bytes per value) and reset at each seal.
     columnar_est: usize,
@@ -482,51 +410,25 @@ impl Shard {
         self.outages.iter().any(|w| w.contains(at))
     }
 
-    /// Append a record to its table, with no outage check. The columnar
-    /// arms also grow the resident-size estimate that drives spilling.
+    /// Append a record to its table, with no outage check. Every arm but
+    /// the heartbeat's also grows the resident-size estimate that drives
+    /// spilling.
     fn route(&mut self, record: Record) {
-        let t = &mut self.tables;
+        let (t, est) = (&mut self.tables, &mut self.columnar_est);
         match record {
             Record::Heartbeat(r) => t.heartbeats.entry(r.router).or_default().push(r.at),
-            Record::Uptime(r) => t.uptime.push(r),
-            Record::Capacity(r) => t.capacity.push(r),
-            Record::DeviceCensus(r) => t.devices.push(r),
-            Record::WifiScan(r) => {
-                self.columnar_est += WifiTable::resident_bytes(&r);
-                t.wifi.push(r);
-            }
-            Record::PacketStats(r) => {
-                self.columnar_est += PacketStatsTable::resident_bytes(&r);
-                t.packet_stats.push(r);
-            }
-            Record::Flow(r) => {
-                self.columnar_est += FlowTable::resident_bytes(&r);
-                t.flows.push(r);
-            }
-            Record::DnsSample(r) => {
-                self.columnar_est += DnsTable::resident_bytes(&r);
-                t.dns.push(r);
-            }
-            Record::MacSighting(r) => {
-                self.columnar_est += MacTable::resident_bytes(&r);
-                t.macs.push(r);
-            }
-            Record::Association(r) => {
-                self.columnar_est += AssociationTable::resident_bytes(&r);
-                t.associations.push(r);
-            }
-            Record::Latency(r) => {
-                self.columnar_est += LatencyTable::resident_bytes(&r);
-                t.latency.push(r);
-            }
-            Record::NatProbe(r) => {
-                self.columnar_est += NatProbeTable::resident_bytes(&r);
-                t.nat_probes.push(r);
-            }
-            Record::PunchTrial(r) => {
-                self.columnar_est += PunchTrialTable::resident_bytes(&r);
-                t.punch_trials.push(r);
-            }
+            Record::Uptime(r) => t.uptime.push_estimated(r, est),
+            Record::Capacity(r) => t.capacity.push_estimated(r, est),
+            Record::DeviceCensus(r) => t.devices.push_estimated(r, est),
+            Record::WifiScan(r) => t.wifi.push_estimated(r, est),
+            Record::PacketStats(r) => t.packet_stats.push_estimated(r, est),
+            Record::Flow(r) => t.flows.push_estimated(r, est),
+            Record::DnsSample(r) => t.dns.push_estimated(r, est),
+            Record::MacSighting(r) => t.macs.push_estimated(r, est),
+            Record::Association(r) => t.associations.push_estimated(r, est),
+            Record::Latency(r) => t.latency.push_estimated(r, est),
+            Record::NatProbe(r) => t.nat_probes.push_estimated(r, est),
+            Record::PunchTrial(r) => t.punch_trials.push_estimated(r, est),
         }
     }
 
@@ -551,7 +453,7 @@ impl Shard {
         self.maybe_spill();
     }
 
-    /// Seal the columnar tables to disk if spilling is armed and the
+    /// Seal the record tables to disk if spilling is armed and the
     /// resident estimate has crossed this shard's budget slice. On the hot
     /// path after every ingest call: the common cases (spill disabled, or
     /// under budget) are two branches and zero allocation.
@@ -575,7 +477,7 @@ impl Shard {
         }
     }
 
-    /// Seal the columnar tables into one new segment file (see
+    /// Seal the record tables into one new segment file (see
     /// [`Datasets::seal_columns`]) and reset the resident estimate.
     fn try_seal(&mut self) -> Result<(), SpillError> {
         let Some(sp) = &mut self.spill else { return Ok(()) };
@@ -718,7 +620,7 @@ impl Shard {
         for s in g.first_seq.max(state.watermark + 1)..=g.last_seq {
             state.pending.entry(s).or_insert(Pending::Gap);
         }
-        self.tables.upload_gaps.push(UploadGapRecord {
+        let row = UploadGapRecord {
             router,
             first_seq: g.first_seq,
             last_seq: g.last_seq,
@@ -726,7 +628,8 @@ impl Shard {
             from: g.from,
             to: g.to,
             cause: g.cause,
-        });
+        };
+        self.tables.upload_gaps.push_estimated(row, &mut self.columnar_est);
         self.counters.gap_declarations += 1;
     }
 
@@ -923,7 +826,7 @@ impl Collector {
 
     /// Arm out-of-core mode: every shard gets an even slice of
     /// `config.budget_bytes` as its resident-columnar budget and seals its
-    /// columnar tables into segment files (under `config.dir`, or the OS
+    /// record tables into segment files (under `config.dir`, or the OS
     /// temp directory) whenever ingestion crosses that slice. Call before
     /// ingestion starts; the drain's merge reunifies spilled and resident
     /// rows deterministically, so reports are byte-identical to an
@@ -1103,42 +1006,6 @@ fn merged_or_panic(merged: Result<Datasets, SpillError>, during: &str) -> Datase
     }
 }
 
-/// Merge per-shard chunks of one table into a single sorted table.
-///
-/// Fast path: if every chunk is internally non-decreasing by `key` and the
-/// chunks' key ranges don't overlap once ordered by first key, the sorted
-/// result is just their concatenation — O(n) moves, no comparison sort.
-/// Every per-table sort key here starts with the router ID and each router
-/// lives on exactly one shard, so shards whose records were emitted in
-/// order hit this path. Otherwise fall back to concatenation plus a stable
-/// sort (run-adaptive, so nearly-sorted input stays cheap). Chunks arrive
-/// in shard-index order, which is a pure function of router ID — never of
-/// thread schedule — so both paths are deterministic.
-fn merge_table<T, K: Ord, F: Fn(&T) -> K>(mut chunks: Vec<Vec<T>>, key: F) -> Vec<T> {
-    chunks.retain(|c| !c.is_empty());
-    if chunks.is_empty() {
-        return Vec::new();
-    }
-    chunks.sort_by_key(|c| c.first().map(&key));
-    let internally_sorted =
-        chunks.iter().all(|c| c.iter().zip(c.iter().skip(1)).all(|(a, b)| key(a) <= key(b)));
-    let ranges_disjoint =
-        chunks.iter().zip(chunks.iter().skip(1)).all(|(a, b)| match (a.last(), b.first()) {
-            (Some(end), Some(start)) => key(end) <= key(start),
-            _ => true,
-        });
-    let sorted_disjoint = internally_sorted && ranges_disjoint;
-    let total = chunks.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    if !sorted_disjoint {
-        out.sort_by_key(&key);
-    }
-    out
-}
-
 /// Collect one merge worker's table. A worker is pure comparison-and-move
 /// code, so the only failure mode is a panic; re-raising the original
 /// payload on the draining caller is the correct propagation (there is no
@@ -1161,28 +1028,16 @@ fn merge_chunks(
 ) -> Result<Datasets, SpillError> {
     routers.sort_by_key(|m| m.router);
     let mut data = Datasets { routers, collector_downtime, ..Datasets::default() };
-    let mut uptime = Vec::with_capacity(chunks.len());
-    let mut capacity = Vec::with_capacity(chunks.len());
-    let mut devices = Vec::with_capacity(chunks.len());
-    let mut upload_gaps = Vec::with_capacity(chunks.len());
     for chunk in &mut chunks {
         // Routers are partitioned across shards, so no key collides.
         // Insert, so each chunk costs only its own entries: `append`
         // would rebuild the whole merged tree once per shard.
         data.heartbeats.extend(std::mem::take(&mut chunk.heartbeats));
-        uptime.push(std::mem::take(&mut chunk.uptime));
-        capacity.push(std::mem::take(&mut chunk.capacity));
-        devices.push(std::mem::take(&mut chunk.devices));
-        upload_gaps.push(std::mem::take(&mut chunk.upload_gaps));
     }
-    // The ledger is tiny (one row per declared loss); merge it inline
-    // rather than on the scoped threads below.
-    data.upload_gaps = merge_table(upload_gaps, |r: &UploadGapRecord| (r.router, r.first_seq));
-
     let merge_id = match spill.filter(|_| segments > 0) {
         Some(store) => {
             // Merge fan-in: every sealed segment plus every shard with
-            // resident columnar rows contributes one sorted input run.
+            // resident rows contributes one input run.
             let resident = chunks.iter().filter(|c| c.has_resident_columns()).count() as u64;
             obs::gauge("spill_merge_fanin").set(segments + resident);
             // Drains merge repeatedly over the same store, so
@@ -1191,27 +1046,14 @@ fn merge_chunks(
         }
         None => 0,
     };
-    // The per-table merges are independent; run them on scoped threads so a
-    // drain of a 33M-record study sorts all twelve tables concurrently.
-    crossbeam::scope(|scope| -> Result<(), SpillError> {
-        let uptime = scope.spawn(|_| merge_table(uptime, |r: &UptimeRecord| (r.router, r.at)));
-        let capacity =
-            scope.spawn(|_| merge_table(capacity, |r: &CapacityRecord| (r.router, r.at)));
-        let devices =
-            scope.spawn(|_| merge_table(devices, |r: &DeviceCensusRecord| (r.router, r.at)));
-        let columns = data.merge_columns(&mut chunks, merge_id);
-        data.uptime = join_merged(uptime);
-        data.capacity = join_merged(capacity);
-        data.devices = join_merged(devices);
-        columns
-    })
-    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+    data.merge_columns(&mut chunks, merge_id)?;
     Ok(data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use firmware::records::{CapacityRecord, DeviceCensusRecord, UptimeRecord};
     use simnet::time::SimDuration;
     use std::net::Ipv4Addr;
 
@@ -1280,9 +1122,9 @@ mod tests {
     #[test]
     fn router_accessors_find_each_contiguous_run() {
         let collector = Collector::new();
-        // Routers 130 and 2 collide with 2 mod 128: the drain's merge
-        // takes the in-shard stable-sort fallback as well as the
-        // disjoint fast path.
+        // Routers 130 and 2 collide with 2 mod 128 and share a shard.
+        // Router 2's rows arrive out of time order, so the drain's merge
+        // re-sorts them; router 130's stay as they came.
         for (router, at) in [(130u32, 5u64), (2, 9), (3, 1), (130, 7), (2, 4)] {
             let (router, at) = (RouterId(router), m(at));
             collector.ingest(Record::Uptime(UptimeRecord {
@@ -1321,13 +1163,12 @@ mod tests {
             (131, vec![]),
         ] {
             let router = RouterId(router);
-            let uptime: Vec<SimTime> = data.router_uptime(router).iter().map(|r| r.at).collect();
-            let capacity: Vec<SimTime> =
-                data.router_capacity(router).iter().map(|r| r.at).collect();
-            let devices: Vec<SimTime> = data.router_devices(router).iter().map(|r| r.at).collect();
+            let uptime: Vec<SimTime> = data.uptime.router(router).map(|r| r.at).collect();
+            let capacity: Vec<SimTime> = data.capacity.router(router).map(|r| r.at).collect();
+            let devices: Vec<SimTime> = data.devices.router(router).map(|r| r.at).collect();
             assert_eq!((uptime, capacity, devices), (times.clone(), times.clone(), times));
         }
-        assert!(Datasets::default().router_uptime(RouterId(2)).is_empty());
+        assert_eq!(Datasets::default().uptime.router(RouterId(2)).count(), 0);
     }
 
     #[test]
@@ -1490,7 +1331,7 @@ mod tests {
         handle.ingest_upload(m(51), RouterId(9), 3, 1, &[decl], &mut replay);
         assert_eq!(collector.drain_delta().record_count(), 0, "the replay's drain has no rows");
         assert_eq!(data.upload_gaps.len(), 1);
-        let row = data.upload_gaps[0];
+        let row = data.upload_gaps.iter().next().expect("one ledger row");
         assert_eq!(
             (row.router, row.first_seq, row.last_seq, row.records_lost, row.cause),
             (RouterId(9), 1, 2, 100, GapCause::FlashWipe)

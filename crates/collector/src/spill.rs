@@ -1,15 +1,17 @@
-//! Out-of-core segment storage for the columnar dataset tables.
+//! Out-of-core segment storage for the collector's record tables.
 //!
 //! When a study runs with a spill budget (see [`SpillConfig`]), every
-//! collector shard that outgrows its slice of the budget *seals* its nine
-//! columnar tables (of the collector's 14) into one segment file on disk —
+//! collector shard that outgrows its slice of the budget *seals* its 13
+//! record tables (of the collector's 15) into one segment file on disk —
 //! a compact little-endian framing of the existing column representation
-//! (delta-coded times, narrow counters, interned domains) — and keeps
-//! simulating into fresh in-memory columns. At snapshot the sealed
-//! segments are k-way merged with the resident columns into per-table
-//! merged files, in the same router-ID/stable order as the in-memory shard
-//! merge, so reports are byte-identical to the unbounded run at every
-//! scale and thread count.
+//! (delta-coded times, narrow counters, interned domains, whole rows) —
+//! and keeps simulating into fresh in-memory columns. At snapshot each
+//! table's merge concatenates every router's parts in seal order, then
+//! its resident columns, and stably re-sorts only a router whose rows
+//! arrived out of key order, writing the spilled routers to one merged
+//! file per table. That is the order of the in-memory shard merge, so
+//! reports are byte-identical to the unbounded run at every scale and
+//! thread count.
 //!
 //! Layout and lifetime:
 //!
@@ -17,7 +19,7 @@
 //!   configured `--spill-dir`, or the OS temp dir) and removes it when the
 //!   last reference drops. Segments never outlive the process, so files
 //!   carry no self-describing table of contents — each seal leaves every
-//!   columnar table an in-memory part mapping its routers to
+//!   record table an in-memory part mapping its routers to
 //!   `BlockRef`s in the segment.
 //! * Every block is the encoding of one router's column group for one
 //!   table. Blocks are written in ascending router order within a

@@ -10,15 +10,17 @@
 //! sorted by (router, per-table subkey).
 
 use collector::{
-    AssociationTable, DnsTable, FlowTable, LatencyTable, MacTable, NatProbeTable,
-    PacketStatsTable, PunchTrialTable, WifiTable,
+    AssociationTable, CapacityTable, CensusTable, DnsTable, FlowTable, LatencyTable, MacTable,
+    NatProbeTable, PacketStatsTable, PunchTrialTable, UploadGapRecord, UploadGapTable,
+    UptimeTable, WifiTable,
 };
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::records::{
-    ApSighting, AssociationRecord, DnsSampleRecord, FlowRecord, LatencyRecord, MacSightingRecord,
-    Medium, NatProbeRecord, NatType, PacketStatsRecord, PunchTrialRecord, RouterId,
-    WifiScanRecord,
+    ApSighting, AssociationRecord, CapacityRecord, DeviceCensusRecord, DnsSampleRecord,
+    FlowRecord, LatencyRecord, MacSightingRecord, Medium, NatProbeRecord, NatType,
+    PacketStatsRecord, PunchTrialRecord, RouterId, UptimeRecord, WifiScanRecord,
 };
+use firmware::uploader::GapCause;
 use proptest::prelude::*;
 use simnet::dns::DomainName;
 use simnet::packet::IpProtocol;
@@ -104,7 +106,7 @@ fn specs() -> impl Strategy<Value = Vec<FlowSpec>> {
     )
 }
 
-/// Compact generated form of one record of the other six tables:
+/// Compact generated form of one record of the other ten tables:
 /// (router, time µs, a full-range `u64`, a selector, a flag, AP
 /// sightings). The selector picks devices, media and NAT types; the wide
 /// value crosses every narrow lane's escape threshold.
@@ -201,6 +203,51 @@ fn punch_trial_from(spec: &RecordSpec) -> PunchTrialRecord {
         local_type: nat_type(sel),
         peer_type: nat_type(sel / 5),
         success: flag,
+    }
+}
+
+fn uptime_from(spec: &RecordSpec) -> UptimeRecord {
+    let (router, at_us, wide, _, _, _) = *spec;
+    UptimeRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        uptime: SimDuration::from_micros(wide),
+    }
+}
+
+fn capacity_from(spec: &RecordSpec) -> CapacityRecord {
+    let (router, at_us, wide, sel, flag, _) = *spec;
+    CapacityRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        down_bps: wide,
+        up_bps: u64::from(sel),
+        shaping_detected: flag,
+    }
+}
+
+fn census_from(spec: &RecordSpec) -> DeviceCensusRecord {
+    let (router, at_us, wide, sel, _, _) = *spec;
+    DeviceCensusRecord {
+        router: RouterId(router),
+        at: SimTime::from_micros(at_us),
+        wired: sel % 5,
+        wireless_24: sel,
+        wireless_5: wide as u8,
+    }
+}
+
+/// A ledger row keyed by a small first sequence number, so ties occur.
+fn upload_gap_from(spec: &RecordSpec) -> UploadGapRecord {
+    let (router, at_us, wide, sel, flag, _) = *spec;
+    UploadGapRecord {
+        router: RouterId(router),
+        first_seq: at_us % 8,
+        last_seq: wide,
+        records_lost: u64::from(sel),
+        from: SimTime::from_micros(at_us),
+        to: SimTime::from_micros(wide),
+        cause: if flag { GapCause::FlashWipe } else { GapCause::Evicted },
     }
 }
 
@@ -332,5 +379,9 @@ proptest! {
         prop_assert_matches_rows!(LatencyTable, expand(s, latency_from), |r| r.at);
         prop_assert_matches_rows!(NatProbeTable, expand(s, nat_probe_from), |r| r.at);
         prop_assert_matches_rows!(PunchTrialTable, expand(s, punch_trial_from), |r| (r.at, r.peer));
+        prop_assert_matches_rows!(UptimeTable, expand(s, uptime_from), |r| r.at);
+        prop_assert_matches_rows!(CapacityTable, expand(s, capacity_from), |r| r.at);
+        prop_assert_matches_rows!(CensusTable, expand(s, census_from), |r| r.at);
+        prop_assert_matches_rows!(UploadGapTable, expand(s, upload_gap_from), |r| r.first_seq);
     }
 }

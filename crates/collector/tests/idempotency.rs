@@ -126,9 +126,10 @@ proptest! {
         );
         // The gap ledger is part of the equality above, but make the
         // expectation explicit: exactly one gap record, never duplicated.
-        prop_assert_eq!(datasets.upload_gaps.len(), 1);
-        prop_assert_eq!(datasets.upload_gaps[0].first_seq, GAP_SEQ);
-        prop_assert_eq!(datasets.upload_gaps[0].records_lost, 3);
+        let gaps: Vec<_> = datasets.upload_gaps.iter().collect();
+        prop_assert_eq!(gaps.len(), 1);
+        prop_assert_eq!(gaps[0].first_seq, GAP_SEQ);
+        prop_assert_eq!(gaps[0].records_lost, 3);
     }
 
     #[test]

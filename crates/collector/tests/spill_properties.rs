@@ -11,8 +11,8 @@
 //! same merge. Each must equal the model as a whole `Datasets` —
 //! including at the degenerate budget of zero bytes, where every batch
 //! seals its own segment, and for drains at arbitrary cut points. Either
-//! way every row table stays router-sorted, so the per-router accessors
-//! find exactly the rows a linear filter by router finds.
+//! way every table's `router(r)` reads exactly `r`'s arrivals, stably
+//! sorted by the table's key.
 
 use collector::{Collector, Datasets, DatasetsAbsorber, RouterMeta, SpillConfig};
 use firmware::anonymize::{AnonMac, ReportedDomain};
@@ -52,8 +52,8 @@ fn domain_from(selector: u8) -> ReportedDomain {
 }
 
 /// Expand the `index`-th spec into a record; the kind selector cycles
-/// through all nine spilled tables, so every segment carries a mix, and the
-/// four resident kinds. Heartbeats take their time from `index` instead of
+/// through the twelve uploaded tables, so every segment carries a mix, and
+/// heartbeats. Heartbeats take their time from `index` instead of
 /// the spec: run logs require each router's heartbeats in order.
 fn record_from(index: usize, spec: RecordSpec) -> Record {
     let (router_sel, kind, at_us, dev, dom, bytes) = spec;
@@ -287,30 +287,57 @@ fn assert_drained_stream_matches_memory(
     assert_eq!(acc, unbounded.drain_delta(), "take path");
 }
 
-/// Every per-router row accessor must return exactly the rows a linear
-/// filter by router finds, in table order: the accessors' binary search
-/// rests on each row table being router-sorted. Routers 0, 3 and
-/// `u32::MAX` never report; the rest of `ROUTERS` may.
-fn assert_router_runs_match_filter(data: &Datasets) {
-    let absent = [0, 3, u32::MAX];
-    for router in ROUTERS.into_iter().chain(absent).map(RouterId) {
-        assert_eq!(
-            data.router_uptime(router).iter().collect::<Vec<_>>(),
-            data.uptime.iter().filter(|r| r.router == router).collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            data.router_capacity(router).iter().collect::<Vec<_>>(),
-            data.capacity.iter().filter(|r| r.router == router).collect::<Vec<_>>(),
-        );
-        assert_eq!(
-            data.router_devices(router).iter().collect::<Vec<_>>(),
-            data.devices.iter().filter(|r| r.router == router).collect::<Vec<_>>(),
-        );
+/// Routers that never report.
+const ABSENT: [u32; 3] = [0, 3, u32::MAX];
+
+/// Every table's `router(r)` must return exactly `r`'s arrivals of that
+/// record kind stably sorted by the table's key, and the rows a linear
+/// filter of the flat iteration finds, for every router in `ROUTERS` and
+/// `ABSENT`. `arrivals` is every record ingested, in arrival order.
+fn assert_router_runs_match_arrivals(data: &Datasets, arrivals: &[Record]) {
+    macro_rules! check {
+        ($($field:ident: $Kind:ident |$r:ident| $key:expr;)*) => {$(
+            for router in ROUTERS.into_iter().chain(ABSENT).map(RouterId) {
+                let got: Vec<_> = data.$field.router(router).collect();
+                let mut want: Vec<_> = arrivals
+                    .iter()
+                    .filter_map(|record| match record {
+                        Record::$Kind(row) if row.router == router => Some(row.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                want.sort_by_key(|$r| $key);
+                assert_eq!(got, want, "{} rows of {router:?}", stringify!($field));
+                let filtered: Vec<_> =
+                    data.$field.iter().filter(|row| row.router == router).collect();
+                assert_eq!(got, filtered, "{} filter of {router:?}", stringify!($field));
+            }
+        )*};
+    }
+    check! {
+        packet_stats: PacketStats |r| r.at;
+        flows: Flow |r| (r.ended, r.started, r.device);
+        dns: DnsSample |r| (r.at, r.device);
+        macs: MacSighting |r| (r.first_seen, r.device);
+        wifi: WifiScan |r| (r.at, r.band);
+        associations: Association |r| (r.at, r.device, r.medium);
+        latency: Latency |r| r.at;
+        nat_probes: NatProbe |r| r.at;
+        punch_trials: PunchTrial |r| (r.at, r.peer);
+        uptime: Uptime |r| r.at;
+        capacity: Capacity |r| r.at;
+        devices: DeviceCensus |r| r.at;
+    }
+    // Batches carry no gap declarations here, so the ledger stays empty.
+    for router in ROUTERS.into_iter().chain(ABSENT).map(RouterId) {
+        assert_eq!(data.upload_gaps.router(router).count(), 0);
     }
 }
 
 /// The same arrivals taken out of one collector by a single drain and
 /// out of another at cut points, each delta absorbed as a stream window.
+/// Spec times are drawn independently of arrival order, so a router's
+/// later windows often step back before its absorbed tail.
 fn assert_router_runs_hold(specs: Vec<RecordSpec>, batch: usize, cuts: Vec<bool>) {
     let records = records_from(specs);
     let single = Collector::new();
@@ -325,8 +352,8 @@ fn assert_router_runs_hold(specs: Vec<RecordSpec>, batch: usize, cuts: Vec<bool>
         }
     }
     acc.absorb(stream.drain_delta(), &mut absorber);
-    assert_router_runs_match_filter(&single.drain_delta());
-    assert_router_runs_match_filter(&acc);
+    assert_router_runs_match_arrivals(&single.drain_delta(), &records);
+    assert_router_runs_match_arrivals(&acc, &records);
 }
 
 proptest! {

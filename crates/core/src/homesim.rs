@@ -28,6 +28,7 @@
 use crate::study::StudyWindows;
 use cgn::plan::HomeCgn;
 use cgn::{run_trial, CgnHop, NatChain, SyntheticPeer};
+use collector::windows::Window;
 use collector::{Collector, UploadOutcome};
 use faultlab::{ClockSkew, HomeFaults};
 use firmware::anonymize::Anonymizer;
@@ -161,6 +162,46 @@ pub struct SimParams<'a> {
     pub cgn: Option<&'a HomeCgn>,
 }
 
+/// A home's root stream, powered intervals and ISP outages, derived from
+/// the study seed: the one derivation both [`HomeSim::new`] and
+/// [`crate::validation::ground_truth_up`] run.
+#[derive(Debug, Clone)]
+pub struct HomeSchedules {
+    /// The stream every per-home stream derives from.
+    pub root: DetRng,
+    /// The home's own power schedule less any injected power cycles.
+    pub powered: Vec<Interval>,
+    /// When the ISP is down.
+    pub outages: Vec<Interval>,
+}
+
+impl HomeSchedules {
+    /// Derive `cfg`'s schedules over `span` for study `seed`. Injected
+    /// power cycles are cut from the home's own schedule up front, so no
+    /// handler needs to know whether an outage was organic or injected.
+    pub fn derive(
+        cfg: &HomeConfig,
+        span: Window,
+        seed: u64,
+        faults: Option<&HomeFaults>,
+    ) -> HomeSchedules {
+        let root = DetRng::new(seed).derive_indexed("homesim", u64::from(cfg.id.0));
+        let mut power_rng = root.derive("power");
+        let base = cfg.availability.power_intervals(span.start, span.end, &mut power_rng);
+        let powered = match faults {
+            Some(f) if !f.power_cycles.is_empty() => {
+                let cuts: Vec<Interval> =
+                    f.power_cycles.iter().map(|c| Interval::new(c.at, c.until())).collect();
+                interval::subtract(&base, &cuts)
+            }
+            _ => base,
+        };
+        let mut outage_rng = root.derive("outage");
+        let outages = cfg.availability.isp_outages(span.start, span.end, &mut outage_rng);
+        HomeSchedules { root, powered, outages }
+    }
+}
+
 /// The simulation engine for one home.
 pub struct HomeSim<'a> {
     cfg: &'a HomeConfig,
@@ -236,7 +277,9 @@ impl<'a> HomeSim<'a> {
     pub fn new(params: SimParams<'a>) -> HomeSim<'a> {
         let cfg = params.cfg;
         let windows = params.windows.clone();
-        let root = DetRng::new(params.seed).derive_indexed("homesim", u64::from(cfg.id.0));
+        let span = windows.span;
+        let HomeSchedules { root, powered, outages } =
+            HomeSchedules::derive(cfg, span, params.seed, params.faults);
         let router = RouterId(cfg.id.0);
         // Only consenting homes capture traffic, so only they pay for the
         // anonymizer and its whitelist. Deriving a stream draws nothing.
@@ -246,26 +289,8 @@ impl<'a> HomeSim<'a> {
         });
         let mut queue = EventQueue::new();
 
-        let span = windows.span;
-        // Power schedule → PowerOn/PowerOff events. Injected power cycles
-        // are subtracted from the home's own schedule up front, so the
-        // merged intervals drive the exact same two events and no handler
-        // needs to know whether an outage was organic or injected.
-        let mut power_rng = root.derive("power");
-        let powered = {
-            let base = cfg.availability.power_intervals(span.start, span.end, &mut power_rng);
-            match params.faults {
-                Some(f) if !f.power_cycles.is_empty() => {
-                    let cuts: Vec<Interval> = f
-                        .power_cycles
-                        .iter()
-                        .map(|c| Interval::new(c.at, c.until()))
-                        .collect();
-                    interval::subtract(&base, &cuts)
-                }
-                _ => base,
-            }
-        };
+        // Power schedule → PowerOn/PowerOff events; the ISP outage
+        // schedule is queried on demand.
         let powered_hist =
             obs::histogram("home_powered_interval_micros", &obs::DURATION_BOUNDS_MICROS);
         for iv in &powered {
@@ -282,10 +307,6 @@ impl<'a> HomeSim<'a> {
                 }
             }
         }
-        // ISP outage schedule, queried on demand.
-        let mut outage_rng = root.derive("outage");
-        let outages = cfg.availability.isp_outages(span.start, span.end, &mut outage_rng);
-
         // Global periodic schedules (handlers check power state).
         queue.schedule(span.start + SimDuration::from_mins(30), Ev::PresenceSlot);
         queue.schedule(windows.devices.start, Ev::Census);
@@ -931,6 +952,7 @@ impl<'a> HomeSim<'a> {
             let census = Record::DeviceCensus(self.gateway.census(now));
             self.emit(now, census);
             // Per-device association reports with anonymized MACs.
+            let reports = self.out.len();
             let anonymizer = Anonymizer::new(
                 DetRng::new(self.rng_presence.seed()).derive("assoc-key").seed(),
                 [],
@@ -954,6 +976,13 @@ impl<'a> HomeSim<'a> {
                     }),
                 );
             }
+            // Leave in the association table's key order, (at, device,
+            // medium), so a drain need not re-sort the router's rows. A
+            // stable sort of a slice this short allocates nothing.
+            self.out[reports..].sort_by_key(|r| match r {
+                Record::Association(a) => Some((a.device, a.medium)),
+                _ => None,
+            });
         }
         let next = now + SimDuration::from_hours(1);
         if next < self.windows.devices.end {
@@ -1777,6 +1806,56 @@ mod tests {
                 / cfg.down_link.rate_bps as f64;
             assert!(err < 0.10, "estimate {} vs {}", rec.down_bps, cfg.down_link.rate_bps);
         }
+    }
+
+    #[test]
+    fn a_census_emits_its_association_reports_in_key_order() {
+        let universe = DomainUniverse::standard();
+        let zone = universe.build_zone();
+        let windows = short_windows(10);
+        let mut cfg = HomeConfig::sample(
+            household::HomeId(1),
+            Country::UnitedStates,
+            &DetRng::new(99).derive("h"),
+            &universe,
+        );
+        cfg.traffic_consent = false;
+        for device in &mut cfg.devices {
+            device.always_connected = true;
+        }
+        let collector = Collector::new();
+        let shard = collector.shard_handle(RouterId(1));
+        let mut sim = HomeSim::new(SimParams {
+            cfg: &cfg,
+            universe: &universe,
+            zone: &zone,
+            windows: &windows,
+            seed: 42,
+            reliable_upload: false,
+            faults: None,
+            cgn: None,
+        });
+        // Drive the events by hand and read what each census appends.
+        let (mut censuses, mut reports) = (0, 0);
+        while let Some((now, ev)) = sim.queue.pop_if_before(windows.span.end) {
+            let from = sim.out.len();
+            let census = matches!(ev, Ev::Census);
+            sim.handle(now, ev, &shard);
+            if census {
+                let keys: Vec<_> = sim.out[from..]
+                    .iter()
+                    .filter_map(|r| match r {
+                        Record::Association(a) => Some((a.at, a.device, a.medium)),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(keys.windows(2).all(|k| k[0] <= k[1]), "census at {now}: {keys:?}");
+                censuses += 1;
+                reports += keys.len();
+            }
+            sim.out.clear();
+        }
+        assert!(censuses >= 24 && reports >= 3 * censuses, "{censuses} censuses, {reports} reports");
     }
 
     #[test]

@@ -105,9 +105,9 @@ pub struct StudyConfig {
     /// a build without the cgn crate at all.
     pub cgn: Option<CgnScenario>,
     /// Out-of-core memory budget. `None` (the default) keeps every record
-    /// in RAM; `Some` makes collector shards seal their columnar tables to
-    /// disk segments past the budget and k-way-merge them back at snapshot
-    /// — reports stay byte-identical to the unbounded run.
+    /// in RAM; `Some` makes collector shards seal their record tables to
+    /// disk segments past the budget and merge them back router by router
+    /// at snapshot — reports stay byte-identical to the unbounded run.
     pub spill: Option<SpillConfig>,
 }
 

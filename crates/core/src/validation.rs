@@ -6,28 +6,32 @@
 //! packets can masquerade as downtime. In the reproduction we hold the
 //! ground truth (the generative availability schedule), so we can quantify
 //! exactly how biased the instrument is — something the deployment never
-//! could. This module recomputes each home's true reachable intervals from
-//! the same derived random streams the simulation used and compares them
-//! with what the heartbeat log measured.
+//! could. This module recomputes each home's true reachable intervals with
+//! the same derivation the simulation ran ([`HomeSchedules::derive`],
+//! injected power cycles included) and compares them with what the
+//! heartbeat log measured.
 
+use crate::homesim::HomeSchedules;
 use crate::study::{StudyOutput, StudyWindows};
 use collector::windows::Window;
+use faultlab::HomeFaults;
 use firmware::records::RouterId;
 use household::interval::{intersect, subtract, total_duration, Interval};
 use household::HomeConfig;
-use simnet::rng::DetRng;
 
-/// Ground-truth reachable intervals for one home, recomputed from the same
-/// `(seed, home id)` streams the simulation derived.
-pub fn ground_truth_up(cfg: &HomeConfig, windows: &StudyWindows, seed: u64) -> Vec<Interval> {
-    let root = DetRng::new(seed).derive_indexed("homesim", u64::from(cfg.id.0));
+/// Ground-truth reachable intervals for one home: powered and not in an
+/// ISP outage, under the schedules its simulation derived from `seed` and
+/// its slice of the fault plan.
+pub fn ground_truth_up(
+    cfg: &HomeConfig,
+    windows: &StudyWindows,
+    seed: u64,
+    faults: Option<&HomeFaults>,
+) -> Vec<Interval> {
     let span = windows.span;
-    let mut power_rng = root.derive("power");
-    let powered = cfg.availability.power_intervals(span.start, span.end, &mut power_rng);
-    let mut outage_rng = root.derive("outage");
-    let outages = cfg.availability.isp_outages(span.start, span.end, &mut outage_rng);
-    let isp_up = subtract(&[Interval::new(span.start, span.end)], &outages);
-    intersect(&powered, &isp_up)
+    let schedules = HomeSchedules::derive(cfg, span, seed, faults);
+    let isp_up = subtract(&[Interval::new(span.start, span.end)], &schedules.outages);
+    intersect(&schedules.powered, &isp_up)
 }
 
 /// One home's measured-vs-truth comparison.
@@ -71,7 +75,8 @@ pub fn validate_availability(output: &StudyOutput, seed: u64) -> ValidationRepor
     let mut homes = Vec::with_capacity(output.homes.len());
     for cfg in &output.homes {
         let router = RouterId(cfg.id.0);
-        let truth = ground_truth_up(cfg, &output.windows, seed);
+        let faults = output.fault_plan.for_router(router);
+        let truth = ground_truth_up(cfg, &output.windows, seed, faults);
         let true_up = total_duration(&truth) / span.duration();
         let true_gaps = household::interval::gaps_within(
             &truth,
@@ -112,24 +117,32 @@ mod tests {
 
     #[test]
     fn heartbeat_instrument_tracks_ground_truth() {
-        let seed = 31337;
-        let output = run_study(&StudyConfig::quick(seed, 8));
-        let report = validate_availability(&output, seed);
-        assert!(report.homes.len() > 100, "most homes validated");
-        // The instrument is good: a minute-level sampler with sub-percent
-        // loss should track coverage within a couple of percent on average.
-        assert!(
-            report.mean_coverage_error < 0.03,
-            "mean coverage error {}",
-            report.mean_coverage_error
-        );
-        // Downtime counts line up within a few events (boundary effects:
-        // boot jitter, losses adjacent to real gaps).
-        assert!(
-            report.mean_downtime_count_error < 3.0,
-            "mean downtime count error {}",
-            report.mean_downtime_count_error
-        );
+        // Fault-free, and under router churn, whose injected power cycles
+        // the truth must follow just as each simulation did.
+        for (seed, days, faults) in
+            [(31337, 8, None), (7, 20, Some(faultlab::FaultScenario::RouterChurn))]
+        {
+            let mut config = StudyConfig::quick(seed, days);
+            config.faults = faults;
+            let output = run_study(&config);
+            let report = validate_availability(&output, seed);
+            assert!(report.homes.len() > 100, "most homes validated");
+            // The instrument is good: a minute-level sampler with
+            // sub-percent loss should track coverage within a couple of
+            // percent on average.
+            assert!(
+                report.mean_coverage_error < 0.03,
+                "{faults:?}: mean coverage error {}",
+                report.mean_coverage_error
+            );
+            // Downtime counts line up within a few events (boundary
+            // effects: boot jitter, losses adjacent to real gaps).
+            assert!(
+                report.mean_downtime_count_error < 3.0,
+                "{faults:?}: mean downtime count error {}",
+                report.mean_downtime_count_error
+            );
+        }
     }
 
     #[test]
@@ -140,6 +153,7 @@ mod tests {
         use crate::homesim::{HomeSim, SimParams};
         use collector::{Collector, RouterMeta};
         use household::domains::DomainUniverse;
+        use simnet::rng::DetRng;
         let seed = 77;
         let windows = StudyWindows::scaled(Window {
             start: simnet::time::SimTime::EPOCH,
@@ -174,7 +188,7 @@ mod tests {
         })
         .run(&collector);
         let data = collector.drain_delta();
-        let truth = ground_truth_up(&cfg, &windows, seed);
+        let truth = ground_truth_up(&cfg, &windows, seed, None);
         let true_up = total_duration(&truth) / windows.span.duration();
         let measured = data.heartbeats[&RouterId(0)]
             .coverage(windows.span.start, windows.span.end);

@@ -44,6 +44,12 @@ if [ -z "${SKIP_TESTS:-}" ]; then
     # its flow mixes, saturation crossings, epoch lengths and minute
     # phases are explored at scale.
     PROPTEST_CASES=2000 cargo test -q --release --offline -p firmware --test epoch_properties
+    echo "== record-table properties at 2,000 cases (release) =="
+    # Every `cargo test` runs tests/columnar_properties.rs at 64 cases;
+    # here push→iterate and the shard merge of all 13 record tables are
+    # checked against their row model over many more router mixes, ties
+    # and out-of-order times.
+    PROPTEST_CASES=2000 cargo test -q --release --offline -p collector --test columnar_properties
     echo "== golden digests of the full study (release) =="
     # tests/golden.rs pins the quick runs in every `cargo test`; its
     # 197-day row is #[ignore]d there and runs here on the release build.
@@ -106,8 +112,8 @@ PYEOF
     # bounded (budget + a fixed slack for the non-columnar simulation
     # state, which the budget deliberately does not govern), and produce a
     # byte-identical report. 4 MiB is two orders of magnitude under this
-    # study's columnar heap (all nine columnar tables), so every
-    # shard seals many segments.
+    # study's heap of record tables (all 13 of them), so every shard seals
+    # many segments.
     ./target/release/bismark-study run --seed 7 --days 2 --homes 20000 \
         --report "$smoke_dir/unbounded_report.txt"
     ./target/release/bismark-study run --seed 7 --days 2 --homes 20000 \
@@ -139,7 +145,7 @@ if peak is None:
     print("bounded-memory smoke OK (RSS check skipped: no VmHWM on this host)")
 else:
     budget = 4 * 2**20
-    # Deployment + runlogs + row tables + merge buffers, plus the
+    # Deployment + runlogs + merge buffers, plus the
     # report's per-router records (160 B each) and held runs, which the
     # budget does not govern either: RTT samples (16 B per latency
     # record, 12.8 MiB here), scan instants and 2.4 GHz neighbour BSSIDs
