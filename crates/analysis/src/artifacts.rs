@@ -175,11 +175,11 @@ mod tests {
         SimTime::EPOCH + SimDuration::from_mins(mins)
     }
 
-    /// Ten routers reporting continuously, with a collector outage at
+    /// Ten routers reporting continuously, with collector downtime at
     /// minutes 100..130 and one router individually down 300..340.
     fn synthetic() -> Datasets {
         let collector = Collector::new();
-        collector.set_outages(vec![Window { start: m(100), end: m(130) }]);
+        collector.set_downtime(vec![Window { start: m(100), end: m(130) }]);
         for router in 0..10u32 {
             collector.register(RouterMeta {
                 router: RouterId(router),

@@ -15,7 +15,7 @@
 
 use analysis::{IncrementalReport, ReportWindows, StudyReport};
 use collector::windows::Window;
-use collector::{Collector, DatasetsAbsorber, RouterMeta};
+use collector::{Collector, RouterMeta};
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::latency::LatencyRecord;
 use firmware::records::{
@@ -264,7 +264,6 @@ proptest! {
 
         let mut inc = IncrementalReport::new(windows);
         let mut acc = collector::Datasets::default();
-        let mut absorber = DatasetsAbsorber::default();
         for pair in cuts.windows(2) {
             let delta = Collector::new();
             register(&delta);
@@ -277,7 +276,7 @@ proptest! {
             );
             let delta = delta.drain_delta();
             inc.update(&delta);
-            acc.absorb(delta, &mut absorber);
+            acc.absorb(delta);
         }
 
         // The windowed partition reassembles the batch snapshot exactly...

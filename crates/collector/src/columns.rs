@@ -11,8 +11,8 @@
 //! Row-of-structs `Vec<Record>` storage pays padding and full `u64` width
 //! for every field; these tables store one column per field, grouped per
 //! router, with narrow encodings. Each encoding is one type implementing
-//! the crate-private `Column` trait (append, length, iterate, heap bytes,
-//! per-value resident bytes, segment encode and decode):
+//! the crate-private `Column` trait (append, length, iterate, last value,
+//! heap bytes, per-value resident bytes, segment encode and decode):
 //!
 //! * **timestamps** (`TimeCol`) — delta-from-previous as `u32`
 //!   microseconds, with a sentinel escape to a 64-bit side array for
@@ -43,6 +43,22 @@
 //! A table's spill estimate, [`FlowTable::resident_bytes`] and its
 //! siblings, is the sum of its columns' steady-state bytes per value.
 //!
+//! A table joins a router's rows one way per operation:
+//!
+//! * **merge** ([`FlowTable::merge`] and its siblings) joins a drain's
+//!   per-shard tables. A router lives in one shard, so its rows come
+//!   from one chunk: spilled blocks in seal order, then the resident
+//!   tail, stably re-sorted by key only when they arrived out of order.
+//!   A router that never spilled keeps its columns resident; the others
+//!   re-encode to one merged file, created when the merge reaches the
+//!   first of them, so a drain that spilled nothing writes no file;
+//! * **absorb** ([`FlowTable::absorb`]) appends a stream window's delta
+//!   behind each router's last held row, which it rebuilds from the
+//!   columns' own last values, so it keeps no state beside the table;
+//! * **read**: every block read — `router(r)`, flat iteration, equality,
+//!   absorb's reads of a spilled delta and the merge — goes through its
+//!   part, which opens its file once, on its first read.
+//!
 //! The encodings are *pure functions of the pushed record sequence*, so
 //! `PartialEq` on a table equals record-sequence equality — determinism
 //! tests can keep comparing snapshots directly. Iteration rebuilds
@@ -54,14 +70,16 @@
 //! disk-backed parts: per-router blocks of these same columns in segment
 //! files, framed little-endian by the columns' `encode`/`decode` pairs,
 //! in declaration order. A collector shard's table holds one part per
-//! sealed segment; a merged table holds at most one, its merged file.
+//! sealed segment; a merged table holds at most one, its merged file, so
+//! a drained `Datasets` holds at most 13 open files.
 //! Per-router iteration streams the spilled head from disk, part by part,
 //! before the resident tail; flat iteration walks the ordered union of
 //! resident and spilled routers, so every consumer sees the identical
 //! record sequence whether or not the study spilled.
 
 use crate::spill::{
-    put_u16, put_u32, put_u64, put_u8, read_block, BlockRef, Cursor, SegmentStore, SpillError,
+    put_u16, put_u32, put_u64, put_u8, BlockRef, BlockWriter, Cursor, SegmentStore, SpillError,
+    SpilledPart,
 };
 use firmware::anonymize::{AnonMac, ReportedDomain};
 use firmware::latency::LatencyRecord;
@@ -76,7 +94,6 @@ use simnet::dns::DomainName;
 use simnet::packet::IpProtocol;
 use simnet::time::{SimDuration, SimTime};
 use simnet::wifi::Band;
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::mem::size_of;
@@ -105,6 +122,10 @@ pub(crate) trait Column: Clone + Debug + PartialEq {
 
     /// Sequential decode of every value, in append order.
     fn iter(&self) -> Self::Iter<'_>;
+
+    /// The last value appended, as [`Column::iter`] would yield it last,
+    /// in O(1); `None` for an empty column.
+    fn last(&self) -> Option<<Self::Iter<'_> as Iterator>::Item>;
 
     /// Heap bytes held by the column.
     fn heap_bytes(&self) -> usize;
@@ -314,6 +335,10 @@ impl<T: Fixed> Column for Dense<T> {
         self.0.iter().copied()
     }
 
+    fn last(&self) -> Option<T> {
+        self.0.last().copied()
+    }
+
     fn heap_bytes(&self) -> usize {
         self.0.capacity() * size_of::<T>()
     }
@@ -409,6 +434,11 @@ impl Column for TimeCol {
         TimeColIter { enc: self.lanes.enc.iter(), wide: self.lanes.wide.iter(), last: 0 }
     }
 
+    /// The encoder state; the length tells an empty column from time 0.
+    fn last(&self) -> Option<SimTime> {
+        (self.len() > 0).then(|| SimTime::from_micros(self.last))
+    }
+
     fn heap_bytes(&self) -> usize {
         self.lanes.heap_bytes()
     }
@@ -479,6 +509,14 @@ impl Column for NarrowCol {
 
     fn iter(&self) -> NarrowColIter<'_> {
         NarrowColIter { enc: self.0.enc.iter(), wide: self.0.wide.iter() }
+    }
+
+    /// The last lane entry, or the last wide value when it escapes.
+    fn last(&self) -> Option<u64> {
+        match *self.0.enc.last()? {
+            ESCAPE => self.0.wide.last().copied(),
+            e => Some(u64::from(e)),
+        }
     }
 
     fn heap_bytes(&self) -> usize {
@@ -648,6 +686,10 @@ impl Column for Domains {
         DomainsIter { ids: self.ids.iter(), pool: &self.pool }
     }
 
+    fn last(&self) -> Option<&ReportedDomain> {
+        self.ids.last().map(|&id| self.pool.get(id))
+    }
+
     fn heap_bytes(&self) -> usize {
         self.ids.capacity() * 4
     }
@@ -731,6 +773,13 @@ impl Column for ApSightings {
         ApSightingsIter { counts: self.counts.iter(), cols: self, at: 0 }
     }
 
+    /// The last scan's sightings: the trailing `count` of each column.
+    fn last(&self) -> Option<Vec<ApSighting>> {
+        let scan = self.counts.len().checked_sub(1)?;
+        let at = self.bssid_hash.len() - self.counts[scan] as usize;
+        ApSightingsIter { counts: self.counts[scan..].iter(), cols: self, at }.next()
+    }
+
     fn heap_bytes(&self) -> usize {
         self.counts.capacity() * 4
             + self.bssid_hash.capacity() * 8
@@ -798,53 +847,6 @@ impl Iterator for ApSightingsIter<'_> {
 
 impl ExactSizeIterator for ApSightingsIter<'_> {}
 
-/// A disk-backed portion of a table: per-router blocks of encoded column
-/// groups in one sealed segment or merged file, owned (with the rest of
-/// the spill directory) by a shared [`SegmentStore`].
-#[derive(Debug, Clone)]
-struct SpilledPart {
-    store: Arc<SegmentStore>,
-    file: String,
-    blocks: BTreeMap<RouterId, BlockRef>,
-}
-
-impl SpilledPart {
-    /// Read one block into `buf`. Opens the file per call so concurrent
-    /// report threads can stream the same table independently.
-    fn read(&self, at: &BlockRef, buf: &mut Vec<u8>) -> Result<(), SpillError> {
-        let mut file = self.store.open(&self.file)?;
-        read_block(&mut file, at, buf)
-    }
-
-    /// Total encoded bytes across all blocks.
-    fn bytes(&self) -> u64 {
-        self.blocks.values().map(|b| b.len).sum()
-    }
-}
-
-/// Per-router accumulated tail records, carried across stream windows so
-/// a table's `absorb` can tell the in-order fast path (the delta lands at
-/// or after the accumulated tail, append directly) from a late window
-/// that needs one router re-sorted. One state per table, parameterized by
-/// that table's record type.
-#[derive(Debug, Clone)]
-pub struct AbsorbState<R> {
-    last: BTreeMap<RouterId, R>,
-}
-
-impl<R> Default for AbsorbState<R> {
-    fn default() -> AbsorbState<R> {
-        AbsorbState { last: BTreeMap::new() }
-    }
-}
-
-/// The row type behind each columnar table, so the collector's generated
-/// table-set code can name a table's [`AbsorbState`].
-pub(crate) trait Columnar {
-    /// The record type the table stores.
-    type Record;
-}
-
 /// Whether `keys` never step backwards.
 fn ascending<K: Ord>(mut keys: impl Iterator<Item = K>) -> bool {
     let Some(mut prev) = keys.next() else { return true };
@@ -860,11 +862,10 @@ fn ascending<K: Ord>(mut keys: impl Iterator<Item = K>) -> bool {
 /// and resident bytes), the iterator that rebuilds records from the
 /// group's columns, and the table around them — groups keyed by a
 /// `BTreeMap`, disk-backed [`SpilledPart`]s, a flat record iterator in
-/// (router, arrival) order, segment sealing, and shard merges (in-memory
-/// and spilled) whose rows equal a stable sort of every shard's rows by
-/// (router, key).
-/// `tag` names the table's merged spill file; `key` is the per-router
-/// sort subkey merges restore.
+/// (router, arrival) order, segment sealing, the shard merge, whose rows
+/// equal a stable sort of every shard's rows by (router, key), and the
+/// stream absorb. `tag` names the table's merged spill file; `key` is the
+/// per-router sort subkey the merge and absorb restore.
 macro_rules! columnar_table {
     (
         $(#[$tdoc:meta])*
@@ -902,6 +903,14 @@ macro_rules! columnar_table {
 
             fn iter(&self, router: RouterId) -> $ResidentIter<'_> {
                 $ResidentIter { router, $($field: self.$field.iter(),)+ }
+            }
+
+            /// The group's last record, rebuilt from each column's last
+            /// value; `None` for an empty group.
+            fn last(&self, router: RouterId) -> Option<$Record> {
+                let $router = router;
+                $(let $field = self.$field.last()?;)+
+                Some($rebuild)
             }
 
             fn heap_bytes(&self) -> usize {
@@ -959,14 +968,10 @@ macro_rules! columnar_table {
             /// Records across all routers, resident and spilled.
             len: usize,
             /// Disk-backed parts, oldest first: a shard's sealed segment
-            /// slices, or the one merged file of a spilled merge. A
-            /// router's rows are its blocks in part order followed by its
-            /// resident columns — its exact arrival order.
+            /// slices, or the one merged file of a merge. A router's rows
+            /// are its blocks in part order followed by its resident
+            /// columns — its exact arrival order.
             spilled: Vec<SpilledPart>,
-        }
-
-        impl Columnar for $Table {
-            type Record = $Record;
         }
 
         impl $Table {
@@ -1047,16 +1052,25 @@ macro_rules! columnar_table {
                 let mut rows = Vec::new();
                 let mut buf = Vec::new();
                 for part in &self.spilled {
-                    let Some(block) = part.blocks.get(&router) else { continue };
-                    if let Err(e) = part.read(block, &mut buf) {
-                        panic!("spilled column read failed ({}): {e}", part.file);
-                    }
-                    match $Cols::decode(&mut Cursor::new(&buf)) {
-                        Ok(cols) => rows.extend(cols.iter(router)),
-                        Err(e) => panic!("spilled column decode failed ({}): {e}", part.file),
+                    if let Err(e) = Self::read_part(part, router, &mut buf, &mut rows) {
+                        panic!("spilled column read failed ({}): {e}", part.name());
                     }
                 }
                 rows
+            }
+
+            /// Append `router`'s rows in `part`, if it holds a block of
+            /// them, to `rows`; `buf` holds the encoded block.
+            fn read_part(
+                part: &SpilledPart,
+                router: RouterId,
+                buf: &mut Vec<u8>,
+                rows: &mut Vec<$Record>,
+            ) -> Result<(), SpillError> {
+                let Some(block) = part.blocks.get(&router) else { return Ok(()) };
+                part.read(block, buf)?;
+                rows.extend($Cols::decode(&mut Cursor::new(buf))?.iter(router));
+                Ok(())
             }
 
             /// Records held for one router (resident + spilled).
@@ -1084,48 +1098,8 @@ macro_rules! columnar_table {
                 self.spilled.iter().map(SpilledPart::bytes).sum()
             }
 
-            /// Merge per-shard tables into one globally sorted table.
-            ///
-            /// Routers are partitioned across shards, so each router's
-            /// column group normally arrives from exactly one chunk: the
-            /// merge moves groups into the output map (router order) and
-            /// then stable-sorts any router whose arrival order violates
-            /// the table's time subkey — exactly the order the legacy
-            /// row merge produced, whether it took its concatenation
-            /// fast path (all runs sorted and disjoint) or its global
-            /// stable-sort fallback. A router appearing in several
-            /// chunks (hand-built tables only) concatenates in chunk
-            /// order before the same normalize pass. Chunks must be fully
-            /// resident: the collector merges spilled shards on disk.
-            pub fn merge(chunks: Vec<$Table>) -> $Table {
-                let mut out = $Table::default();
-                for chunk in chunks {
-                    debug_assert!(chunk.spilled.is_empty(), "in-memory merge of a spilled chunk");
-                    out.len += chunk.len;
-                    for (router, cols) in chunk.by_router {
-                        match out.by_router.entry(router) {
-                            Entry::Vacant(slot) => {
-                                slot.insert(cols);
-                            }
-                            Entry::Occupied(slot) => {
-                                let held = slot.into_mut();
-                                for row in cols.iter(router) {
-                                    held.append(&row);
-                                }
-                            }
-                        }
-                    }
-                }
-                for (router, cols) in out.by_router.iter_mut() {
-                    Self::normalize(*router, cols);
-                }
-                out
-            }
-
-            /// Rebuild one router's columns in time-subkey order when
-            /// the concatenated arrival order violates it — the shared
-            /// normalize pass of [`Self::merge`] and
-            /// [`Self::merge_spilled`]. Ties keep arrival order.
+            /// Rebuild one router's columns in key order when their
+            /// arrival order violates it. Ties keep arrival order.
             fn normalize(router: RouterId, cols: &mut $Cols) {
                 if !ascending(cols.iter(router).map(|r| Self::key(&r))) {
                     let mut rows: Vec<$Record> = cols.iter(router).collect();
@@ -1172,90 +1146,49 @@ macro_rules! columnar_table {
             ) {
                 self.by_router = BTreeMap::new();
                 if !blocks.is_empty() {
-                    self.spilled.push(SpilledPart {
-                        store: Arc::clone(store),
-                        file: file.to_string(),
-                        blocks,
-                    });
-                }
-            }
-
-            /// Merge one table's per-shard slices the way a collector
-            /// snapshot does: in memory when no shard spilled any of this
-            /// table's rows, otherwise through [`Self::merge_spilled`]
-            /// into the merged file `merged-{merge_id}-<tag>.col` of the
-            /// shards' segment store.
-            pub(crate) fn merge_shards(
-                chunks: Vec<$Table>,
-                merge_id: u64,
-            ) -> Result<$Table, SpillError> {
-                let store =
-                    chunks.iter().find_map(|c| c.spilled.first()).map(|p| Arc::clone(&p.store));
-                match store {
-                    None => Ok(Self::merge(chunks)),
-                    Some(store) => Self::merge_spilled(
-                        chunks,
-                        &store,
-                        &format!("merged-{merge_id}-{}.col", $tag),
-                    ),
+                    self.spilled.push(SpilledPart::new(store, file, blocks));
                 }
             }
 
             /// Merge per-shard tables — each shard's spilled parts (in
             /// seal order) plus its resident columns — into one globally
-            /// sorted table whose spilled routers live in a fresh merged
-            /// file written through `store`.
+            /// sorted table.
             ///
-            /// Routers are disjoint across shards (`router % NUM_SHARDS`
-            /// addressing), so each router merges independently: spilled
-            /// pieces concatenate in seal order, the resident tail
-            /// follows, and the same normalize pass as the in-memory
-            /// [`Self::merge`] restores the time subkey — which is why a
-            /// spilled run's record stream is identical to the unbounded
-            /// one. Routers that never spilled keep their columns
-            /// resident; the rest re-encode to disk, so peak memory
+            /// Routers are disjoint across chunks (a router lives in
+            /// shard `router % NUM_SHARDS`), so each router merges on its
+            /// own: its spilled blocks concatenate in seal order, its
+            /// resident tail follows, and a router whose rows arrived out
+            /// of key order is stably re-sorted (ties keep arrival
+            /// order). That is a stable sort of every chunk's rows by
+            /// (router, key), so a spilled run's record stream is the
+            /// unbounded one's. A router that never spilled keeps its
+            /// columns resident; the rest re-encode to the merged file
+            /// `merged-{id}-<tag>.col` of the chunks' segment store,
+            /// created when the merge reaches the first of them, so a
+            /// merge with nothing spilled writes no file and peak memory
             /// stays one router's rows above the resident set.
-            pub(crate) fn merge_spilled(
-                inputs: Vec<$Table>,
-                store: &Arc<SegmentStore>,
-                out_name: &str,
-            ) -> Result<$Table, SpillError> {
+            pub fn merge(chunks: Vec<$Table>) -> Result<$Table, SpillError> {
                 let mut out = $Table::default();
-                let mut writer = store.writer(out_name)?;
+                let mut writer: Option<BlockWriter> = None;
                 let mut out_blocks: BTreeMap<RouterId, BlockRef> = BTreeMap::new();
                 let mut buf = Vec::new();
                 let mut enc: Vec<u8> = Vec::new();
-                for chunk in inputs {
-                    let routers = chunk.routers();
+                for chunk in chunks {
                     let parts = chunk.spilled;
-                    let mut resident_map = chunk.by_router;
-                    let mut files = Vec::with_capacity(parts.len());
-                    for part in &parts {
-                        files.push(store.open(&part.file)?);
-                    }
-                    for router in routers {
-                        if !parts.iter().any(|p| p.blocks.contains_key(&router)) {
-                            // Never spilled: keep the columns resident,
-                            // normalized exactly as the in-memory merge
-                            // would have.
-                            let Some(mut cols) = resident_map.remove(&router) else {
-                                continue;
-                            };
-                            out.len += cols.len();
-                            Self::normalize(router, &mut cols);
-                            out.by_router.insert(router, cols);
-                            continue;
-                        }
+                    let mut resident = chunk.by_router;
+                    let spilled: BTreeSet<RouterId> =
+                        parts.iter().flat_map(|p| p.blocks.keys().copied()).collect();
+                    for router in spilled {
+                        debug_assert!(
+                            !(out_blocks.contains_key(&router)
+                                || out.by_router.contains_key(&router)),
+                            "{router:?} in two chunks"
+                        );
                         let mut rows: Vec<$Record> = Vec::new();
-                        for (part, file) in parts.iter().zip(files.iter_mut()) {
-                            let Some(block) = part.blocks.get(&router) else {
-                                continue;
-                            };
-                            read_block(file, block, &mut buf)?;
-                            let cols = $Cols::decode(&mut Cursor::new(&buf))?;
-                            rows.extend(cols.iter(router));
+                        for part in &parts {
+                            Self::read_part(part, router, &mut buf, &mut rows)?;
                         }
-                        if let Some(cols) = resident_map.remove(&router) {
+                        if let Some(cols) = resident.remove(&router) {
                             rows.extend(cols.iter(router));
                         }
                         if !ascending(rows.iter().map(Self::key)) {
@@ -1264,6 +1197,11 @@ macro_rules! columnar_table {
                         out.len += rows.len();
                         enc.clear();
                         $Cols::from_rows(&rows).encode(&mut enc);
+                        let writer = match &mut writer {
+                            Some(writer) => writer,
+                            // `router` came from a part, so `parts` is not empty.
+                            none => none.insert(BlockWriter::create(parts[0].store(), $tag)?),
+                        };
                         let offset = writer.append(&enc)?;
                         out_blocks.insert(
                             router,
@@ -1274,14 +1212,20 @@ macro_rules! columnar_table {
                             },
                         );
                     }
+                    for (router, cols) in resident {
+                        out.len += cols.len();
+                        let held = out.by_router.insert(router, cols);
+                        debug_assert!(
+                            held.is_none() && !out_blocks.contains_key(&router),
+                            "{router:?} in two chunks"
+                        );
+                    }
                 }
-                writer.finish()?;
-                if !out_blocks.is_empty() {
-                    out.spilled.push(SpilledPart {
-                        store: Arc::clone(store),
-                        file: out_name.to_string(),
-                        blocks: out_blocks,
-                    });
+                for (&router, cols) in out.by_router.iter_mut() {
+                    Self::normalize(router, cols);
+                }
+                if let Some(writer) = writer {
+                    out.spilled.push(writer.finish(out_blocks)?);
                 }
                 Ok(out)
             }
@@ -1292,50 +1236,40 @@ macro_rules! columnar_table {
             /// the per-router watermark since the previous drain, so
             /// concatenating the deltas per router reproduces the batch
             /// arrival sequence exactly. Per router the delta is already
-            /// in time-subkey order (its merge normalized it); when its
-            /// first record lands at or after the accumulated tail — the
-            /// steady state — the rows append straight into the resident
-            /// columns. A router whose timestamps step backwards across
-            /// a drain boundary (clock skew) instead rebuilds with the
-            /// same stable sort the batch merge uses, so the final
-            /// record stream matches a single batch merge of all
-            /// arrivals byte for byte.
+            /// in key order (its merge normalized it); when its first
+            /// record lands at or after the router's last held record —
+            /// read from the columns themselves, so absorb needs no state
+            /// beside the table — the rows append behind it. A router
+            /// whose rows step backwards across a drain boundary (clock
+            /// skew) instead rebuilds with the same stable sort the
+            /// merge uses, so the final record stream matches a single
+            /// batch merge of all arrivals byte for byte.
             ///
-            /// `state` carries each router's accumulated tail record
-            /// across windows. The accumulator must be fully resident;
-            /// the delta may be spill-backed (its rows stream in through
-            /// [`Self::router`]).
-            pub fn absorb(&mut self, delta: &$Table, state: &mut AbsorbState<$Record>) {
+            /// The accumulator must be fully resident; the delta may be
+            /// spill-backed (its rows stream in through [`Self::router`]).
+            pub fn absorb(&mut self, delta: &$Table) {
                 debug_assert!(self.spilled.is_empty(), "absorb target must be resident");
                 for router in delta.routers() {
                     let mut rows = delta.router(router);
                     let Some(first) = rows.next() else { continue };
-                    let in_order = match state.last.get(&router) {
-                        None => true,
-                        Some(prev) => Self::key(prev) <= Self::key(&first),
-                    };
-                    if in_order {
-                        let mut tail = first;
-                        for next in rows {
-                            self.push(tail);
-                            tail = next;
+                    let held = self.by_router.get(&router);
+                    match held.and_then(|cols| cols.last(router)) {
+                        Some(tail) if Self::key(&first) < Self::key(&tail) => {
+                            let mut all: Vec<$Record> =
+                                held.into_iter().flat_map(|cols| cols.iter(router)).collect();
+                            let before = all.len();
+                            all.push(first);
+                            all.extend(rows);
+                            self.len += all.len() - before;
+                            all.sort_by_key(Self::key);
+                            self.by_router.insert(router, $Cols::from_rows(&all));
                         }
-                        state.last.insert(router, tail.clone());
-                        self.push(tail);
-                    } else {
-                        let mut all: Vec<$Record> = self
-                            .by_router
-                            .get(&router)
-                            .map(|c| c.iter(router).collect())
-                            .unwrap_or_default();
-                        let held = all.len();
-                        all.push(first);
-                        all.extend(rows);
-                        self.len += all.len() - held;
-                        all.sort_by_key(Self::key);
-                        let last = all.last().expect("router delta is non-empty");
-                        state.last.insert(router, last.clone());
-                        self.by_router.insert(router, $Cols::from_rows(&all));
+                        _ => {
+                            self.push(first);
+                            for row in rows {
+                                self.push(row);
+                            }
+                        }
                     }
                 }
             }
@@ -1347,7 +1281,7 @@ macro_rules! columnar_table {
             /// until the store drops.)
             pub fn release_spilled(&mut self) {
                 for part in self.spilled.drain(..) {
-                    part.store.remove_file(&part.file);
+                    part.remove();
                 }
             }
         }
@@ -1799,8 +1733,9 @@ mod tests {
         let mut b = FlowTable::default();
         b.push(flow(2, 5, 9, 1, 6));
         b.push(flow(2, 2, 4, 1, 6));
-        let merged = FlowTable::merge(vec![a, b]);
+        let merged = FlowTable::merge(vec![a, b]).expect("a resident merge does no I/O");
         assert_eq!(merged.len(), 4);
+        assert_eq!(merged.spilled_bytes(), 0, "nothing spilled: every group stays resident");
         let order: Vec<(u32, SimTime)> =
             merged.iter().map(|r| (r.router.0, r.ended)).collect();
         assert_eq!(order, vec![(1, t(2)), (1, t(3)), (2, t(4)), (2, t(9))]);
@@ -1809,19 +1744,6 @@ mod tests {
         let rebuilt: Vec<SimTime> =
             merged.router(RouterId(2)).map(|r| r.ended).collect();
         assert_eq!(rebuilt, vec![t(4), t(9)]);
-    }
-
-    #[test]
-    fn merge_with_a_router_split_across_chunks_stays_stable() {
-        // Ties on the full subkey must preserve chunk order (stable sort).
-        let first = flow(7, 0, 5, 1, 10);
-        let second = flow(7, 0, 5, 1, 11);
-        let mut a = FlowTable::default();
-        a.push(first.clone());
-        let mut b = FlowTable::default();
-        b.push(second.clone());
-        let merged = FlowTable::merge(vec![a, b]);
-        assert_eq!(merged.iter().collect::<Vec<_>>(), vec![first, second]);
     }
 
     #[test]
@@ -2006,7 +1928,7 @@ mod tests {
         for r in spilled_rows.iter().chain(&resident_rows) {
             model.push(r.clone());
         }
-        let merged_model = FlowTable::merge(vec![model]);
+        let merged_model = FlowTable::merge(vec![model]).unwrap();
 
         // Out-of-core: the first batch sealed to disk, the rest resident.
         let mut shard = FlowTable::default();
@@ -2024,7 +1946,7 @@ mod tests {
             shard.push(r.clone());
         }
         assert_eq!(shard, merged_model, "a sealed shard table still reads its arrival sequence");
-        let merged = FlowTable::merge_shards(vec![shard], 0).unwrap();
+        let merged = FlowTable::merge(vec![shard]).unwrap();
 
         assert_eq!(merged.len(), merged_model.len());
         assert!(merged.spilled_bytes() > 0, "merged rows should live on disk");
@@ -2038,6 +1960,83 @@ mod tests {
             merged_model.router(RouterId(129)).collect::<Vec<_>>()
         );
         assert_eq!(merged.router_len(RouterId(1)), 3);
+    }
+
+    /// Seal `rows` of a fresh shard table into the segment `file`.
+    fn sealed(store: &Arc<SegmentStore>, file: &str, rows: &[FlowRecord]) -> FlowTable {
+        let mut shard = FlowTable::default();
+        for r in rows {
+            shard.push(r.clone());
+        }
+        let mut buf = crate::spill::SEGMENT_MAGIC.to_vec();
+        let blocks = shard.encode_segment(&mut buf);
+        store.write_file(file, &buf).unwrap();
+        shard.seal(store, file, blocks);
+        shard
+    }
+
+    #[test]
+    fn merge_joins_spilled_and_resident_chunks() {
+        let store = Arc::new(SegmentStore::create(None).unwrap());
+        // Chunk A sealed router 1 (out of key order across its two
+        // segments) and then took router 129's rows resident; chunk B
+        // never spilled; chunk C sealed router 3 and holds no resident
+        // rows.
+        let mut a = sealed(&store, "a0.seg", &[flow(1, 0, 9, 1, 5)]);
+        let second = sealed(&store, "a1.seg", &[flow(1, 0, 4, 1, 6)]);
+        a.spilled.extend(second.spilled);
+        a.push(flow(1, 0, 7, 2, 5));
+        a.push(flow(129, 3, 8, 1, 7));
+        a.push(flow(129, 1, 2, 1, 7));
+        let mut b = FlowTable::default();
+        b.push(flow(2, 0, 3, 1, 8));
+        let c = sealed(&store, "c0.seg", &[flow(3, 0, 1, 1, 9), flow(3, 0, 2, 1, 9)]);
+        let merged = FlowTable::merge(vec![a, b, c]).unwrap();
+        let order: Vec<(u32, SimTime)> = merged.iter().map(|r| (r.router.0, r.ended)).collect();
+        let want = [(1, 4), (1, 7), (1, 9), (2, 3), (3, 1), (3, 2), (129, 2), (129, 8)];
+        assert_eq!(order, want.map(|(router, mins)| (router, t(mins))));
+        assert_eq!(merged.len(), 8);
+        // One merged part holds the spilled routers; the rest stay
+        // resident, normalized.
+        assert_eq!(merged.spilled.len(), 1);
+        assert_eq!(merged.spilled[0].name(), "merged-0-flows.col");
+        assert_eq!(merged.spilled[0].blocks.keys().map(|r| r.0).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(merged.by_router.keys().map(|r| r.0).collect::<Vec<_>>(), vec![2, 129]);
+        // A merge of resident chunks writes no file.
+        let mut d = FlowTable::default();
+        d.push(flow(5, 0, 1, 1, 1));
+        let resident = FlowTable::merge(vec![d]).unwrap();
+        assert!(resident.spilled.is_empty());
+        assert!(!store.dir().join("merged-1-flows.col").exists());
+    }
+
+    #[test]
+    fn column_last_equals_the_last_item_iterated() {
+        fn check<C: Column>(values: &[C::Value])
+        where
+            for<'a> <C::Iter<'a> as Iterator>::Item: PartialEq + Debug,
+        {
+            let mut col = C::EMPTY;
+            assert_eq!(col.last(), None);
+            for v in values {
+                col.append(v);
+                assert_eq!(col.last(), col.iter().last());
+            }
+            let mut framed = Vec::new();
+            col.encode(&mut framed);
+            let decoded = C::decode(&mut Cursor::new(&framed)).unwrap();
+            assert_eq!(decoded.last(), col.iter().last(), "after a decode");
+        }
+        // A backward step and a far jump both escape to the wide lane.
+        check::<TimeCol>(&[t(0), t(5), SimTime::from_micros(0), t(500), t(3)]);
+        check::<TimeCol>(&[SimTime::from_micros(0)]);
+        check::<NarrowCol>(&[1, u64::MAX, 7, u64::from(u32::MAX), u64::from(u32::MAX) - 1]);
+        check::<Dense<Medium>>(&[Medium::Wired, Medium::Wireless5]);
+        let netflix = ReportedDomain::Clear(DomainName::new("netflix.com").unwrap());
+        // The first domain, interned early, comes back last.
+        check::<Domains>(&[netflix.clone(), ReportedDomain::Obfuscated(3), netflix]);
+        let ap = |i| ApSighting { bssid_hash: u64::from(i), channel_number: i, signal_dbm: -40 };
+        check::<ApSightings>(&[vec![ap(1), ap(2)], vec![], vec![ap(3)], vec![]]);
     }
 
     /// One valid encoded block per table, each holding records that

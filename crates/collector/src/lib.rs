@@ -21,14 +21,13 @@ pub mod spill;
 pub mod windows;
 
 pub use columns::{
-    AbsorbState, AssociationTable, CapacityTable, CensusTable, DnsTable, FlowTable, LatencyTable,
-    MacTable, NatProbeTable, PacketStatsTable, PunchTrialTable, UploadGapTable, UptimeTable,
-    WifiTable,
+    AssociationTable, CapacityTable, CensusTable, DnsTable, FlowTable, LatencyTable, MacTable,
+    NatProbeTable, PacketStatsTable, PunchTrialTable, UploadGapTable, UptimeTable, WifiTable,
 };
 pub use runlog::{HeartbeatRun, RunLog, UploadCounters};
 pub use server::{
-    Collector, Datasets, DatasetsAbsorber, RouterMeta, ShardHandle, SpillStats, UploadGapRecord,
-    UploadOutcome, NUM_SHARDS,
+    Collector, Datasets, RouterMeta, ShardHandle, SpillStats, UploadGapRecord, UploadOutcome,
+    NUM_SHARDS,
 };
 pub use spill::{SpillConfig, SpillError};
 pub use windows::Window;

@@ -16,16 +16,19 @@
 //! never share a router ID, and the 126-router deployment maps onto 128
 //! shards collision-free). Each shard keeps its slice of the tables as one
 //! [`Datasets`] value. Draining ([`Collector::drain_delta`]) takes every
-//! shard's slice and merges them back into one deterministic [`Datasets`]:
-//! each router's rows come from one shard in arrival order, and a router
-//! whose rows arrived out of key order is stably re-sorted, so the result
-//! is bit-identical regardless of how many threads uploaded. Every table
-//! reads one router's rows through its `router` iterator.
+//! shard's slice and merges them back into one deterministic [`Datasets`]
+//! with each table's one merge, spilled or not: each router's rows come
+//! from one shard in arrival order, and a router whose rows arrived out
+//! of key order is stably re-sorted, so the result is bit-identical
+//! regardless of how many threads uploaded. A stream folds each drained
+//! delta into its accumulator with [`Datasets::absorb`], which reads each
+//! router's tail from the accumulated columns and keeps no state beside
+//! them. Every table reads one router's rows through its `router`
+//! iterator.
 
 use crate::columns::{
-    AbsorbState, AssociationTable, CapacityTable, CensusTable, Columnar, DnsTable, FlowTable,
-    LatencyTable, MacTable, NatProbeTable, PacketStatsTable, PunchTrialTable, UploadGapTable,
-    UptimeTable, WifiTable,
+    AssociationTable, CapacityTable, CensusTable, DnsTable, FlowTable, LatencyTable, MacTable,
+    NatProbeTable, PacketStatsTable, PunchTrialTable, UploadGapTable, UptimeTable, WifiTable,
 };
 use crate::runlog::{RunLog, UploadCounters};
 use crate::spill::{SegmentStore, SpillConfig, SpillError, SEGMENT_MAGIC};
@@ -178,20 +181,10 @@ pub struct Datasets {
     pub collector_downtime: Vec<Window>,
 }
 
-/// Generates [`DatasetsAbsorber`] and the [`Datasets`] methods that visit
-/// every record table, from the `columnar_tables!` list.
+/// Generates the [`Datasets`] methods that visit every record table, from
+/// the `columnar_tables!` list.
 macro_rules! columnar_table_set {
     ($($field:ident: $Table:ident = $gauge:literal,)*) => {
-        /// Cross-window absorb state for a streamed study: every record
-        /// table's per-router accumulated tail, so [`Datasets::absorb`]
-        /// can take the append fast path for in-order window deltas and
-        /// fall back to a per-router stable re-sort only when a delta
-        /// steps backwards in time (clock skew across a drain boundary).
-        #[derive(Debug, Default)]
-        pub struct DatasetsAbsorber {
-            $($field: AbsorbState<<$Table as Columnar>::Record>,)*
-        }
-
         impl Datasets {
             /// The size of every collected table as `(gauge key, rows)`
             /// pairs: heartbeats (counted per heartbeat, not per run),
@@ -227,9 +220,9 @@ macro_rules! columnar_table_set {
             /// delta's merged spill files: every spilled row is resident
             /// now, so they need not pile up one per window until the
             /// store drops.
-            fn absorb_columns(&mut self, delta: &mut Datasets, state: &mut DatasetsAbsorber) {
+            fn absorb_columns(&mut self, delta: &mut Datasets) {
                 $(
-                    self.$field.absorb(&delta.$field, &mut state.$field);
+                    self.$field.absorb(&delta.$field);
                     delta.$field.release_spilled();
                 )*
             }
@@ -257,17 +250,12 @@ macro_rules! columnar_table_set {
             }
 
             /// Merge the shards' record tables into these, one scoped
-            /// worker per table. Each worker merges in memory, or through
-            /// the segment store when some shard spilled that table.
-            fn merge_columns(
-                &mut self,
-                chunks: &mut [Datasets],
-                merge_id: u64,
-            ) -> Result<(), SpillError> {
+            /// worker per table.
+            fn merge_columns(&mut self, chunks: &mut [Datasets]) -> Result<(), SpillError> {
                 $(let $field: Vec<$Table> =
                     chunks.iter_mut().map(|c| std::mem::take(&mut c.$field)).collect();)*
                 crossbeam::scope(|scope| -> Result<(), SpillError> {
-                    $(let $field = scope.spawn(move |_| $Table::merge_shards($field, merge_id));)*
+                    $(let $field = scope.spawn(move |_| $Table::merge($field));)*
                     $(self.$field = join_merged($field)?;)*
                     Ok(())
                 })
@@ -306,14 +294,16 @@ impl Datasets {
     /// exact batch arrival order (the drain hands over only what was
     /// applied behind the watermark), so after the final window every
     /// table here is byte-identical to the single batch snapshot —
-    /// record tables append behind each router's tail or re-sort that
-    /// router with ties keeping the earlier window (see the per-table
-    /// `absorb`), and heartbeat logs splice at run granularity.
+    /// record tables append behind each router's last held row or
+    /// re-sort that router with ties keeping the earlier window (see the
+    /// per-table `absorb`), and heartbeat logs splice at run granularity.
+    /// Nothing is kept beside the tables: any accumulator, whatever
+    /// windows it already holds, absorbs the next one correctly.
     ///
     /// The accumulator stays fully resident; a spill-backed delta
     /// streams its rows in from disk and its merged segment files are
     /// reclaimed before returning.
-    pub fn absorb(&mut self, mut delta: Datasets, state: &mut DatasetsAbsorber) {
+    pub fn absorb(&mut self, mut delta: Datasets) {
         // Registration and announced downtime are global, not windowed:
         // every drain clones the full current sets into the delta.
         self.routers = std::mem::take(&mut delta.routers);
@@ -326,7 +316,7 @@ impl Datasets {
                 }
             }
         }
-        self.absorb_columns(&mut delta, state);
+        self.absorb_columns(&mut delta);
     }
 }
 
@@ -352,8 +342,8 @@ struct ShardSpill {
 }
 
 /// One shard's worth of collected state: its slice of the tables, plus
-/// this shard's copy of the outage schedule so the hot path never reaches
-/// for shared state.
+/// this shard's copy of the announced downtime so the hot path never
+/// reaches for shared state.
 #[derive(Debug, Default)]
 struct Shard {
     /// Every table, for this shard's routers. Registration and announced
@@ -361,14 +351,10 @@ struct Shard {
     tables: Datasets,
     /// Windows during which the collection infrastructure itself was down
     /// (§3.3: "various outages and failures — both of the routers
-    /// themselves and of the collection infrastructure"). Records arriving
-    /// inside one are lost, exactly as on the deployment.
-    outages: Vec<crate::windows::Window>,
-    dropped_in_outage: u64,
-    /// Downtime windows for the *reliable* upload path: batch uploads
+    /// themselves and of the collection infrastructure"): batch uploads
     /// arriving inside one are nacked (the router retries), and heartbeat
-    /// datagrams are dropped (they are fire-and-forget). Unlike `outages`,
-    /// nothing batched is ever silently lost to these.
+    /// datagrams are dropped (they are fire-and-forget). Nothing batched
+    /// is ever silently lost to these.
     downtime: Vec<Window>,
     /// Heartbeat datagrams dropped because the collector was down.
     dropped_in_downtime: u64,
@@ -406,13 +392,8 @@ struct SeqState {
 }
 
 impl Shard {
-    fn in_outage(&self, at: SimTime) -> bool {
-        self.outages.iter().any(|w| w.contains(at))
-    }
-
-    /// Append a record to its table, with no outage check. Every arm but
-    /// the heartbeat's also grows the resident-size estimate that drives
-    /// spilling.
+    /// Append a record to its table. Every arm but the heartbeat's also
+    /// grows the resident-size estimate that drives spilling.
     fn route(&mut self, record: Record) {
         let (t, est) = (&mut self.tables, &mut self.columnar_est);
         match record {
@@ -432,23 +413,11 @@ impl Shard {
         }
     }
 
-    /// The one record-routing loop every ingest path shares: the
-    /// outage-schedule check is hoisted out of the record loop, so the
-    /// common no-outage configuration never re-scans the (empty) window
-    /// list per record, and the spill check runs once per call.
+    /// The one record-routing loop every ingest path shares; the spill
+    /// check runs once per call.
     fn ingest_many(&mut self, records: impl IntoIterator<Item = Record>) {
-        if self.outages.is_empty() {
-            for record in records {
-                self.route(record);
-            }
-        } else {
-            for record in records {
-                if self.in_outage(record.at()) {
-                    self.dropped_in_outage += 1;
-                } else {
-                    self.route(record);
-                }
-            }
+        for record in records {
+            self.route(record);
         }
         self.maybe_spill();
     }
@@ -498,15 +467,10 @@ impl Shard {
 
     /// Heartbeat admission, the one check every heartbeat path shares: a
     /// datagram arriving at `at` during announced downtime is dropped and
-    /// counted there first; otherwise one arriving during an outage is
-    /// lost and counted as such.
+    /// counted.
     fn admit_heartbeat(&mut self, at: SimTime) -> bool {
         if !self.downtime.is_empty() && self.downtime_at(at).is_some() {
             self.dropped_in_downtime += 1;
-            return false;
-        }
-        if !self.outages.is_empty() && self.in_outage(at) {
-            self.dropped_in_outage += 1;
             return false;
         }
         true
@@ -738,9 +702,8 @@ impl ShardHandle<'_> {
 
     /// Hand over `router`'s heartbeat arrival stamps, in arrival order,
     /// under one lock acquisition. Each stamp is admitted on its own,
-    /// exactly as [`Collector::ingest_heartbeat`] admits one record:
-    /// downtime first, then outage. The buffer is left empty with its
-    /// capacity intact.
+    /// exactly as [`Collector::ingest_heartbeat`] admits one record. The
+    /// buffer is left empty with its capacity intact.
     pub fn ingest_heartbeats(&self, router: RouterId, stamps: &mut Vec<SimTime>) {
         if stamps.is_empty() {
             return;
@@ -789,20 +752,6 @@ impl Collector {
     /// Register a shipped router.
     pub fn register(&self, meta: RouterMeta) {
         self.routers.lock().push(meta);
-    }
-
-    /// Inject collection-infrastructure outages: any record whose
-    /// timestamp falls inside one of these windows is silently lost.
-    /// Each shard keeps its own copy so the hot path stays lock-local.
-    pub fn set_outages(&self, outages: Vec<crate::windows::Window>) {
-        for shard in &self.shards {
-            shard.lock().outages = outages.clone();
-        }
-    }
-
-    /// Records lost to collector-side outages so far.
-    pub fn dropped_in_outage(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().dropped_in_outage).sum()
     }
 
     /// Announce collector downtime windows for the reliable upload path:
@@ -940,7 +889,11 @@ impl Collector {
         obs::counter("collector_gap_declarations_total").add(c.gap_declarations);
         obs::counter("collector_watermark_advances_total").add(c.watermark_advances);
         obs::counter("collector_heartbeats_rejected_total").add(self.rejected_heartbeats());
-        obs::counter("collector_records_dropped_outage_total").add(self.dropped_in_outage());
+        // No collector path drops a record: announced downtime nacks
+        // batches and drops only heartbeat datagrams. The key stays, at 0,
+        // because the golden and benchmark digests pin metrics.json's key
+        // set; it goes with their next re-bless.
+        obs::counter("collector_records_dropped_outage_total").add(0);
         obs::counter("collector_heartbeats_dropped_downtime_total")
             .add(self.dropped_in_downtime());
     }
@@ -948,8 +901,8 @@ impl Collector {
     /// Drain everything applied behind the per-router watermarks since
     /// the previous drain (or since startup) as one merged window delta,
     /// leaving the collector running: batches buffered ahead of a
-    /// watermark, sequence state, delivery counters, and the outage and
-    /// downtime schedules all stay in place, so later uploads keep
+    /// watermark, sequence state, delivery counters, and the downtime
+    /// schedule all stay in place, so later uploads keep
     /// composing with earlier ones exactly as in one batch run. Per
     /// router, concatenating successive deltas reproduces the batch
     /// arrival sequence record for record — the invariant the stream
@@ -987,13 +940,7 @@ impl Collector {
                 std::mem::take(&mut shard.tables)
             })
             .collect();
-        merge_chunks(
-            self.routers.lock().clone(),
-            self.downtime.lock().clone(),
-            self.spill.lock().clone(),
-            segments,
-            chunks,
-        )
+        merge_chunks(self.routers.lock().clone(), self.downtime.lock().clone(), segments, chunks)
     }
 }
 
@@ -1016,13 +963,12 @@ fn join_merged<T>(handle: crossbeam::thread::ScopedJoinHandle<'_, T>) -> T {
 
 /// Merge the shards' table sets into one sorted [`Datasets`], adding the
 /// global registration and downtime. `segments` counts the segment files
-/// the shards sealed; the spilled merge path engages only when there are
-/// some, so a spill-armed run that stayed under budget produces
-/// bit-identical in-memory [`Datasets`].
+/// the shards sealed; with none, nothing is read or written on disk, so a
+/// spill-armed run that stayed under budget produces bit-identical
+/// in-memory [`Datasets`].
 fn merge_chunks(
     mut routers: Vec<RouterMeta>,
     collector_downtime: Vec<Window>,
-    spill: Option<Arc<SegmentStore>>,
     segments: u64,
     mut chunks: Vec<Datasets>,
 ) -> Result<Datasets, SpillError> {
@@ -1034,19 +980,13 @@ fn merge_chunks(
         // would rebuild the whole merged tree once per shard.
         data.heartbeats.extend(std::mem::take(&mut chunk.heartbeats));
     }
-    let merge_id = match spill.filter(|_| segments > 0) {
-        Some(store) => {
-            // Merge fan-in: every sealed segment plus every shard with
-            // resident rows contributes one input run.
-            let resident = chunks.iter().filter(|c| c.has_resident_columns()).count() as u64;
-            obs::gauge("spill_merge_fanin").set(segments + resident);
-            // Drains merge repeatedly over the same store, so
-            // every merged output gets a unique file-name generation.
-            store.next_merge_id()
-        }
-        None => 0,
-    };
-    data.merge_columns(&mut chunks, merge_id)?;
+    if segments > 0 {
+        // Merge fan-in: every sealed segment plus every shard with
+        // resident rows contributes one input run.
+        let resident = chunks.iter().filter(|c| c.has_resident_columns()).count() as u64;
+        obs::gauge("spill_merge_fanin").set(segments + resident);
+    }
+    data.merge_columns(&mut chunks)?;
     Ok(data)
 }
 
@@ -1193,26 +1133,6 @@ mod tests {
         for log in data.heartbeats.values() {
             assert_eq!(log.total_heartbeats(), 1_000);
         }
-    }
-
-    #[test]
-    fn collector_outage_swallows_records() {
-        use crate::windows::Window;
-        let collector = Collector::new();
-        collector.set_outages(vec![Window { start: m(10), end: m(20) }]);
-        for i in 0..30u64 {
-            collector.ingest_heartbeat(HeartbeatRecord { router: RouterId(0), at: m(i) });
-        }
-        let data = collector.drain_delta();
-        assert_eq!(data.heartbeats[&RouterId(0)].total_heartbeats(), 20);
-        assert_eq!(collector.dropped_in_outage(), 10);
-        // The gap in the log matches the outage window.
-        let gaps = data.heartbeats[&RouterId(0)].downtimes(
-            m(0),
-            m(30),
-            SimDuration::from_mins(5),
-        );
-        assert_eq!(gaps, vec![(m(9), m(20))]);
     }
 
     fn uptime_batch(router: u32, mins: std::ops::Range<u64>) -> Vec<Record> {
@@ -1498,7 +1418,6 @@ mod tests {
             });
         }
         let mut acc = Datasets::default();
-        let mut absorber = DatasetsAbsorber::default();
         let per = 30u64;
         for w in 0..4u64 {
             let (lo, hi) = (w * per, (w + 1) * per);
@@ -1554,7 +1473,7 @@ mod tests {
                     peak_up_1s: w,
                 }));
             }
-            acc.absorb(stream.drain_delta(), &mut absorber);
+            acc.absorb(stream.drain_delta());
         }
         if spill_budget.is_some() {
             let stats = stream.spill_stats().expect("spilling armed");
@@ -1563,6 +1482,36 @@ mod tests {
         }
         assert_eq!(acc.spilled_bytes(), 0, "the accumulator stays resident");
         let expect = batch.drain_delta();
+        assert_eq!(acc, expect);
+    }
+
+    #[test]
+    fn absorb_into_a_drained_accumulator_matches_one_batch_drain() {
+        // The accumulator is a first drain as it stands; the second
+        // window's router 9 steps back before the tail it holds.
+        let stream = Collector::new();
+        let batch = Collector::new();
+        let mut acc = Datasets::default();
+        for (w, window) in [[(9u32, 1000u64), (2, 5)], [(9, 990), (2, 6)]].into_iter().enumerate() {
+            for c in [&stream, &batch] {
+                for (router, at) in window {
+                    c.ingest(Record::Uptime(UptimeRecord {
+                        router: RouterId(router),
+                        at: m(at),
+                        uptime: SimDuration::from_mins(at),
+                    }));
+                }
+            }
+            match w {
+                0 => acc = stream.drain_delta(),
+                _ => acc.absorb(stream.drain_delta()),
+            }
+        }
+        let expect = batch.drain_delta();
+        let at = |data: &Datasets| -> Vec<u64> {
+            data.uptime.router(RouterId(9)).map(|r| r.uptime.as_micros() / 60_000_000).collect()
+        };
+        assert_eq!(at(&acc), vec![990, 1000]);
         assert_eq!(acc, expect);
     }
 

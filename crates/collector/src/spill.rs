@@ -5,13 +5,14 @@
 //! record tables (of the collector's 15) into one segment file on disk —
 //! a compact little-endian framing of the existing column representation
 //! (delta-coded times, narrow counters, interned domains, whole rows) —
-//! and keeps simulating into fresh in-memory columns. At snapshot each
-//! table's merge concatenates every router's parts in seal order, then
-//! its resident columns, and stably re-sorts only a router whose rows
-//! arrived out of key order, writing the spilled routers to one merged
-//! file per table. That is the order of the in-memory shard merge, so
-//! reports are byte-identical to the unbounded run at every scale and
-//! thread count.
+//! and keeps simulating into fresh in-memory columns. At each drain a
+//! table's one merge concatenates every router's parts in seal order,
+//! then its resident columns, and stably re-sorts only a router whose
+//! rows arrived out of key order, writing the spilled routers to one
+//! merged file per table, created only when some router spilled. A router
+//! that never spilled stays resident, so the record stream is the
+//! unbounded run's and reports are byte-identical to it at every scale
+//! and thread count.
 //!
 //! Layout and lifetime:
 //!
@@ -19,20 +20,30 @@
 //!   configured `--spill-dir`, or the OS temp dir) and removes it when the
 //!   last reference drops. Segments never outlive the process, so files
 //!   carry no self-describing table of contents — each seal leaves every
-//!   record table an in-memory part mapping its routers to
+//!   record table an in-memory `SpilledPart` mapping its routers to
 //!   `BlockRef`s in the segment.
 //! * Every block is the encoding of one router's column group for one
 //!   table. Blocks are written in ascending router order within a
 //!   segment, and the merge reads them back in ascending router order, so
 //!   reads are sequential per file.
+//! * Every block read goes through its part, which opens its file on its
+//!   first read and keeps it open for every later one. Creating a part
+//!   opens nothing, so a shard may seal thousands of segments; a shard's
+//!   segment parts are read only by the drain's merge, chunk by chunk,
+//!   and close with their chunk, and a drained table holds at most one
+//!   part, its merged file.
 //! * All segment I/O returns `Result` — a failed seal degrades the shard
 //!   back to resident (in-memory) operation with the error surfaced via
 //!   [`crate::Collector::spill_stats`], never a panic on the ingest path.
 
+use firmware::records::RouterId;
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// First bytes of every segment and merged-column file, for debuggability
 /// when poking at a spill directory (readers address blocks by offset and
@@ -102,6 +113,7 @@ static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub(crate) struct SegmentStore {
     dir: PathBuf,
+    /// The next merged file's id.
     merge_seq: AtomicU64,
 }
 
@@ -127,12 +139,6 @@ impl SegmentStore {
         &self.dir
     }
 
-    /// A unique id for one merge pass, so repeated snapshots of a live
-    /// collector never collide on merged-file names.
-    pub(crate) fn next_merge_id(&self) -> u64 {
-        self.merge_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Write a whole segment in one call (used by shard seals, which
     /// encode to a buffer first so a failed write loses nothing).
     pub(crate) fn write_file(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
@@ -141,26 +147,12 @@ impl SegmentStore {
         f.flush()
     }
 
-    /// Open an existing segment or merged file for block reads.
-    pub(crate) fn open(&self, name: &str) -> io::Result<File> {
-        File::open(self.dir.join(name))
-    }
-
     /// Delete a segment or merged file no longer referenced by any
     /// table — stream mode reclaims each window's merged delta file once
     /// its rows have been absorbed into the resident accumulator.
     pub(crate) fn remove_file(&self, name: &str) {
         // simlint: allow(error-swallow) — best-effort reclaim of an unreferenced temp file; the store's Drop removes the whole directory anyway, so a failed unlink only defers cleanup
         let _ = fs::remove_file(self.dir.join(name));
-    }
-
-    /// Start an append-only merged-column file (magic already written;
-    /// block offsets returned by [`BlockWriter::append`] account for it).
-    pub(crate) fn writer(&self, name: &str) -> io::Result<BlockWriter> {
-        let file = File::create(self.dir.join(name))?;
-        let mut out = BufWriter::new(file);
-        out.write_all(SEGMENT_MAGIC)?;
-        Ok(BlockWriter { out, offset: SEGMENT_MAGIC.len() as u64 })
     }
 }
 
@@ -171,14 +163,95 @@ impl Drop for SegmentStore {
     }
 }
 
+/// A disk-backed portion of one record table: its per-router blocks in
+/// one sealed segment or merged file. The part opens the file on its
+/// first block read and keeps it for every later one, shared by the
+/// part's clones; a lock around each seek and read lets several threads
+/// read through one part.
+#[derive(Debug, Clone)]
+pub(crate) struct SpilledPart {
+    store: Arc<SegmentStore>,
+    name: String,
+    /// Where each router's block lies in the file.
+    pub(crate) blocks: BTreeMap<RouterId, BlockRef>,
+    /// The open file, once a block has been read.
+    file: Arc<Mutex<Option<File>>>,
+}
+
+impl SpilledPart {
+    /// A part over the file `name` in `store`. Opens nothing.
+    pub(crate) fn new(
+        store: &Arc<SegmentStore>,
+        name: &str,
+        blocks: BTreeMap<RouterId, BlockRef>,
+    ) -> SpilledPart {
+        SpilledPart {
+            store: Arc::clone(store),
+            name: name.to_string(),
+            blocks,
+            file: Arc::default(),
+        }
+    }
+
+    /// The file's name in its store.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The store holding the file.
+    pub(crate) fn store(&self) -> &Arc<SegmentStore> {
+        &self.store
+    }
+
+    /// Read one block into `buf` (cleared and resized), opening the file
+    /// if this is the part's first read.
+    pub(crate) fn read(&self, at: &BlockRef, buf: &mut Vec<u8>) -> Result<(), SpillError> {
+        let mut held = self.file.lock();
+        let file = match &mut *held {
+            Some(file) => file,
+            unopened => unopened.insert(File::open(self.store.dir.join(&self.name))?),
+        };
+        file.seek(SeekFrom::Start(at.offset))?;
+        buf.clear();
+        buf.resize(at.len as usize, 0);
+        file.read_exact(buf)?;
+        Ok(())
+    }
+
+    /// Total encoded bytes across all blocks.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.blocks.values().map(|b| b.len).sum()
+    }
+
+    /// Delete the part's file from its store.
+    pub(crate) fn remove(self) {
+        self.store.remove_file(&self.name);
+    }
+}
+
 /// Append-only block writer over one merged-column file.
 #[derive(Debug)]
 pub(crate) struct BlockWriter {
+    store: Arc<SegmentStore>,
+    name: String,
     out: BufWriter<File>,
     offset: u64,
 }
 
 impl BlockWriter {
+    /// Start the merged-column file `merged-{id}-{tag}.col` in `store`,
+    /// with an id no other merged file of the store has, so repeated
+    /// drains of a live collector never collide on names. The magic is
+    /// already written; offsets returned by [`BlockWriter::append`]
+    /// account for it.
+    pub(crate) fn create(store: &Arc<SegmentStore>, tag: &str) -> io::Result<BlockWriter> {
+        let id = store.merge_seq.fetch_add(1, Ordering::Relaxed);
+        let name = format!("merged-{id}-{tag}.col");
+        let mut out = BufWriter::new(File::create(store.dir.join(&name))?);
+        out.write_all(SEGMENT_MAGIC)?;
+        Ok(BlockWriter { store: Arc::clone(store), name, out, offset: SEGMENT_MAGIC.len() as u64 })
+    }
+
     /// Append one encoded block; returns its offset from file start.
     pub(crate) fn append(&mut self, block: &[u8]) -> io::Result<u64> {
         let at = self.offset;
@@ -187,23 +260,15 @@ impl BlockWriter {
         Ok(at)
     }
 
-    /// Flush and close the file.
-    pub(crate) fn finish(mut self) -> io::Result<()> {
-        self.out.flush()
+    /// Flush and close the file, and hand it over as the part holding
+    /// `blocks`.
+    pub(crate) fn finish(
+        mut self,
+        blocks: BTreeMap<RouterId, BlockRef>,
+    ) -> io::Result<SpilledPart> {
+        self.out.flush()?;
+        Ok(SpilledPart::new(&self.store, &self.name, blocks))
     }
-}
-
-/// Read one block into `buf` (cleared and resized).
-pub(crate) fn read_block(
-    file: &mut File,
-    at: &BlockRef,
-    buf: &mut Vec<u8>,
-) -> Result<(), SpillError> {
-    file.seek(SeekFrom::Start(at.offset))?;
-    buf.clear();
-    buf.resize(at.len as usize, 0);
-    file.read_exact(buf)?;
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -351,16 +416,39 @@ mod tests {
 
     #[test]
     fn block_writer_offsets_account_for_the_magic() {
-        let store = SegmentStore::create(None).expect("create store");
-        let mut w = store.writer("merged.col").expect("writer");
+        let store = Arc::new(SegmentStore::create(None).expect("create store"));
+        let mut w = BlockWriter::create(&store, "flows").expect("writer");
         let a = w.append(b"abc").expect("append");
         let b = w.append(b"defg").expect("append");
-        w.finish().expect("finish");
+        let at = BlockRef { offset: b, len: 4, rows: 0 };
+        let part = w.finish(BTreeMap::from([(RouterId(1), at)])).expect("finish");
+        assert_eq!(part.name(), "merged-0-flows.col");
         assert_eq!(a, SEGMENT_MAGIC.len() as u64);
         assert_eq!(b, a + 3);
-        let mut f = store.open("merged.col").expect("open");
         let mut buf = Vec::new();
-        read_block(&mut f, &BlockRef { offset: b, len: 4, rows: 0 }, &mut buf).expect("read");
+        part.read(&at, &mut buf).expect("read");
         assert_eq!(buf, b"defg");
+        let next = BlockWriter::create(&store, "flows").expect("writer");
+        assert_eq!(next.name, "merged-1-flows.col", "every merged file gets a fresh id");
+    }
+
+    #[test]
+    fn a_part_opens_its_file_on_the_first_read_and_keeps_it() {
+        let store = Arc::new(SegmentStore::create(None).expect("create store"));
+        let at = BlockRef { offset: 2, len: 3, rows: 1 };
+        let part = SpilledPart::new(&store, "seg0", BTreeMap::from([(RouterId(4), at)]));
+        let clone = part.clone();
+        let mut buf = Vec::new();
+        assert!(part.read(&at, &mut buf).is_err(), "creating a part opened nothing");
+        store.write_file("seg0", b"..xyz").expect("write");
+        part.read(&at, &mut buf).expect("first read opens the file");
+        assert_eq!(buf, b"xyz");
+        // Unlinked, the file stays readable through the open handle, which
+        // the clone shares: no later read opens it again.
+        store.remove_file("seg0");
+        assert!(!store.dir().join("seg0").exists());
+        buf.clear();
+        clone.read(&at, &mut buf).expect("the held handle still reads");
+        assert_eq!(buf, b"xyz");
     }
 }

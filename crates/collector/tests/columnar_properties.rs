@@ -274,7 +274,7 @@ macro_rules! prop_assert_matches_rows {
             let expect: Vec<_> = rows.iter().filter(|r| r.router == router).cloned().collect();
             prop_assert_eq!(table.router(router).collect::<Vec<_>>(), expect);
         }
-        let merged = <$Table>::merge(Vec::from(shards));
+        let merged = <$Table>::merge(Vec::from(shards)).expect("a resident merge");
         let mut legacy = rows.clone();
         legacy.sort_by_key(|$r| ($r.router, $key));
         prop_assert_eq!(merged.iter().collect::<Vec<_>>(), legacy);
@@ -334,7 +334,7 @@ proptest! {
                 shard_b.push(r.clone());
             }
         }
-        let merged = FlowTable::merge(vec![shard_a, shard_b]);
+        let merged = FlowTable::merge(vec![shard_a, shard_b]).expect("a resident merge");
         prop_assert_eq!(merged.len(), rows.len());
 
         // Row-table merge: every chunk's rows, stably sorted by
@@ -361,7 +361,7 @@ proptest! {
                 shard_b.push(r.clone());
             }
         }
-        let merged = FlowTable::merge(vec![shard_a, shard_b]);
+        let merged = FlowTable::merge(vec![shard_a, shard_b]).expect("a resident merge");
         let back: Vec<FlowRecord> = merged.iter().collect();
         prop_assert_eq!(back, rows);
     }

@@ -3,13 +3,13 @@
 //! Home simulations buffer each delivered heartbeat's arrival stamp and
 //! hand the stamps over in batches through
 //! `ShardHandle::ingest_heartbeats`. The collector admits a heartbeat by
-//! its stamp alone, so for any non-decreasing stamp runs, any announced
-//! downtime and any outage windows, the batches must leave exactly what
-//! stamp-by-stamp `Collector::ingest_heartbeat` leaves:
+//! its stamp alone, so for any non-decreasing stamp runs and any announced
+//! downtime, the batches must leave exactly what stamp-by-stamp
+//! `Collector::ingest_heartbeat` leaves:
 //!
 //! * the same per-router run logs, with no log for a router whose stamps
 //!   were all dropped;
-//! * the same `dropped_in_downtime()` and `dropped_in_outage()` counts;
+//! * the same `dropped_in_downtime()` count;
 //! * an empty buffer after every hand-over.
 
 use collector::windows::Window;
@@ -48,10 +48,9 @@ fn windows() -> impl Strategy<Value = Vec<Window>> {
     })
 }
 
-fn collector(downtime: &[Window], outages: &[Window]) -> Collector {
+fn collector(downtime: &[Window]) -> Collector {
     let collector = Collector::new();
     collector.set_downtime(downtime.to_vec());
-    collector.set_outages(outages.to_vec());
     collector
 }
 
@@ -60,17 +59,16 @@ proptest! {
     fn batched_ingest_matches_stamp_by_stamp(
         runs in proptest::collection::vec(stamp_run(), ROUTERS.len()),
         downtime in windows(),
-        outages in windows(),
         batch in 1usize..40,
     ) {
-        let reference = collector(&downtime, &outages);
+        let reference = collector(&downtime);
         for (&router, stamps) in ROUTERS.iter().zip(&runs) {
             for &at in stamps {
                 reference.ingest_heartbeat(HeartbeatRecord { router, at });
             }
         }
 
-        let batched = collector(&downtime, &outages);
+        let batched = collector(&downtime);
         let mut buffer = Vec::new();
         for (&router, stamps) in ROUTERS.iter().zip(&runs) {
             let shard = batched.shard_handle(router);
@@ -83,7 +81,6 @@ proptest! {
         }
 
         prop_assert_eq!(batched.dropped_in_downtime(), reference.dropped_in_downtime());
-        prop_assert_eq!(batched.dropped_in_outage(), reference.dropped_in_outage());
         let (want, got) = (reference.drain_delta(), batched.drain_delta());
         prop_assert!(
             got.heartbeats.values().all(|log| log.total_heartbeats() > 0),

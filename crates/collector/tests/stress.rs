@@ -1,7 +1,7 @@
 //! Parallel-ingest stress test: many home threads uploading through shard
-//! handles while collector-side outage windows are in effect must land on
-//! exactly the serial result — same drop count, same per-router heartbeat
-//! run logs, same tables.
+//! handles while announced collector downtime is in effect must land on
+//! exactly the serial result — same dropped-heartbeat count, same
+//! per-router heartbeat run logs, same tables.
 
 use collector::windows::Window;
 use collector::{Collector, RouterMeta};
@@ -21,8 +21,8 @@ fn router_ids() -> Vec<RouterId> {
     (0..24u32).map(RouterId).chain([RouterId(130), RouterId(258)]).collect()
 }
 
-/// Three interleaved collector-side outage windows.
-fn outages() -> Vec<Window> {
+/// Three interleaved windows of announced collector downtime.
+fn downtime() -> Vec<Window> {
     vec![
         Window { start: mins(100), end: mins(160) },
         Window { start: mins(700), end: mins(730) },
@@ -31,8 +31,7 @@ fn outages() -> Vec<Window> {
 }
 
 fn records_for(router: RouterId) -> Vec<Record> {
-    // Uptime every 10 minutes, phase-shifted per router so each home loses
-    // a different subset to the outages.
+    // Uptime every 10 minutes, phase-shifted per router.
     let offset = u64::from(router.0) % 7;
     (0..MINUTES)
         .filter(|m| m % 10 == offset)
@@ -62,7 +61,7 @@ fn register_all(collector: &Collector) {
 
 fn serial_reference() -> Collector {
     let collector = Collector::new();
-    collector.set_outages(outages());
+    collector.set_downtime(downtime());
     register_all(&collector);
     for router in router_ids() {
         for hb in heartbeats_for(router) {
@@ -76,11 +75,11 @@ fn serial_reference() -> Collector {
 #[test]
 fn parallel_shard_ingest_matches_serial() {
     let reference = serial_reference();
-    let expected_dropped = reference.dropped_in_outage();
-    assert!(expected_dropped > 0, "outage windows must actually drop records");
+    let expected_dropped = reference.dropped_in_downtime();
+    assert!(expected_dropped > 0, "downtime windows must actually drop heartbeats");
 
     let parallel = Collector::new();
-    parallel.set_outages(outages());
+    parallel.set_downtime(downtime());
     register_all(&parallel);
     std::thread::scope(|scope| {
         for router in router_ids() {
@@ -108,7 +107,7 @@ fn parallel_shard_ingest_matches_serial() {
         }
     });
 
-    assert_eq!(parallel.dropped_in_outage(), expected_dropped);
+    assert_eq!(parallel.dropped_in_downtime(), expected_dropped);
 
     let a = reference.drain_delta();
     let b = parallel.drain_delta();

@@ -259,7 +259,7 @@ pub struct HomeSim<'a> {
     out: Vec<Record>,
     /// Arrival stamps of delivered heartbeats not yet handed to the
     /// collector. Heartbeats are datagrams the collector admits or drops
-    /// by their stamp alone (announced downtime, outages), so a later
+    /// by their stamp alone (against announced downtime), so a later
     /// hand-over admits each exactly as on arrival. They are never
     /// spooled or retried, which is what makes collector downtime show
     /// as correlated heartbeat silence while batch data survives, and

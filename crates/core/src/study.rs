@@ -92,9 +92,6 @@ pub struct StudyConfig {
     /// claims homes beside `threads − 1` workers, after folding the
     /// previous stream window.
     pub threads: usize,
-    /// Collection-infrastructure outage windows (§3.3 failure injection):
-    /// records arriving during one are lost at the server.
-    pub collector_outages: Vec<Window>,
     /// Fault scenario to compile and inject (see [`faultlab`]). `None`
     /// disengages the fault subsystem entirely: the run is byte-identical
     /// to one from a build without faultlab at all.
@@ -119,7 +116,6 @@ impl StudyConfig {
             homes: 126,
             windows: StudyWindows::table2(),
             threads: default_threads(),
-            collector_outages: Vec::new(),
             faults: None,
             cgn: None,
             spill: None,
@@ -138,7 +134,6 @@ impl StudyConfig {
             homes: 126,
             windows: StudyWindows::scaled(span),
             threads: default_threads(),
-            collector_outages: Vec::new(),
             faults: None,
             cgn: None,
             spill: None,
@@ -235,7 +230,7 @@ struct Deployment {
 
 impl Deployment {
     /// Build the deployment and plans for `config`, plus a collector with
-    /// the spill budget, outages and fault downtime armed and every home
+    /// the spill budget and fault downtime armed and every home
     /// registered.
     fn set_up(config: &StudyConfig) -> (Deployment, Collector) {
         let universe = DomainUniverse::standard();
@@ -268,7 +263,6 @@ impl Deployment {
                 .set_spill(spill)
                 .expect("spill directory must be creatable before the study starts");
         }
-        collector.set_outages(config.collector_outages.clone());
         if !fault_plan.collector_downtime.is_empty() {
             collector.set_downtime(fault_plan.collector_downtime.clone());
         }
@@ -525,7 +519,6 @@ pub fn run_study_stream(
     assert!(cadence.as_micros() > 0, "stream cadence must be positive");
     let mut inc = analysis::IncrementalReport::new(config.windows.report_windows());
     let mut acc = Datasets::default();
-    let mut absorber = collector::DatasetsAbsorber::default();
     let mut report: Option<analysis::StudyReport> = None;
     let mut absorbing = std::time::Duration::ZERO;
     let mut index: u32 = 0;
@@ -540,7 +533,7 @@ pub fn run_study_stream(
         let update_cost = update_start.elapsed();
         // simlint: allow(wall-clock) — operator-facing phase timing only; never feeds the simulation or its datasets
         let absorb_start = std::time::Instant::now();
-        acc.absorb(delta, &mut absorber);
+        acc.absorb(delta);
         let absorb_cost = absorb_start.elapsed();
         absorbing += absorb_cost;
         // simlint: allow(wall-clock) — per-window incremental-cost profiling for the bench harness; never feeds figures

@@ -50,6 +50,13 @@ if [ -z "${SKIP_TESTS:-}" ]; then
     # checked against their row model over many more router mixes, ties
     # and out-of-order times.
     PROPTEST_CASES=2000 cargo test -q --release --offline -p collector --test columnar_properties
+    echo "== spill and drain properties at 2,000 cases (release) =="
+    # Every `cargo test` runs tests/spill_properties.rs at 64 cases; here
+    # spilled drains, drains at cut points folded by `Datasets::absorb`,
+    # and every table's `router(r)` are checked against the unbounded
+    # collector's one drain over many more record mixes, budgets and
+    # batch sizes.
+    PROPTEST_CASES=2000 cargo test -q --release --offline -p collector --test spill_properties
     echo "== golden digests of the full study (release) =="
     # tests/golden.rs pins the quick runs in every `cargo test`; its
     # 197-day row is #[ignore]d there and runs here on the release build.

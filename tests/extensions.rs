@@ -91,40 +91,19 @@ fn fingerprinting_beats_chance_on_type_labels() {
 }
 
 #[test]
-fn collector_outage_produces_detectable_correlated_gap() {
-    use collector::windows::Window;
-    use simnet::time::{SimDuration, SimTime};
-    // Inject a 45-minute collector outage on day 3 and confirm the
-    // artifact detector finds it — and finds nothing in the clean study.
-    let outage = Window {
-        start: SimTime::EPOCH + SimDuration::from_days(3),
-        end: SimTime::EPOCH + SimDuration::from_days(3) + SimDuration::from_mins(45),
-    };
-    let mut config = StudyConfig::quick(SEED, 6);
-    config.collector_outages = vec![outage];
-    let broken = run_study(&config);
-    let span = Window { start: broken.windows.span.start, end: broken.windows.span.end };
-    let flagged = analysis::artifacts::correlated_gaps(
-        &broken.datasets,
-        span,
-        0.7,
-        SimDuration::from_mins(20),
-    );
-    assert_eq!(flagged.len(), 1, "the injected outage must be flagged: {flagged:?}");
-    let gap = flagged[0];
-    assert!(gap.start >= outage.start - SimDuration::from_mins(5));
-    assert!(gap.end <= outage.end + SimDuration::from_mins(5));
-    // The clean shared study has no correlated gaps.
+fn clean_study_has_no_correlated_gaps() {
+    // The artifact detector flags nothing in a study without collector
+    // downtime; that it finds injected downtime is checked against
+    // faultlab's collector-flap plan (tests/faultlab.rs).
+    use simnet::time::SimDuration;
     let clean = study();
-    let clean_span =
-        Window { start: clean.windows.span.start, end: clean.windows.span.end };
-    let clean_flags = analysis::artifacts::correlated_gaps(
+    let flags = analysis::artifacts::correlated_gaps(
         &clean.datasets,
-        clean_span,
+        clean.windows.span,
         0.7,
         SimDuration::from_mins(20),
     );
-    assert!(clean_flags.is_empty(), "{clean_flags:?}");
+    assert!(flags.is_empty(), "{flags:?}");
 }
 
 #[test]
