@@ -68,7 +68,7 @@ fn bench_packets(c: &mut Criterion) {
         b.iter(|| black_box(firmware::Heartbeat::parse(&hb_wire).expect("valid")))
     });
     group.bench_function("heartbeat_round_trip", |b| {
-        // Shaped like `HomeSim::on_heartbeat`: emit into a stack buffer,
+        // Shaped like `HomeSim::on_heartbeats`: emit into a stack buffer,
         // then the collector-side parse.
         let mut seq = 0;
         b.iter(|| {

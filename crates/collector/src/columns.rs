@@ -78,7 +78,7 @@
 //! record sequence whether or not the study spilled.
 
 use crate::spill::{
-    put_u16, put_u32, put_u64, put_u8, BlockRef, BlockWriter, Cursor, SegmentStore, SpillError,
+    put_u16, put_u32, put_u64, put_u8, BlockRef, BlockWriter, Cursor, SegmentFile, SpillError,
     SpilledPart,
 };
 use firmware::anonymize::{AnonMac, ReportedDomain};
@@ -1140,13 +1140,12 @@ macro_rules! columnar_table {
             /// the resident columns start empty.
             pub(crate) fn seal(
                 &mut self,
-                store: &Arc<SegmentStore>,
-                file: &str,
+                file: &Arc<SegmentFile>,
                 blocks: BTreeMap<RouterId, BlockRef>,
             ) {
                 self.by_router = BTreeMap::new();
                 if !blocks.is_empty() {
-                    self.spilled.push(SpilledPart::new(store, file, blocks));
+                    self.spilled.push(SpilledPart::new(file, blocks));
                 }
             }
 
@@ -1612,6 +1611,7 @@ columnar_table! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::SegmentStore;
     use simnet::dns::DomainName;
     use simnet::time::SimDuration;
 
@@ -1918,7 +1918,7 @@ mod tests {
 
     #[test]
     fn merge_spilled_reunifies_disk_and_resident_rows() {
-        use crate::spill::{SegmentStore, SEGMENT_MAGIC};
+        use crate::spill::SEGMENT_MAGIC;
         use std::sync::Arc;
 
         // Model: what an unbounded in-memory shard would hold.
@@ -1940,7 +1940,7 @@ mod tests {
         buf.extend_from_slice(SEGMENT_MAGIC);
         let blocks = shard.encode_segment(&mut buf);
         store.write_file("shard001-seg00000.seg", &buf).unwrap();
-        shard.seal(&store, "shard001-seg00000.seg", blocks);
+        shard.seal(&store.file("shard001-seg00000.seg"), blocks);
         assert!(!shard.has_resident(), "sealed rows leave the resident columns");
         for r in &resident_rows {
             shard.push(r.clone());
@@ -1971,7 +1971,7 @@ mod tests {
         let mut buf = crate::spill::SEGMENT_MAGIC.to_vec();
         let blocks = shard.encode_segment(&mut buf);
         store.write_file(file, &buf).unwrap();
-        shard.seal(store, file, blocks);
+        shard.seal(&store.file(file), blocks);
         shard
     }
 

@@ -245,7 +245,9 @@ macro_rules! columnar_table_set {
             ) -> Result<(), SpillError> {
                 $(let $field = self.$field.encode_segment(buf);)*
                 store.write_file(file, buf)?;
-                $(self.$field.seal(store, file, $field);)*
+                // Every table's part reads through one handle.
+                let segment = store.file(file);
+                $(self.$field.seal(&segment, $field);)*
                 Ok(())
             }
 
@@ -1275,6 +1277,30 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    #[test]
+    fn the_parts_of_one_seal_read_through_one_handle() {
+        let store = Arc::new(SegmentStore::create(None).expect("create store"));
+        let mut tables = Datasets::default();
+        let (router, at) = (RouterId(1), m(5));
+        tables.uptime.push(UptimeRecord { router, at, uptime: SimDuration::ZERO });
+        tables.capacity.push(CapacityRecord {
+            router,
+            at,
+            down_bps: 1,
+            up_bps: 1,
+            shaping_detected: false,
+        });
+        let mut buf = SEGMENT_MAGIC.to_vec();
+        tables.seal_columns(&store, "seg0", &mut buf).expect("seal");
+        assert!(!tables.has_resident_columns());
+        // The uptime part's read opens the segment. Unlinked after that,
+        // it still reads through the capacity part, which shares the
+        // handle instead of opening the file again.
+        assert_eq!(tables.uptime.router(router).count(), 1);
+        store.remove_file("seg0");
+        assert_eq!(tables.capacity.router(router).count(), 1);
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //!   table. Blocks are written in ascending router order within a
 //!   segment, and the merge reads them back in ascending router order, so
 //!   reads are sequential per file.
-//! * Every block read goes through its part, which opens its file on its
-//!   first read and keeps it open for every later one. Creating a part
-//!   opens nothing, so a shard may seal thousands of segments; a shard's
-//!   segment parts are read only by the drain's merge, chunk by chunk,
-//!   and close with their chunk, and a drained table holds at most one
-//!   part, its merged file.
+//! * Every block read goes through its part's `SegmentFile`, which opens
+//!   the file on its first read and keeps it open for every later one.
+//!   The parts one seal leaves its tables share one `SegmentFile`, so a
+//!   segment is opened once however many tables read from it. Creating a
+//!   part opens nothing, so a shard may seal thousands of segments; a
+//!   shard's segment parts are read only by the drain's merge, chunk by
+//!   chunk, and close with their chunk, and a drained table holds at most
+//!   one part, its merged file.
 //! * All segment I/O returns `Result` — a failed seal degrades the shard
 //!   back to resident (in-memory) operation with the error surfaced via
 //!   [`crate::Collector::spill_stats`], never a panic on the ingest path.
@@ -139,6 +141,16 @@ impl SegmentStore {
         &self.dir
     }
 
+    /// The file `name` in this store, for parts to read through. Opens
+    /// nothing.
+    pub(crate) fn file(self: &Arc<Self>, name: &str) -> Arc<SegmentFile> {
+        Arc::new(SegmentFile {
+            store: Arc::clone(self),
+            name: name.to_string(),
+            file: Mutex::new(None),
+        })
+    }
+
     /// Write a whole segment in one call (used by shard seals, which
     /// encode to a buffer first so a failed write loses nothing).
     pub(crate) fn write_file(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
@@ -163,49 +175,21 @@ impl Drop for SegmentStore {
     }
 }
 
-/// A disk-backed portion of one record table: its per-router blocks in
-/// one sealed segment or merged file. The part opens the file on its
-/// first block read and keeps it for every later one, shared by the
-/// part's clones; a lock around each seek and read lets several threads
-/// read through one part.
-#[derive(Debug, Clone)]
-pub(crate) struct SpilledPart {
+/// One segment or merged file in a store, opened on its first block read
+/// and kept open for every later one. Every part over the file shares it;
+/// a lock around each seek and read lets several threads read through it.
+#[derive(Debug)]
+pub(crate) struct SegmentFile {
     store: Arc<SegmentStore>,
     name: String,
-    /// Where each router's block lies in the file.
-    pub(crate) blocks: BTreeMap<RouterId, BlockRef>,
     /// The open file, once a block has been read.
-    file: Arc<Mutex<Option<File>>>,
+    file: Mutex<Option<File>>,
 }
 
-impl SpilledPart {
-    /// A part over the file `name` in `store`. Opens nothing.
-    pub(crate) fn new(
-        store: &Arc<SegmentStore>,
-        name: &str,
-        blocks: BTreeMap<RouterId, BlockRef>,
-    ) -> SpilledPart {
-        SpilledPart {
-            store: Arc::clone(store),
-            name: name.to_string(),
-            blocks,
-            file: Arc::default(),
-        }
-    }
-
-    /// The file's name in its store.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The store holding the file.
-    pub(crate) fn store(&self) -> &Arc<SegmentStore> {
-        &self.store
-    }
-
+impl SegmentFile {
     /// Read one block into `buf` (cleared and resized), opening the file
-    /// if this is the part's first read.
-    pub(crate) fn read(&self, at: &BlockRef, buf: &mut Vec<u8>) -> Result<(), SpillError> {
+    /// on its first read.
+    fn read(&self, at: &BlockRef, buf: &mut Vec<u8>) -> Result<(), SpillError> {
         let mut held = self.file.lock();
         let file = match &mut *held {
             Some(file) => file,
@@ -217,6 +201,41 @@ impl SpilledPart {
         file.read_exact(buf)?;
         Ok(())
     }
+}
+
+/// A disk-backed portion of one record table: its per-router blocks in
+/// one sealed segment or merged file.
+#[derive(Debug, Clone)]
+pub(crate) struct SpilledPart {
+    file: Arc<SegmentFile>,
+    /// Where each router's block lies in the file.
+    pub(crate) blocks: BTreeMap<RouterId, BlockRef>,
+}
+
+impl SpilledPart {
+    /// A part over `file`.
+    pub(crate) fn new(
+        file: &Arc<SegmentFile>,
+        blocks: BTreeMap<RouterId, BlockRef>,
+    ) -> SpilledPart {
+        SpilledPart { file: Arc::clone(file), blocks }
+    }
+
+    /// The file's name in its store.
+    pub(crate) fn name(&self) -> &str {
+        &self.file.name
+    }
+
+    /// The store holding the file.
+    pub(crate) fn store(&self) -> &Arc<SegmentStore> {
+        &self.file.store
+    }
+
+    /// Read one block into `buf` (cleared and resized), opening the file
+    /// if no part over it has read from it yet.
+    pub(crate) fn read(&self, at: &BlockRef, buf: &mut Vec<u8>) -> Result<(), SpillError> {
+        self.file.read(at, buf)
+    }
 
     /// Total encoded bytes across all blocks.
     pub(crate) fn bytes(&self) -> u64 {
@@ -225,7 +244,7 @@ impl SpilledPart {
 
     /// Delete the part's file from its store.
     pub(crate) fn remove(self) {
-        self.store.remove_file(&self.name);
+        self.file.store.remove_file(&self.file.name);
     }
 }
 
@@ -267,7 +286,7 @@ impl BlockWriter {
         blocks: BTreeMap<RouterId, BlockRef>,
     ) -> io::Result<SpilledPart> {
         self.out.flush()?;
-        Ok(SpilledPart::new(&self.store, &self.name, blocks))
+        Ok(SpilledPart::new(&self.store.file(&self.name), blocks))
     }
 }
 
@@ -436,7 +455,8 @@ mod tests {
     fn a_part_opens_its_file_on_the_first_read_and_keeps_it() {
         let store = Arc::new(SegmentStore::create(None).expect("create store"));
         let at = BlockRef { offset: 2, len: 3, rows: 1 };
-        let part = SpilledPart::new(&store, "seg0", BTreeMap::from([(RouterId(4), at)]));
+        let file = store.file("seg0");
+        let part = SpilledPart::new(&file, BTreeMap::from([(RouterId(4), at)]));
         let clone = part.clone();
         let mut buf = Vec::new();
         assert!(part.read(&at, &mut buf).is_err(), "creating a part opened nothing");

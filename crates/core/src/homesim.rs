@@ -9,7 +9,9 @@
 //! * while powered, the firmware sends per-minute heartbeats (real wire
 //!   images through the uplink and a lossy WAN path), 12-hourly uptime
 //!   reports and capacity probes, hourly device censuses, and 10-minute
-//!   WiFi scan slots;
+//!   WiFi scan slots. One queued event sends a run of heartbeats, every
+//!   minute up to the next pending event (see [`HomeSim::run_until`]), so
+//!   the queue pops one heartbeat event per run, not one per minute;
 //! * devices come and go following the household's diurnal rhythm; in
 //!   consenting homes during the Traffic window, online devices start
 //!   application sessions (DNS lookup through the gateway resolver, NAT
@@ -62,12 +64,16 @@ const FLUSH_THRESHOLD: usize = 50_000;
 /// The traffic lattice's step: flows move second by second.
 const SECOND: SimDuration = SimDuration::from_secs(1);
 
+/// The heartbeat lattice's step: a powered router sends one a minute.
+const MINUTE: SimDuration = SimDuration::from_mins(1);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     PowerOn,
     PowerOff,
-    /// Per-minute heartbeat; `epoch` guards against stale events from a
-    /// previous boot.
+    /// The next heartbeat minute, which sends a run of them (see
+    /// [`HomeSim::on_heartbeats`]); `epoch` guards against stale events
+    /// from a previous boot.
     Heartbeat { epoch: u32 },
     UptimeReport,
     CapacityProbe,
@@ -231,6 +237,8 @@ pub struct HomeSim<'a> {
     traffic_plan: u32,
     /// Traffic events popped, stale and re-queued ones included.
     traffic_events: u64,
+    /// Heartbeat events popped, stale ones included.
+    heartbeat_events: u64,
     uploader_active: bool,
     dns_id: u16,
     ephemeral_port: u16,
@@ -384,6 +392,7 @@ impl<'a> HomeSim<'a> {
             traffic_next: None,
             traffic_plan: 0,
             traffic_events: 0,
+            heartbeat_events: 0,
             uploader_active: false,
             dns_id: 1,
             ephemeral_port: 20_000,
@@ -439,6 +448,18 @@ impl<'a> HomeSim<'a> {
             "{ev:?} at {at} is not a non-traffic event more than 1 s after {now}"
         );
         self.queue.schedule(at, ev);
+    }
+
+    /// Is the record buffer due for a flush? On the direct path a
+    /// buffered heartbeat stamp counts toward the threshold as the
+    /// heartbeat record it replaces did, which keeps flush and spill-seal
+    /// points fixed. Uploader batches never carry heartbeats, so there
+    /// stamps do not count.
+    fn flush_due(&self) -> bool {
+        match &self.upload_queue {
+            None => self.out.len() + self.heartbeat_stamps.len() >= FLUSH_THRESHOLD,
+            Some(up) => self.out.len() >= up.config().batch_records,
+        }
     }
 
     fn flush(&mut self, now: SimTime, shard: &collector::ShardHandle<'_>) {
@@ -587,21 +608,18 @@ impl<'a> HomeSim<'a> {
     /// loop would make, so a streamed home is record-identical to a batch
     /// one. Call [`Self::finish`] after the last segment.
     ///
+    /// A heartbeat event sends every heartbeat minute before both the
+    /// next pending event and `until` in one go, with the flush check
+    /// after each, and queues the minute after the last one sent: the
+    /// records, flush points and same-instant order are those of one
+    /// event per minute.
+    ///
     /// [`run`]: Self::run
     pub fn run_until(&mut self, until: SimTime, collector: &Collector) {
         let shard = collector.shard_handle(self.gateway.id);
-        // On the direct path a buffered heartbeat stamp counts toward the
-        // threshold as the heartbeat record it replaces did, which keeps
-        // flush and spill-seal points fixed. Uploader batches never carry
-        // heartbeats, so there stamps do not count.
-        let (threshold, stamps_count) = match &self.upload_queue {
-            None => (FLUSH_THRESHOLD, true),
-            Some(up) => (up.config().batch_records, false),
-        };
         while let Some((now, ev)) = self.queue.pop_if_before(until) {
-            self.handle(now, ev, &shard);
-            let stamps = if stamps_count { self.heartbeat_stamps.len() } else { 0 };
-            if self.out.len() + stamps >= threshold {
+            self.handle(now, ev, until, &shard);
+            if self.flush_due() {
                 self.flush(now, &shard);
             }
         }
@@ -664,11 +682,13 @@ impl<'a> HomeSim<'a> {
         }
     }
 
-    fn handle(&mut self, now: SimTime, ev: Ev, shard: &collector::ShardHandle<'_>) {
+    /// Run the event `ev` popped at `now`, in a segment that ends at
+    /// `until`.
+    fn handle(&mut self, now: SimTime, ev: Ev, until: SimTime, shard: &collector::ShardHandle<'_>) {
         match ev {
             Ev::PowerOn => self.on_power_on(now, shard),
             Ev::PowerOff => self.on_power_off(now),
-            Ev::Heartbeat { epoch } => self.on_heartbeat(now, epoch),
+            Ev::Heartbeat { epoch } => self.on_heartbeats(now, epoch, until, shard),
             Ev::UptimeReport => self.on_uptime(now),
             Ev::CapacityProbe => self.on_capacity_probe(now),
             Ev::Census => self.on_census(now),
@@ -748,36 +768,78 @@ impl<'a> HomeSim<'a> {
         self.traffic_plan += 1;
     }
 
-    fn on_heartbeat(&mut self, now: SimTime, epoch: u32) {
+    /// Heartbeat events popped so far, stale ones included: one per run of
+    /// minutes, where there used to be one per minute.
+    pub fn heartbeat_events(&self) -> u64 {
+        self.heartbeat_events
+    }
+
+    /// A live heartbeat event sends a run: its own minute's heartbeat and
+    /// every later one on its lattice that falls before both the next
+    /// pending event and `until`, then queues one event at the minute
+    /// after the last one sent. Nothing else pops inside the run, and
+    /// every event pending at its end was queued before a per-minute
+    /// event due there would have been, so same-instant ties resolve as
+    /// if each minute were an event of its own. The flush check still
+    /// follows every heartbeat; a flush ends the run, after the next
+    /// minute's event is queued, because an upload retry it schedules may
+    /// fall inside the run.
+    fn on_heartbeats(
+        &mut self,
+        now: SimTime,
+        epoch: u32,
+        until: SimTime,
+        shard: &collector::ShardHandle<'_>,
+    ) {
+        self.heartbeat_events += 1;
         if !self.gateway.is_powered() || epoch != self.boot_epoch {
             return; // stale event from a previous boot
         }
-        let hb = Heartbeat { router: self.gateway.id, seq: self.gateway.heartbeat_seq };
-        self.gateway.heartbeat_seq += 1;
-        self.metrics.heartbeats_emitted += 1;
-        // The packet crosses the uplink (it can be queued behind bulk
-        // upload traffic, or dropped if the queue is full), then the WAN
-        // path, where congestion loss applies; it only arrives if the ISP
-        // link is up and it survives. The wire image is built and parsed
-        // on a stack buffer only for packets that actually arrive —
-        // emission is pure, so skipping it for lost packets changes
-        // nothing. An arrival is buffered as its collector-side stamp.
-        if self.is_isp_up(now) {
-            if let TxOutcome::Delivered { at } =
-                self.up_link.transmit(now, Heartbeat::wire_len())
-            {
-                if self.wan.survives(&mut self.rng_heartbeat) {
-                    let mut wire = [0u8; Heartbeat::WIRE_LEN];
-                    hb.emit_into(self.cfg.wan_addr, &mut wire);
-                    // Collector-side parse: only validated packets count.
-                    if let Ok((parsed, _)) = Heartbeat::parse(&wire) {
-                        debug_assert_eq!(parsed.router, self.gateway.id);
-                        self.heartbeat_stamps.push(at + self.wan.transit_delay);
+        let bound = self.queue.peek_time().map_or(until, |next| next.min(until));
+        // A cursor at the first ISP outage not over by the current minute.
+        let mut outage = self.outages.partition_point(|iv| iv.end <= now);
+        let mut at = now;
+        loop {
+            let hb = Heartbeat { router: self.gateway.id, seq: self.gateway.heartbeat_seq };
+            self.gateway.heartbeat_seq += 1;
+            self.metrics.heartbeats_emitted += 1;
+            while self.outages.get(outage).is_some_and(|iv| iv.end <= at) {
+                outage += 1;
+            }
+            // The packet crosses the uplink (it can be queued behind a
+            // latency probe, or dropped if the queue is full), then the
+            // WAN path, where congestion loss applies; it only arrives if
+            // the ISP link is up and it survives. The wire image is built
+            // and parsed on a stack buffer only for packets that actually
+            // arrive — emission is pure, so skipping it for lost packets
+            // changes nothing. An arrival is buffered as its
+            // collector-side stamp.
+            if self.outages.get(outage).is_none_or(|iv| !iv.contains(at)) {
+                if let TxOutcome::Delivered { at: landed } =
+                    self.up_link.transmit(at, Heartbeat::wire_len())
+                {
+                    if self.wan.survives(&mut self.rng_heartbeat) {
+                        let mut wire = [0u8; Heartbeat::WIRE_LEN];
+                        hb.emit_into(self.cfg.wan_addr, &mut wire);
+                        // Collector-side parse: only validated packets count.
+                        if let Ok((parsed, _)) = Heartbeat::parse(&wire) {
+                            debug_assert_eq!(parsed.router, self.gateway.id);
+                            self.heartbeat_stamps.push(landed + self.wan.transit_delay);
+                        }
                     }
                 }
             }
+            let next = at + MINUTE;
+            let flush = self.flush_due();
+            if flush || next >= bound {
+                self.schedule(at, next, Ev::Heartbeat { epoch });
+                if flush {
+                    self.flush(at, shard);
+                }
+                return;
+            }
+            at = next;
         }
-        self.schedule(now, now + SimDuration::from_secs(60), Ev::Heartbeat { epoch });
     }
 
     fn on_uptime(&mut self, now: SimTime) {
@@ -1070,6 +1132,7 @@ impl<'a> HomeSim<'a> {
                 .diurnal
                 .activity(now, self.cfg.availability.utc_offset_hours)
                 .min(1.3);
+            let presence_factor = self.cfg.country.environment().presence_factor;
             for idx in 0..self.cfg.devices.len() {
                 let device = &self.cfg.devices[idx];
                 if device.always_connected {
@@ -1081,7 +1144,6 @@ impl<'a> HomeSim<'a> {
                     }
                     continue;
                 }
-                let presence_factor = self.cfg.country.environment().presence_factor;
                 let p_on = (device.presence_propensity() * activity * presence_factor)
                     .clamp(0.02, 0.95);
                 let state = self.device_state[idx];
@@ -1738,6 +1800,37 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_events_fall_fivefold_below_one_per_minute() {
+        // A consenting US home over ten days: presence slots, scans,
+        // censuses, probes and traffic epochs all end heartbeat runs.
+        let universe = DomainUniverse::standard();
+        let zone = universe.build_zone();
+        let windows = short_windows(10);
+        let mut cfg = HomeConfig::sample(
+            household::HomeId(1),
+            Country::UnitedStates,
+            &DetRng::new(99).derive("h"),
+            &universe,
+        );
+        cfg.traffic_consent = true;
+        let collector = Collector::new();
+        let mut sim = HomeSim::new(SimParams {
+            cfg: &cfg,
+            universe: &universe,
+            zone: &zone,
+            windows: &windows,
+            seed: 42,
+            reliable_upload: false,
+            faults: None,
+            cgn: None,
+        });
+        sim.run_until(windows.span.end, &collector);
+        let (events, sent) = (sim.heartbeat_events(), sim.metrics.heartbeats_emitted);
+        assert!(sent > 10_000, "{sent} heartbeats sent");
+        assert!(events * 5 <= sent, "{events} heartbeat events for {sent} heartbeats");
+    }
+
+    #[test]
     fn us_home_produces_all_datasets() {
         let data = run_home(Country::UnitedStates, Some(true), 20);
         assert!(!data.heartbeats.is_empty(), "heartbeats missing");
@@ -1840,7 +1933,7 @@ mod tests {
         while let Some((now, ev)) = sim.queue.pop_if_before(windows.span.end) {
             let from = sim.out.len();
             let census = matches!(ev, Ev::Census);
-            sim.handle(now, ev, &shard);
+            sim.handle(now, ev, windows.span.end, &shard);
             if census {
                 let keys: Vec<_> = sim.out[from..]
                     .iter()
@@ -1856,6 +1949,184 @@ mod tests {
             sim.out.clear();
         }
         assert!(censuses >= 24 && reports >= 3 * censuses, "{censuses} censuses, {reports} reports");
+    }
+
+    /// Cuts on heartbeat instants and power edges, and 1 µs to either
+    /// side of them, leave a home's output that of one uninterrupted run,
+    /// with or without faults: a heartbeat run stops at the next pending
+    /// event and at `until`, so at every cut the home has sent exactly
+    /// the heartbeats due before it.
+    mod cuts {
+        use super::*;
+        use faultlab::{FaultPlan, FaultScenario};
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        fn shared() -> &'static (DomainUniverse, ZoneDb) {
+            static SHARED: OnceLock<(DomainUniverse, ZoneDb)> = OnceLock::new();
+            SHARED.get_or_init(|| {
+                let universe = DomainUniverse::standard();
+                let zone = universe.build_zone();
+                (universe, zone)
+            })
+        }
+
+        /// What a home leaves: the drained data sets, its uplink's
+        /// counters and the heartbeats it sent.
+        type Outcome = (collector::Datasets, [u64; 4], u64);
+
+        struct Home {
+            cfg: HomeConfig,
+            windows: StudyWindows,
+            seed: u64,
+            plan: FaultPlan,
+        }
+
+        impl Home {
+            fn new(id: u32, country: Country, consent: bool, seed: u64, days: u64) -> Home {
+                let windows = short_windows(days);
+                let rng = DetRng::new(seed).derive("h");
+                let mut cfg = HomeConfig::sample(household::HomeId(id), country, &rng, &shared().0);
+                cfg.traffic_consent = consent;
+                Home { cfg, windows, seed, plan: FaultPlan::empty() }
+            }
+
+            fn router(&self) -> RouterId {
+                RouterId(self.cfg.id.0)
+            }
+
+            /// A collector armed as the study arms it.
+            fn collector(&self) -> Collector {
+                let collector = Collector::new();
+                if !self.plan.collector_downtime.is_empty() {
+                    collector.set_downtime(self.plan.collector_downtime.clone());
+                }
+                collector.register(collector::RouterMeta {
+                    router: self.router(),
+                    country: self.cfg.country,
+                    traffic_consent: self.cfg.traffic_consent,
+                });
+                collector
+            }
+
+            fn sim(&self) -> HomeSim<'_> {
+                HomeSim::new(SimParams {
+                    cfg: &self.cfg,
+                    universe: &shared().0,
+                    zone: &shared().1,
+                    windows: &self.windows,
+                    seed: self.seed,
+                    reliable_upload: !self.plan.is_empty(),
+                    faults: self.plan.for_router(self.router()),
+                    cgn: None,
+                })
+            }
+
+            /// Every instant the home sends a heartbeat at: its events
+            /// popped one at a time, as `run_until` pops them, each
+            /// followed by the heartbeats it sent, a minute apart.
+            fn heartbeat_instants(&self) -> Vec<SimTime> {
+                let collector = self.collector();
+                let shard = collector.shard_handle(self.router());
+                let mut sim = self.sim();
+                let end = self.windows.span.end;
+                let mut instants = Vec::new();
+                while let Some((now, ev)) = sim.queue.pop_if_before(end) {
+                    let sent = sim.metrics.heartbeats_emitted;
+                    sim.handle(now, ev, end, &shard);
+                    if sim.flush_due() {
+                        sim.flush(now, &shard);
+                    }
+                    let run = sim.metrics.heartbeats_emitted - sent;
+                    instants.extend((0..run).map(|k| now + MINUTE * k));
+                }
+                instants
+            }
+
+            /// Where the router powers on or off.
+            fn power_edges(&self) -> Vec<SimTime> {
+                let faults = self.plan.for_router(self.router());
+                HomeSchedules::derive(&self.cfg, self.windows.span, self.seed, faults)
+                    .powered
+                    .iter()
+                    .flat_map(|iv| [iv.start, iv.end])
+                    .collect()
+            }
+
+            /// Run through `cuts` to the span's end, returning the
+            /// heartbeats sent before each cut, then finish.
+            fn run(&self, cuts: &[SimTime]) -> (Outcome, Vec<u64>) {
+                let collector = self.collector();
+                let mut sim = self.sim();
+                let mut sent = Vec::new();
+                for &cut in cuts {
+                    sim.run_until(cut, &collector);
+                    sent.push(sim.metrics.heartbeats_emitted);
+                }
+                sim.run_until(self.windows.span.end, &collector);
+                let link = sim.up_link.stats();
+                let link = [
+                    link.accepted_packets,
+                    link.accepted_bytes,
+                    link.dropped_packets,
+                    link.dropped_bytes,
+                ];
+                let emitted = sim.metrics.heartbeats_emitted;
+                sim.finish(&collector);
+                ((collector.drain_delta(), link, emitted), sent)
+            }
+        }
+
+        fn arb_home() -> impl Strategy<Value = Home> {
+            const SCENARIOS: [Option<FaultScenario>; 4] = [
+                None,
+                Some(FaultScenario::RouterChurn),
+                Some(FaultScenario::CollectorFlap),
+                Some(FaultScenario::LossyWan),
+            ];
+            (1u32..500, 0..Country::ALL.len(), any::<bool>(), any::<u64>(), 3u64..6, 0..4usize)
+                .prop_map(|(id, country, consent, seed, days, scenario)| {
+                    let mut home = Home::new(id, Country::ALL[country], consent, seed, days);
+                    if let Some(scenario) = SCENARIOS[scenario] {
+                        let span = home.windows.span;
+                        home.plan = FaultPlan::scenario(scenario, seed, span, &[home.router()]);
+                    }
+                    home
+                })
+        }
+
+        proptest! {
+            #[test]
+            fn cuts_at_heartbeat_instants_change_nothing(
+                home in arb_home(),
+                picks in proptest::collection::vec((any::<usize>(), any::<bool>(), 0u64..3), 1..12),
+            ) {
+                let instants = home.heartbeat_instants();
+                let edges = home.power_edges();
+                let span = home.windows.span;
+                let mut cuts: Vec<SimTime> = picks
+                    .iter()
+                    .filter_map(|&(idx, edge, side)| {
+                        let from = if edge && !edges.is_empty() { &edges } else { &instants };
+                        let at = *from.get(idx % from.len().max(1))?;
+                        let cut = SimTime::from_micros((at.as_micros() + side).checked_sub(1)?);
+                        (span.start < cut && cut < span.end).then_some(cut)
+                    })
+                    .collect();
+                cuts.sort_unstable();
+                cuts.dedup();
+                let (whole, _) = home.run(&[]);
+                let (cut, sent) = home.run(&cuts);
+                for (&at, &sent) in cuts.iter().zip(&sent) {
+                    let due = instants.partition_point(|&t| t < at) as u64;
+                    prop_assert_eq!(sent, due, "heartbeats sent before the cut at {}", at);
+                }
+                prop_assert_eq!(whole.1, cut.1, "uplink counters");
+                prop_assert_eq!(whole.2, cut.2, "heartbeats emitted");
+                prop_assert_eq!(whole.2, instants.len() as u64);
+                prop_assert!(whole.0 == cut.0, "the drained data sets differ");
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,11 @@
 //! is below every other pending key. `schedule` fills it when the new key
 //! is the smallest pending one, moving any displaced occupant into the
 //! heap, and every read looks at the slot first. Pop order is therefore
-//! key order by construction, and a handler that reschedules itself
-//! ahead of everything else pending (a once-a-minute heartbeat) never
-//! touches the heap.
+//! key order by construction, and an event queued ahead of everything
+//! else pending, such as a traffic epoch's boundary a few seconds out,
+//! never touches the heap. A home's heartbeat run ends at the next
+//! pending event, so the run's own next event lands behind it, in the
+//! heap.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;

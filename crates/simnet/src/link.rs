@@ -20,6 +20,10 @@
 //! The model is analytic FIFO rather than per-byte event-driven: each
 //! [`Link::transmit`] call computes the packet's departure time in O(1)
 //! amortized, so probe trains are exact while costing nothing when idle.
+//! An offer to a link whose transmitter has finished (the once-a-minute
+//! heartbeat's usual case) forgets the in-flight packets without walking
+//! them, and the serialization time of the last size and rate seen is
+//! kept, so a repeated packet costs no division.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -121,6 +125,8 @@ pub struct Link {
     tokens: f64,
     /// Last time the bucket was refilled.
     tokens_at: SimTime,
+    /// The last serialization time computed, as `(bytes, rate, time)`.
+    tx_memo: (u64, u64, SimDuration),
     stats: LinkStats,
 }
 
@@ -134,6 +140,8 @@ impl Link {
             queued_bytes: 0,
             tokens: cfg.bucket_bytes as f64,
             tokens_at: SimTime::EPOCH,
+            // No packet has zero bytes, so this never matches.
+            tx_memo: (0, 0, SimDuration::ZERO),
             stats: LinkStats::default(),
         }
     }
@@ -167,6 +175,13 @@ impl Link {
     }
 
     fn drain(&mut self, now: SimTime) {
+        // The last packet in flight finishes at `busy_until`, and none
+        // before it finishes later.
+        if self.busy_until <= now {
+            self.in_flight.clear();
+            self.queued_bytes = 0;
+            return;
+        }
         while let Some(&(finish, bytes)) = self.in_flight.front() {
             if finish <= now {
                 self.in_flight.pop_front();
@@ -208,8 +223,7 @@ impl Link {
         } else {
             self.cfg.rate_bps
         };
-        let tx = SimDuration::from_micros((bytes.saturating_mul(8_000_000)).div_ceil(rate.max(1)));
-        let finish = start + tx;
+        let finish = start + self.serialization_at(bytes, rate);
         if self.cfg.bucket_bytes > 0 && !conforming {
             // A non-conforming packet is paced by the bucket's refill: the
             // tokens accrued while it serializes are what admitted it, so
@@ -225,6 +239,15 @@ impl Link {
         self.stats.accepted_packets += 1;
         self.stats.accepted_bytes += bytes;
         TxOutcome::Delivered { at: finish + self.cfg.delay }
+    }
+
+    /// Time to serialize `bytes` at `rate`, rounded up to a microsecond.
+    fn serialization_at(&mut self, bytes: u64, rate: u64) -> SimDuration {
+        if (self.tx_memo.0, self.tx_memo.1) != (bytes, rate) {
+            let micros = bytes.saturating_mul(8_000_000).div_ceil(rate.max(1));
+            self.tx_memo = (bytes, rate, SimDuration::from_micros(micros));
+        }
+        self.tx_memo.2
     }
 
     /// Reset the dynamic state (used when a router power-cycles; the queue

@@ -311,3 +311,162 @@ proptest! {
         }
     }
 }
+
+/// The link as it was before offers to an idle link skipped the walk of
+/// finished packets and repeated sizes skipped the division: every offer
+/// and query walks the in-flight queue, and every accepted packet divides
+/// for its serialization time. `Link` must behave exactly like it.
+struct ReferenceLink {
+    cfg: LinkConfig,
+    busy_until: SimTime,
+    in_flight: std::collections::VecDeque<(SimTime, u64)>,
+    queued_bytes: u64,
+    tokens: f64,
+    tokens_at: SimTime,
+    /// Accepted packets and bytes, dropped packets and bytes.
+    stats: [u64; 4],
+}
+
+impl ReferenceLink {
+    fn new(cfg: LinkConfig) -> ReferenceLink {
+        ReferenceLink {
+            cfg,
+            busy_until: SimTime::EPOCH,
+            in_flight: std::collections::VecDeque::new(),
+            queued_bytes: 0,
+            tokens: cfg.bucket_bytes as f64,
+            tokens_at: SimTime::EPOCH,
+            stats: [0; 4],
+        }
+    }
+
+    fn drain(&mut self, now: SimTime) {
+        while let Some(&(finish, bytes)) = self.in_flight.front() {
+            if finish > now {
+                break;
+            }
+            self.in_flight.pop_front();
+            self.queued_bytes -= bytes;
+        }
+    }
+
+    fn backlog_bytes(&mut self, now: SimTime) -> u64 {
+        self.drain(now);
+        self.queued_bytes
+    }
+
+    fn queueing_delay(&mut self, now: SimTime) -> SimDuration {
+        self.drain(now);
+        self.busy_until.saturating_since(now)
+    }
+
+    fn transmit(&mut self, now: SimTime, bytes: u64) -> TxOutcome {
+        self.drain(now);
+        if self.queued_bytes + bytes > self.cfg.queue_limit_bytes {
+            self.stats[2] += 1;
+            self.stats[3] += bytes;
+            return TxOutcome::Dropped;
+        }
+        let start = self.busy_until.max(now);
+        if self.cfg.bucket_bytes > 0 {
+            let dt = start.saturating_since(self.tokens_at).as_secs_f64();
+            self.tokens = (self.tokens + dt * self.cfg.rate_bps as f64 / 8.0)
+                .min(self.cfg.bucket_bytes as f64);
+            self.tokens_at = start;
+        }
+        let conforming = self.cfg.bucket_bytes > 0 && self.tokens >= bytes as f64;
+        let rate = if conforming {
+            self.tokens -= bytes as f64;
+            self.cfg.peak_bps
+        } else {
+            self.cfg.rate_bps
+        };
+        let tx = SimDuration::from_micros(bytes.saturating_mul(8_000_000).div_ceil(rate.max(1)));
+        let finish = start + tx;
+        if self.cfg.bucket_bytes > 0 && !conforming {
+            self.tokens = 0.0;
+            self.tokens_at = finish;
+        }
+        self.busy_until = finish;
+        self.in_flight.push_back((finish, bytes));
+        self.queued_bytes += bytes;
+        self.stats[0] += 1;
+        self.stats[1] += bytes;
+        TxOutcome::Delivered { at: finish + self.cfg.delay }
+    }
+
+    fn reset(&mut self, now: SimTime) {
+        self.busy_until = now;
+        self.in_flight.clear();
+        self.queued_bytes = 0;
+        self.tokens = self.cfg.bucket_bytes as f64;
+        self.tokens_at = now;
+    }
+}
+
+/// A simple or shaped link, 1 kbit/s to 1 Gbit/s, with a queue limit
+/// below one small packet, around a few packets, or up to 8 MiB. A shaped
+/// link's bucket holds a few small packets at most or up to 200 KB.
+fn arb_link_config() -> impl Strategy<Value = LinkConfig> {
+    let queue = prop_oneof![1u64..64, 64u64..20_000, 20_000u64..(8 << 20)];
+    let bucket = prop_oneof![1u64..200, 200u64..200_000];
+    let shaping = (any::<bool>(), 1u64..5, bucket);
+    (1_000u64..1_000_000_000, 0u64..100_000, queue, shaping).prop_map(
+        |(rate, delay_us, queue, (shaped, boost, bucket))| {
+            let delay = SimDuration::from_micros(delay_us);
+            if shaped {
+                LinkConfig::shaped(rate, rate * boost, bucket, delay, queue)
+            } else {
+                LinkConfig::simple(rate, delay, queue)
+            }
+        },
+    )
+}
+
+/// A step forward in time: none, a few microseconds, about one packet's
+/// serialization, or seconds.
+fn arb_gap() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..10, 10u64..5_000, 5_000u64..3_000_000]
+}
+
+proptest! {
+    #[test]
+    fn link_idle_path_equals_the_drain_walk(
+        cfg in arb_link_config(),
+        ops in proptest::collection::vec((0u8..8, arb_gap(), 0u64..4, 1u64..3_000), 1..200),
+    ) {
+        let mut link = Link::new(cfg);
+        let mut model = ReferenceLink::new(cfg);
+        let mut now = SimTime::EPOCH;
+        for (kind, gap, repeat, size) in ops {
+            // Most offers repeat one of two sizes, as heartbeats and
+            // probe trains do, so a repeated size meets both of a shaped
+            // link's rates.
+            let bytes = [44, 1_500, 44, size][repeat as usize];
+            now = match kind {
+                // Exactly when the transmitter finishes, or 1 µs to
+                // either side of it, if that is not in the past.
+                0..=2 => now.max(SimTime::from_micros(
+                    (model.busy_until.as_micros() + u64::from(kind)).saturating_sub(1),
+                )),
+                _ => now + SimDuration::from_micros(gap),
+            };
+            match kind {
+                6 => prop_assert_eq!(link.backlog_bytes(now), model.backlog_bytes(now)),
+                7 if gap % 8 == 0 => {
+                    link.reset(now);
+                    model.reset(now);
+                }
+                7 => prop_assert_eq!(link.queueing_delay(now), model.queueing_delay(now)),
+                _ => prop_assert_eq!(link.transmit(now, bytes), model.transmit(now, bytes)),
+            }
+            let stats = link.stats();
+            prop_assert_eq!(
+                [stats.accepted_packets, stats.accepted_bytes, stats.dropped_packets, stats.dropped_bytes],
+                model.stats
+            );
+        }
+        prop_assert_eq!(link.backlog_bytes(now), model.backlog_bytes(now));
+        prop_assert_eq!(link.queueing_delay(now), model.queueing_delay(now));
+    }
+}

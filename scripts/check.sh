@@ -57,6 +57,19 @@ if [ -z "${SKIP_TESTS:-}" ]; then
     # collector's one drain over many more record mixes, budgets and
     # batch sizes.
     PROPTEST_CASES=2000 cargo test -q --release --offline -p collector --test spill_properties
+    echo "== heartbeat-run cut property at 2,000 cases (release) =="
+    # Every `cargo test` runs homesim's `cuts` property at 64 cases; here
+    # homes, fault scenarios and cuts on, just before and just after
+    # heartbeat instants and power edges are drawn at scale, each cut
+    # run checked against one uninterrupted run.
+    PROPTEST_CASES=2000 cargo test -q --release --offline -p bismark-core --lib \
+        homesim::tests::cuts::cuts_at_heartbeat_instants_change_nothing
+    echo "== idle-link property at 2,000 cases (release) =="
+    # Every `cargo test` runs it at 64 cases; here `Link` is checked
+    # against the walking, dividing reference link over many more
+    # configurations, queue limits and send times at `busy_until`.
+    PROPTEST_CASES=2000 cargo test -q --release --offline -p simnet --test properties \
+        link_idle_path_equals_the_drain_walk
     echo "== golden digests of the full study (release) =="
     # tests/golden.rs pins the quick runs in every `cargo test`; its
     # 197-day row is #[ignore]d there and runs here on the release build.
